@@ -5,7 +5,7 @@ Every command reads its inputs from files and flags, prints one report
 exits 0 on a verified or successful outcome, 1 on a not-found, unknown,
 or failed analysis, and 2 on unusable input.  Search budgets come from
 --fuel, the RDP_FUEL environment variable, or the built-in default of
-10000, in that order.
+10000, in that order; a negative budget is unusable input.
 """
 
 from __future__ import annotations
@@ -57,15 +57,20 @@ _MODES = {mode.value: mode for mode in RelationMode}
 
 
 def _fuel(args: argparse.Namespace) -> int:
+    """The search budget; a negative one is unusable input, 0 is a valid budget."""
     if getattr(args, "fuel", None) is not None:
-        return args.fuel
-    env = os.environ.get("RDP_FUEL")
-    if env:
+        fuel, source = args.fuel, "--fuel"
+    else:
+        env = os.environ.get("RDP_FUEL")
+        if not env:
+            return DEFAULT_FUEL
         try:
-            return int(env)
+            fuel, source = int(env), "RDP_FUEL"
         except ValueError:
             raise formats.ParseError(f"RDP_FUEL must be an integer, got {env!r}") from None
-    return DEFAULT_FUEL
+    if fuel < 0:
+        raise formats.ParseError(f"{source} must not be negative, got {fuel}")
+    return fuel
 
 
 def _load_trs(path: str) -> TRS:

@@ -28,9 +28,9 @@ from .rewriting import (
     defined_symbols,
     derives,
     embed_trace,
+    explore,
     is_nr_normal_form,
     normalize,
-    successors,
 )
 from .substitution import Substitution, is_normal_substitution, match
 from .terms import (
@@ -351,24 +351,14 @@ def detect_innermost_loop(
     means no cycle was found within fuel, and in particular nonterminating
     systems whose terms grow forever are never caught.
     """
-    order: list[Term] = [term]
-    visited: set[Term] = {term}
-    edges: dict[Term, list[Step]] = {}
-    idx = 0
-    while idx < len(order):
-        u = order[idx]
-        idx += 1
-        steps = successors(trs, u, RelationMode.INNERMOST)
-        edges[u] = steps
-        for st in steps:
-            v = st.result
-            if v not in visited and len(visited) < fuel:
-                visited.add(v)
-                order.append(v)
+    edges: dict[Term, list[Step]] = {
+        u: [step for step, _ in tagged]
+        for u, tagged in explore(trs, term, RelationMode.INNERMOST, fuel)
+    }
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {u: WHITE for u in edges}
-    for root in order:
+    for root in edges:
         if color[root] != WHITE:
             continue
         stack: list[tuple[Term, object]] = [(root, iter(edges[root]))]

@@ -6,6 +6,16 @@ normal form (the innermost side condition).  All searches are deterministic:
 candidate steps are ordered by position in pre-order with ties broken by
 rule index, and breadth-first exploration visits terms in that order.
 
+One successor core answers every question about redexes.  Rules are
+indexed by the root symbol of their lhs; a pre-order walk over the term
+yields the positions that may fire, and under the innermost modes one
+bottom-up pass first records, per node, the matching rules and whether a
+redex lies below.  ``normalize`` always takes the first of those steps:
+leftmost-outermost under ``full`` and ``non-root``, leftmost-innermost
+under the innermost modes, where it is computed call by value (arguments
+left to right, then the root).  Its traces are the ones the original
+definitions, which rescanned the whole term for every step, produced.
+
 Fuel bounds work, never correctness: a positive answer always carries a
 replayable trace, a negative answer only says nothing was found within fuel.
 """
@@ -13,9 +23,9 @@ replayable trace, a negative answer only says nothing was found within fuel.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from .substitution import Substitution, match
 from .terms import (
@@ -27,7 +37,6 @@ from .terms import (
     Term,
     Var,
     format_position,
-    positions_of,
     replace_at,
     subterm_at,
     symbols_of,
@@ -96,11 +105,18 @@ class TRS:
     signature: Signature
     variables: frozenset[Var]
     rules: tuple[Rule, ...]
+    # Rules by the name of their lhs root symbol, in index order.
+    _by_root: dict[str, tuple[Rule, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        by_root: dict[str, list[Rule]] = {}
         for i, rule in enumerate(self.rules):
             if rule.index != i:
                 raise ValueError(f"rule {i} carries index {rule.index}")
+            by_root.setdefault(rule.lhs.sym.name, []).append(rule)
+        object.__setattr__(
+            self, "_by_root", {name: tuple(rules) for name, rules in by_root.items()}
+        )
 
 
 def trs_of(*rules: tuple[Term, Term]) -> TRS:
@@ -156,13 +172,107 @@ class DerivationTrace:
         return len(self.steps)
 
 
+# --- the successor core ------------------------------------------------------
+#
+# A frame is ``[symbol, arguments, i, ...]``: one ancestor on the path to a
+# subterm, the path going on through its i-th argument (1-based).  Extra
+# items are private to the walk that built the frame.
+
+
+def _plug(frames: list[list], term: Term) -> Term:
+    """Rebuild the whole term around ``term`` from the path ``frames``."""
+    for frame in reversed(frames):
+        sym, args, i = frame[0], frame[1], frame[2]
+        term = App(sym, (*args[: i - 1], term, *args[i:]))
+    return term
+
+
+def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
+    """Rules matching at the root of ``node``, by rule index, with their substitutions."""
+    out = []
+    for rule in trs._by_root.get(node.sym.name, ()):
+        sigma = match(rule.lhs, node)
+        if sigma is not None:
+            out.append((rule, sigma))
+    return out
+
+
+def _redex_table(trs: TRS, term: Term) -> dict[int, tuple[list, bool]]:
+    """One bottom-up pass: for every application node of ``term`` (keyed by
+    ``id``), the rules matching there and whether a redex lies strictly below.
+    """
+    table: dict[int, tuple[list, bool]] = {}
+    stack: list[Term] = [term]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, Var) or id(node) in table:
+            stack.pop()
+            continue
+        pending = [a for a in node.args if isinstance(a, App) and id(a) not in table]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        below = False
+        for arg in node.args:
+            if isinstance(arg, App):
+                matches, arg_below = table[id(arg)]
+                if matches or arg_below:
+                    below = True
+                    break
+        table[id(node)] = (_matches(trs, node), below)
+    return table
+
+
+def _may_fire(mode: RelationMode, at_root: bool, redex_below: Callable[[], bool]) -> bool:
+    """Whether a redex may fire under ``mode``: never at the root under a
+    non-root mode, and under an innermost mode only with no redex below it.
+    """
+    if mode.non_root and at_root:
+        return False
+    return not (mode.innermost and redex_below())
+
+
+def _fireable(
+    trs: TRS, term: Term, mode: RelationMode
+) -> Iterator[tuple[list[list], list[tuple[Rule, Substitution]]]]:
+    """Each position of ``term`` that may fire under ``mode``, in pre-order,
+    as its path and its matching rules.
+
+    The path is only valid until the walk resumes.  Innermost modes first
+    run the bottom-up pass, which also lets the walk skip every subterm
+    without a redex; the other modes match lazily during the walk.
+    """
+    if isinstance(term, Var):
+        return
+    table = _redex_table(trs, term) if mode.innermost else None
+    frames: list[list] = []
+    node: Term = term
+    while True:
+        if isinstance(node, App):
+            if table is None:
+                # Not known without the pass; only innermost modes need it.
+                matches, below = _matches(trs, node), True
+            else:
+                matches, below = table[id(node)]
+            if matches and _may_fire(mode, not frames, lambda: below):
+                yield frames, matches
+            if node.args and below:
+                frames.append([node.sym, node.args, 0])
+        while frames:
+            frame = frames[-1]
+            if frame[2] < len(frame[1]):
+                node = frame[1][frame[2]]
+                frame[2] += 1
+                break
+            frames.pop()
+        else:
+            return
+
+
 def has_redex(trs: TRS, term: Term) -> bool:
     """True when some rule matches at some position of ``term``."""
-    if isinstance(term, Var):
-        return False
-    if any(match(rule.lhs, term) is not None for rule in trs.rules):
-        return True
-    return any(has_redex(trs, arg) for arg in term.args)
+    return next(_fireable(trs, term, RelationMode.FULL), None) is not None
 
 
 def is_nr_normal_form(trs: TRS, term: Term) -> bool:
@@ -171,27 +281,15 @@ def is_nr_normal_form(trs: TRS, term: Term) -> bool:
     This is the innermost side condition: a redex may fire only when it is
     nr-normal.
     """
-    if isinstance(term, Var):
-        return True
-    return not any(has_redex(trs, arg) for arg in term.args)
+    return next(_fireable(trs, term, RelationMode.NON_ROOT), None) is None
 
 
 def iter_successors(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
     """One-step reducts under ``mode``, ordered by (position pre-order, rule index)."""
-    for pos in positions_of(term):
-        if mode.non_root and pos == ():
-            continue
-        sub = subterm_at(term, pos)
-        if isinstance(sub, Var):
-            continue
-        if mode.innermost and not is_nr_normal_form(trs, sub):
-            continue
-        for rule in trs.rules:
-            sigma = match(rule.lhs, sub)
-            if sigma is None:
-                continue
-            result = replace_at(term, pos, sigma.apply(rule.rhs))
-            yield Step(pos, rule.index, sigma, result)
+    for frames, matches in _fireable(trs, term, mode):
+        pos = tuple(frame[2] for frame in frames)
+        for rule, sigma in matches:
+            yield Step(pos, rule.index, sigma, _plug(frames, sigma.apply(rule.rhs)))
 
 
 def successors(trs: TRS, term: Term, mode: RelationMode) -> list[Step]:
@@ -203,43 +301,118 @@ def reduce_at(
 ) -> Step | None:
     """The lowest-rule-index step at ``pos`` valid under ``mode``, if any."""
     sub = subterm_at(term, pos)
-    if mode.non_root and pos == ():
-        return None
     if isinstance(sub, Var):
         return None
-    if mode.innermost and not is_nr_normal_form(trs, sub):
+    if not _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub)):
         return None
-    for rule in trs.rules:
-        sigma = match(rule.lhs, sub)
-        if sigma is not None:
-            result = replace_at(term, pos, sigma.apply(rule.rhs))
-            return Step(pos, rule.index, sigma, result)
+    for rule, sigma in _matches(trs, sub):
+        return Step(pos, rule.index, sigma, replace_at(term, pos, sigma.apply(rule.rhs)))
     return None
 
 
 def is_normal_form(trs: TRS, term: Term, mode: RelationMode) -> bool:
-    return next(iter_successors(trs, term, mode), None) is None
+    return next(_fireable(trs, term, mode), None) is None
+
+
+def _call_by_value(trs: TRS, term: Term, non_root: bool) -> Iterator[Step]:
+    """The innermost derivation that normalizes arguments left to right
+    before trying the root (never the root of ``term`` when ``non_root``).
+
+    Innermost redexes never nest, so each step fires the first innermost
+    redex in pre-order, exactly as ``iter_successors`` orders them.  After a
+    step only the contractum's rule-built part is examined: its variable
+    parts are subterms of normal forms, hence normal.  The walk keeps a
+    frame per ancestor, extended by the hints (the rhs pattern under the
+    node) and the ancestor's arguments normalized so far.
+    """
+    frames: list[list] = []
+    node, hint = term, None
+    while True:
+        while isinstance(node, App) and node.args and not isinstance(hint, Var):
+            hints = hint.args if hint is not None else None
+            frames.append([node.sym, list(node.args), 1, hints])
+            node, hint = node.args[0], hints[0] if hints is not None else None
+        normal = isinstance(node, Var) or isinstance(hint, Var)
+        while True:
+            if not normal and not (non_root and not frames):
+                fired = _matches(trs, node)
+                if fired:
+                    rule, sigma = fired[0]
+                    contractum = sigma.apply(rule.rhs)
+                    pos = tuple(frame[2] for frame in frames)
+                    yield Step(pos, rule.index, sigma, _plug(frames, contractum))
+                    node, hint = contractum, rule.rhs
+                    break
+            if not frames:
+                return
+            frame = frames[-1]
+            sym, args, i, hints = frame
+            args[i - 1] = node
+            if i < len(args):
+                frame[2] = i + 1
+                node, hint = args[i], hints[i] if hints is not None else None
+                break
+            frames.pop()
+            node, normal = App(sym, tuple(args)), False
+
+
+def _normalizing_steps(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
+    if mode.innermost:
+        yield from _call_by_value(trs, term, mode.non_root)
+        return
+    step = next(iter_successors(trs, term, mode), None)
+    while step is not None:
+        yield step
+        step = next(iter_successors(trs, step.result, mode), None)
 
 
 def normalize(
     trs: TRS, term: Term, mode: RelationMode, fuel: int = DEFAULT_FUEL
 ) -> DerivationTrace:
-    """Reduce with the leftmost-lowest strategy until a mode-normal form.
+    """Reduce until a mode-normal form, always firing the lowest-index rule
+    at the first position in pre-order where ``mode`` allows a step.
 
+    Under ``full`` and ``non-root`` that is the leftmost-outermost strategy.
+    Under the innermost modes it is leftmost-innermost, computed call by
+    value: arguments are normalized left to right before the root is tried.
     Each step consumes one unit of fuel; raises FuelExhausted (carrying the
     partial trace) if no normal form is reached within ``fuel`` steps.
     """
     steps: list[Step] = []
-    current = term
-    for _ in range(max(fuel, 0)):
-        step = next(iter_successors(trs, current, mode), None)
-        if step is None:
-            return DerivationTrace(term, tuple(steps), mode)
+    for step in _normalizing_steps(trs, term, mode):
+        if len(steps) >= fuel:
+            raise FuelExhausted(DerivationTrace(term, tuple(steps), mode))
         steps.append(step)
-        current = step.result
-    if next(iter_successors(trs, current, mode), None) is None:
-        return DerivationTrace(term, tuple(steps), mode)
-    raise FuelExhausted(DerivationTrace(term, tuple(steps), mode))
+    return DerivationTrace(term, tuple(steps), mode)
+
+
+def explore(
+    trs: TRS, start: Term, mode: RelationMode, fuel: int
+) -> Iterator[tuple[Term, list[tuple[Step, bool | None]]]]:
+    """Breadth-first exploration from ``start``, one expanded term at a time.
+
+    Yields each expanded term with its steps in successor order, each tagged
+    True when its result was admitted just now, False when it was admitted
+    before, and None when it is new but refused because ``fuel`` terms are
+    already admitted.  Refused terms are never expanded; what a refusal
+    means is the caller's fuel rule.
+    """
+    admitted: set[Term] = {start}
+    queue: deque[Term] = deque([start])
+    while queue:
+        u = queue.popleft()
+        tagged: list[tuple[Step, bool | None]] = []
+        for step in iter_successors(trs, u, mode):
+            v = step.result
+            if v in admitted:
+                tagged.append((step, False))
+            elif len(admitted) >= fuel:
+                tagged.append((step, None))
+            else:
+                admitted.add(v)
+                queue.append(v)
+                tagged.append((step, True))
+        yield u, tagged
 
 
 def derives(
@@ -257,17 +430,13 @@ def derives(
     if source == target:
         return DerivationTrace(source, (), mode)
     parent: dict[Term, tuple[Term, Step]] = {}
-    visited: set[Term] = {source}
-    queue: deque[Term] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for step in iter_successors(trs, u, mode):
-            v = step.result
-            if v in visited:
-                continue
-            if len(visited) >= fuel:
+    for u, tagged in explore(trs, source, mode, fuel):
+        for step, fresh in tagged:
+            if fresh is None:
                 return None
-            visited.add(v)
+            if not fresh:
+                continue
+            v = step.result
             parent[v] = (u, step)
             if v == target:
                 steps: list[Step] = []
@@ -277,7 +446,6 @@ def derives(
                     steps.append(st)
                 steps.reverse()
                 return DerivationTrace(source, tuple(steps), mode)
-            queue.append(v)
     return None
 
 
@@ -289,21 +457,12 @@ def descendants(
     The flag is True when the closure was cut off by fuel, i.e. some reduct
     outside the returned set exists.
     """
-    visited: set[Term] = {term}
-    queue: deque[Term] = deque([term])
+    reached: list[Term] = []
     truncated = False
-    while queue:
-        u = queue.popleft()
-        for step in iter_successors(trs, u, mode):
-            v = step.result
-            if v in visited:
-                continue
-            if len(visited) >= fuel:
-                truncated = True
-                continue
-            visited.add(v)
-            queue.append(v)
-    return frozenset(visited), truncated
+    for u, tagged in explore(trs, term, mode, fuel):
+        reached.append(u)
+        truncated = truncated or any(fresh is None for _, fresh in tagged)
+    return frozenset(reached), truncated
 
 
 def check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
@@ -314,9 +473,7 @@ def check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
         return False
     if not 0 <= step.rule_index < len(trs.rules):
         return False
-    if mode.non_root and step.position == ():
-        return False
-    if mode.innermost and not is_nr_normal_form(trs, sub):
+    if not _may_fire(mode, not step.position, lambda: not is_nr_normal_form(trs, sub)):
         return False
     rule = trs.rules[step.rule_index]
     if step.substitution.apply(rule.lhs) != sub:

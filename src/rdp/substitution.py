@@ -21,7 +21,9 @@ class Substitution:
 
     def __init__(self, bindings: Mapping[Var, Term] | Iterable[tuple[Var, Term]] = ()):
         mapping = dict(bindings)
-        self._map = {v: t for v, t in mapping.items() if t != v}
+        self._map = {
+            v: t for v, t in mapping.items() if not isinstance(t, Var) or t != v
+        }
 
     def apply(self, term: Term) -> Term:
         if isinstance(term, Var):
@@ -77,7 +79,7 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
                 bindings[p] = s
             elif seen != s:
                 return None
-        elif isinstance(s, App) and p.sym == s.sym:
+        elif isinstance(s, App) and (p.sym is s.sym or p.sym == s.sym):
             stack.extend(zip(p.args, s.args))
         else:
             return None

@@ -420,6 +420,48 @@ def test_fuel_env_must_be_integer(capsys, loop_trs_path, monkeypatch):
     assert "RDP_FUEL" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--term", "g(x)"],
+        ["loop", "--term", "g(x)"],
+        ["reach", "--from", "g(x)", "--to", "x"],
+    ],
+)
+def test_negative_fuel_flag_is_bad_input(capsys, grow_trs_path, argv):
+    code = run_command([argv[0], grow_trs_path, *argv[1:], "--fuel", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--fuel" in captured.err and "-3" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--term", "g(x)"],
+        ["loop", "--term", "g(x)"],
+        ["reach", "--from", "g(x)", "--to", "x"],
+    ],
+)
+def test_negative_fuel_env_is_bad_input(capsys, grow_trs_path, monkeypatch, argv):
+    monkeypatch.setenv("RDP_FUEL", "-1")
+    code = run_command([argv[0], grow_trs_path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "RDP_FUEL" in captured.err
+
+
+def test_zero_fuel_is_a_budget(capsys, grow_trs_path, monkeypatch):
+    code, report = run_json(capsys, ["normalize", grow_trs_path, "--term", "g(x)", "--fuel", "0"])
+    assert (code, report["status"], report["fuel"], report["length"]) == (
+        1, "fuel-exhausted", 0, 0)
+    monkeypatch.setenv("RDP_FUEL", "0")
+    code, report = run_json(capsys, ["reach", grow_trs_path, "--from", "g(x)", "--to", "x"])
+    assert (code, report["status"], report["fuel"]) == (1, "not-found", 0)
+
+
 def test_usage_errors(capsys, ack_trs_path):
     assert run_command([]) == 2
     capsys.readouterr()
