@@ -506,7 +506,7 @@ def run_command(argv: list[str]) -> int:
     except RecursionError:
         report = {
             "status": "failure",
-            "detail": "recursion-depth-exceeded; reduce the fuel",
+            "detail": "recursion-depth-exceeded",
             "fuel": _fuel(args),
         }
         code = 1

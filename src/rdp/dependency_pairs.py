@@ -31,17 +31,20 @@ from .rewriting import (
     explore,
     is_nr_normal_form,
     normalize,
+    reduce_at,
 )
-from .substitution import Substitution, is_normal_substitution, match
+from .substitution import Substitution, is_normal_substitution
 from .terms import (
+    ROOT,
     App,
+    InvalidPositionError,
     Position,
     Term,
     Var,
     format_position,
-    positions_of,
     replace_at,
     subterm_at,
+    subterms_of,
     term_to_str,
     vars_in_order,
     vars_of,
@@ -150,10 +153,10 @@ def is_dep_pair_alt(trs: TRS, dp: DepPairAlt) -> bool:
     """True when ``dp`` addresses a defined-root application in its rule's rhs."""
     if not 0 <= dp.rule_index < len(trs.rules):
         return False
-    rhs = trs.rules[dp.rule_index].rhs
-    if dp.position not in positions_of(rhs):
+    try:
+        sub = subterm_at(trs.rules[dp.rule_index].rhs, dp.position)
+    except InvalidPositionError:
         return False
-    sub = subterm_at(rhs, dp.position)
     return isinstance(sub, App) and sub.sym in defined_symbols(trs)
 
 
@@ -162,8 +165,7 @@ def dep_pairs_alt(trs: TRS) -> list[DepPairAlt]:
     defined = defined_symbols(trs)
     out: list[DepPairAlt] = []
     for rule in trs.rules:
-        for pos in positions_of(rule.rhs):
-            sub = subterm_at(rule.rhs, pos)
+        for pos, sub in subterms_of(rule.rhs):
             if isinstance(sub, App) and sub.sym in defined:
                 out.append(DepPairAlt(rule.index, pos))
     return out
@@ -421,22 +423,16 @@ def dp_and_sub_from_nrnf(
     """
     if isinstance(term, Var) or not is_nr_normal_form(trs, term):
         raise ConstructionFailure("not-nr-normal")
-    sigma: Substitution | None = None
-    rule = None
-    for candidate in trs.rules:
-        sigma = match(candidate.lhs, term)
-        if sigma is not None:
-            rule = candidate
-            break
-    if rule is None or sigma is None:
+    step = reduce_at(trs, term, ROOT, RelationMode.FULL)
+    if step is None:
         raise ConstructionFailure("no-root-rule")
+    sigma, reduct = step.substitution, step.result
     assert is_normal_substitution(sigma, trs)
-    reduct = sigma.apply(rule.rhs)
     found = find_mint_subterm(trs, reduct, fuel)
     if found is None:
         raise ConstructionFailure("no-mint-within-fuel")
     pos, _ = found
-    dp = DepPairAlt(rule.index, pos)
+    dp = DepPairAlt(step.rule_index, pos)
     if not is_dep_pair_alt(trs, dp):
         raise ConstructionFailure("mint-not-a-dependency-pair-position")
     return dp, sigma, subterm_at(reduct, pos)

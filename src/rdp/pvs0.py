@@ -7,9 +7,12 @@ designated false/top values.  Values are fixed-width tuples of naturals.
 Evaluation is total by construction: ``chi_eval`` takes a fuel argument,
 answers None (undefined) when the fuel cannot cover the recursion, and is
 deterministic and monotone in the fuel.  ``rec`` is the only construct
-that consumes fuel.  On programs whose recursion does not bottom out, the
-Python recursion depth of ``chi_eval`` tracks the fuel; the command-line
-front end runs evaluations on a dedicated thread with a matching stack.
+that consumes fuel, so the least fuel that makes an evaluation defined is
+one more than its deepest ``rec`` nesting: ``terminates_on`` and
+``epsilon_check`` read it off a single evaluation at their maximum fuel.
+On programs whose recursion does not bottom out, the Python recursion
+depth of the evaluator tracks the fuel; the command-line front end runs
+evaluations on a dedicated thread with a matching stack.
 
 Operator bodies live in a separate guard language (component accessors,
 natural constants, addition, truncated subtraction, comparisons,
@@ -260,6 +263,58 @@ def guard_eval(defn: OperatorDef, args: tuple[Value, ...]) -> Value:
     return value(defn.body)
 
 
+def _evaluate(
+    program: Pvs0Program, expr: Pvs0Expr, value: Value, fuel: int
+) -> tuple[Value | None, int]:
+    """``chi_eval``'s result, with the lowest fuel any ``rec`` ran the body at
+    (``fuel`` itself when no ``rec`` ran)."""
+    if len(value) != program.width:
+        raise Pvs0Error(f"input {value} does not fit width {program.width}")
+    o1, o2, body, false_val = program.o1, program.o2, program.body, program.false_val
+    lowest = fuel
+
+    def ev(expr: Pvs0Expr, value: Value, fuel: int) -> Value | None:
+        nonlocal lowest
+        if fuel <= 0:
+            return None
+        match expr:
+            case Cnst(v):
+                return v
+            case Vr():
+                return value
+            case Op1(index, arg):
+                if not 0 <= index < len(o1):
+                    return None
+                v1 = ev(arg, value, fuel)
+                return None if v1 is None else guard_eval(o1[index], (v1,))
+            case Op2(index, left, right):
+                if not 0 <= index < len(o2):
+                    return None
+                v1 = ev(left, value, fuel)
+                if v1 is None:
+                    return None
+                v2 = ev(right, value, fuel)
+                if v2 is None:
+                    return None
+                return guard_eval(o2[index], (v1, v2))
+            case Rec(arg):
+                v1 = ev(arg, value, fuel)
+                if v1 is None:
+                    return None
+                fuel -= 1
+                if fuel < lowest:
+                    lowest = fuel
+                return ev(body, v1, fuel)
+            case Ite(cond, then, orelse):
+                vc = ev(cond, value, fuel)
+                if vc is None:
+                    return None
+                return ev(then if vc != false_val else orelse, value, fuel)
+        raise Pvs0Error(f"not a program expression: {expr!r}")
+
+    return ev(expr, value, fuel), lowest
+
+
 def chi_eval(
     program: Pvs0Program, expr: Pvs0Expr, value: Value, fuel: int
 ) -> Value | None:
@@ -271,70 +326,7 @@ def chi_eval(
     program's designated false value.  Deterministic, and monotone in fuel:
     a defined result never changes when the fuel grows.
     """
-    if len(value) != program.width:
-        raise Pvs0Error(f"input {value} does not fit width {program.width}")
-    if fuel <= 0:
-        return None
-    match expr:
-        case Cnst(v):
-            return v
-        case Vr():
-            return value
-        case Op1(index, arg):
-            if not 0 <= index < len(program.o1):
-                return None
-            v1 = chi_eval(program, arg, value, fuel)
-            return None if v1 is None else guard_eval(program.o1[index], (v1,))
-        case Op2(index, left, right):
-            if not 0 <= index < len(program.o2):
-                return None
-            v1 = chi_eval(program, left, value, fuel)
-            if v1 is None:
-                return None
-            v2 = chi_eval(program, right, value, fuel)
-            if v2 is None:
-                return None
-            return guard_eval(program.o2[index], (v1, v2))
-        case Rec(arg):
-            v1 = chi_eval(program, arg, value, fuel)
-            if v1 is None:
-                return None
-            return chi_eval(program, program.body, v1, fuel - 1)
-        case Ite(cond, then, orelse):
-            vc = chi_eval(program, cond, value, fuel)
-            if vc is None:
-                return None
-            branch = then if vc != program.false_val else orelse
-            return chi_eval(program, branch, value, fuel)
-    raise Pvs0Error(f"not a program expression: {expr!r}")
-
-
-def _minimal_fuel(
-    program: Pvs0Program, expr: Pvs0Expr, value: Value, max_fuel: int
-) -> int | None:
-    """Least fuel <= max_fuel making ``expr`` defined on ``value``, or None.
-
-    Exponential probing followed by binary search; valid because defined
-    results are monotone in fuel.
-    """
-    if max_fuel < 1:
-        return None
-    prev_failed = 0
-    n = 1
-    while True:
-        if chi_eval(program, expr, value, n) is not None:
-            lo, hi = prev_failed + 1, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if chi_eval(program, expr, value, mid) is not None:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
-        if n >= max_fuel:
-            return None
-        prev_failed = n
-        n = min(n * 2, max_fuel)
+    return _evaluate(program, expr, value, fuel)[0]
 
 
 def terminates_on(
@@ -342,9 +334,12 @@ def terminates_on(
 ) -> int | None:
     """Least fuel on which the program is defined on ``value``, within ``max_fuel``.
 
-    None is an unknown verdict (not enough fuel), never a nontermination proof.
+    Runs one evaluation at ``max_fuel`` and reads the least fuel off it:
+    one more than the deepest ``rec`` nesting.  None is an unknown verdict
+    (not enough fuel), never a nontermination proof.
     """
-    return _minimal_fuel(program, program.body, value, max_fuel)
+    result, lowest = _evaluate(program, program.body, value, max_fuel)
+    return None if result is None else max_fuel - lowest + 1
 
 
 class EpsilonResult(Enum):
@@ -362,15 +357,14 @@ def epsilon_check(
 ) -> EpsilonResult:
     """Does ``expr`` on ``v_in`` evaluate to ``v_out`` at some fuel <= max_fuel?
 
-    When evaluation stabilizes to a different value the answer is a
-    definitive FALSE (evaluation is deterministic and monotone, so no
-    larger fuel can change it); when no fuel in range gives a defined
-    result the answer is UNKNOWN.
+    Runs one evaluation at ``max_fuel``.  A defined result different from
+    ``v_out`` is a definitive FALSE (evaluation is deterministic and
+    monotone, so no larger fuel can change it); an undefined one is
+    UNKNOWN.
     """
-    n = _minimal_fuel(program, expr, v_in, max_fuel)
-    if n is None:
+    result = chi_eval(program, expr, v_in, max_fuel)
+    if result is None:
         return EpsilonResult.UNKNOWN
-    result = chi_eval(program, expr, v_in, n)
     return EpsilonResult.TRUE if result == v_out else EpsilonResult.FALSE
 
 

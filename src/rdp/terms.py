@@ -61,7 +61,6 @@ class App:
 
 
 Term = Union[Var, App]
-Variable = Var
 
 Position = tuple[int, ...]
 ROOT: Position = ()
@@ -101,16 +100,7 @@ class Signature:
 
 def positions_of(term: Term) -> list[Position]:
     """All positions of ``term`` in pre-order (root first, arguments left to right)."""
-    out: list[Position] = []
-
-    def walk(t: Term, here: Position) -> None:
-        out.append(here)
-        if isinstance(t, App):
-            for i, arg in enumerate(t.args, start=1):
-                walk(arg, here + (i,))
-
-    walk(term, ROOT)
-    return out
+    return [pos for pos, _ in subterms_of(term)]
 
 
 def subterm_at(term: Term, pos: Position) -> Term:
@@ -212,8 +202,3 @@ def symbols_of(term: Term) -> frozenset[Symbol]:
     for arg in term.args:
         out |= symbols_of(arg)
     return frozenset(out)
-
-
-def app(sym: Symbol, *args: Term) -> App:
-    """Convenience constructor: ``app(f, x, y)`` for ``App(f, (x, y))``."""
-    return App(sym, tuple(args))

@@ -1,11 +1,34 @@
 """Hand-built systems, term builders and test oracles shared across the test modules."""
 
+import random
 from collections import deque
 from typing import Iterator
 
 from hypothesis import strategies as st
 
-from rdp import App, Symbol, Term, Var, trs_of
+from rdp import (
+    App,
+    Cnst,
+    GAdd,
+    GComp,
+    GConst,
+    GIf,
+    GMonus,
+    GTuple,
+    Ite,
+    Op1,
+    Op2,
+    OperatorDef,
+    Pvs0Program,
+    Rec,
+    Symbol,
+    Term,
+    Var,
+    Vr,
+    chi_eval,
+    trs_of,
+)
+from rdp.pvs0 import Pvs0Expr, Value
 from rdp.rewriting import (
     DEFAULT_FUEL,
     TRS,
@@ -148,12 +171,58 @@ ground_ack_terms = st.recursive(
 )
 
 
+def random_pvs0_program(rng: random.Random) -> Pvs0Program:
+    """A small random program of width 1 or 2 (the criterion-7 generator)."""
+    width = rng.randint(1, 2)
+    false_val = (0,) * width
+    top_val = (1,) + (0,) * (width - 1)
+
+    def scalar(depth, arity):
+        if depth == 0 or rng.random() < 0.5:
+            if rng.random() < 0.5:
+                return GConst(rng.randint(0, 3))
+            return GComp(rng.randrange(arity), rng.randrange(width))
+        maker = GAdd if rng.random() < 0.5 else GMonus
+        return maker(scalar(depth - 1, arity), scalar(depth - 1, arity))
+
+    def gvalue(depth, arity):
+        if depth > 0 and rng.random() < 0.4:
+            return GIf(
+                rng.choice(("lt", "le", "eq")),
+                scalar(depth - 1, arity),
+                scalar(depth - 1, arity),
+                gvalue(depth - 1, arity),
+                gvalue(depth - 1, arity),
+            )
+        return GTuple(tuple(scalar(depth, arity) for _ in range(width)))
+
+    o1 = tuple(OperatorDef(1, gvalue(2, 1)) for _ in range(rng.randint(0, 2)))
+    o2 = tuple(OperatorDef(2, gvalue(2, 2)) for _ in range(rng.randint(0, 2)))
+
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.3:
+            if rng.random() < 0.5:
+                return Vr()
+            return Cnst(tuple(rng.randint(0, 3) for _ in range(width)))
+        kind = rng.randrange(4)
+        if kind == 0:
+            return Op1(rng.randint(0, 3), expr(depth - 1))
+        if kind == 1:
+            return Op2(rng.randint(0, 3), expr(depth - 1), expr(depth - 1))
+        if kind == 2:
+            return Rec(expr(depth - 1))
+        return Ite(expr(depth - 1), expr(depth - 1), expr(depth - 1))
+
+    return Pvs0Program(width, false_val, top_val, o1, o2, expr(3))
+
+
 # --- oracles -----------------------------------------------------------------
 #
-# The original definitions of the successor core and of the breadth-first
-# searches, kept verbatim (renamed ``oracle_*``) as the obviously correct
-# reference for the differential tests.  They rescan the term for every
-# position and try every rule everywhere.
+# The original definitions of the successor core, of the breadth-first
+# searches and of the PVS0 least-fuel search, kept verbatim (renamed
+# ``oracle_*``) as the obviously correct reference for the differential
+# tests.  They rescan the term for every position and try every rule
+# everywhere; the fuel search probes fuels 1, 2, 4, ... and then bisects.
 
 
 def oracle_has_redex(trs: TRS, term: Term) -> bool:
@@ -304,3 +373,31 @@ def oracle_descendants(
             visited.add(v)
             queue.append(v)
     return frozenset(visited), truncated
+
+
+def oracle_minimal_fuel(
+    program: Pvs0Program, expr: Pvs0Expr, value: Value, max_fuel: int
+) -> int | None:
+    """Least fuel <= max_fuel making ``expr`` defined on ``value``, or None.
+
+    Exponential probing followed by binary search; valid because defined
+    results are monotone in fuel.
+    """
+    if max_fuel < 1:
+        return None
+    prev_failed = 0
+    n = 1
+    while True:
+        if chi_eval(program, expr, value, n) is not None:
+            lo, hi = prev_failed + 1, n
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if chi_eval(program, expr, value, mid) is not None:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+        if n >= max_fuel:
+            return None
+        prev_failed = n
+        n = min(n * 2, max_fuel)

@@ -16,17 +16,8 @@ from rdp import (
     ChainWitness,
     DepPair,
     DepPairAlt,
-    GAdd,
-    GComp,
-    GConst,
-    GIf,
-    GMonus,
-    GTuple,
-    Ite,
-    Cnst,
     Op1,
     Op2,
-    OperatorDef,
     Pvs0Program,
     Rec,
     RelationMode,
@@ -75,6 +66,7 @@ from helpers import (
     hg_system,
     loop_system,
     nat,
+    random_pvs0_program,
 )
 
 
@@ -393,57 +385,13 @@ def test_06_cross_model_oracle(ack_trs, ack_program):
 # --- 7: fuel semantics of the evaluator ------------------------------------
 
 
-def _random_program(rng: random.Random) -> Pvs0Program:
-    width = rng.randint(1, 2)
-    false_val = (0,) * width
-    top_val = (1,) + (0,) * (width - 1)
-
-    def scalar(depth, arity):
-        if depth == 0 or rng.random() < 0.5:
-            if rng.random() < 0.5:
-                return GConst(rng.randint(0, 3))
-            return GComp(rng.randrange(arity), rng.randrange(width))
-        maker = GAdd if rng.random() < 0.5 else GMonus
-        return maker(scalar(depth - 1, arity), scalar(depth - 1, arity))
-
-    def gvalue(depth, arity):
-        if depth > 0 and rng.random() < 0.4:
-            return GIf(
-                rng.choice(("lt", "le", "eq")),
-                scalar(depth - 1, arity),
-                scalar(depth - 1, arity),
-                gvalue(depth - 1, arity),
-                gvalue(depth - 1, arity),
-            )
-        return GTuple(tuple(scalar(depth, arity) for _ in range(width)))
-
-    o1 = tuple(OperatorDef(1, gvalue(2, 1)) for _ in range(rng.randint(0, 2)))
-    o2 = tuple(OperatorDef(2, gvalue(2, 2)) for _ in range(rng.randint(0, 2)))
-
-    def expr(depth):
-        if depth == 0 or rng.random() < 0.3:
-            if rng.random() < 0.5:
-                return Vr()
-            return Cnst(tuple(rng.randint(0, 3) for _ in range(width)))
-        kind = rng.randrange(4)
-        if kind == 0:
-            return Op1(rng.randint(0, 3), expr(depth - 1))
-        if kind == 1:
-            return Op2(rng.randint(0, 3), expr(depth - 1), expr(depth - 1))
-        if kind == 2:
-            return Rec(expr(depth - 1))
-        return Ite(expr(depth - 1), expr(depth - 1), expr(depth - 1))
-
-    return Pvs0Program(width, false_val, top_val, o1, o2, expr(3))
-
-
 def test_07_evaluator_fuel_semantics():
     rng = random.Random(7)
     t0 = perf_counter()
     programs = 0
     violations = 0
     for _ in range(200):
-        program = _random_program(rng)
+        program = random_pvs0_program(rng)
         programs += 1
         inputs = [
             tuple(rng.randint(0, 3) for _ in range(program.width)) for _ in range(2)

@@ -114,6 +114,19 @@ def test_normalize_fuel_exhausted(capsys, loop_trs_path):
     assert report["last"] == "f(c)"
 
 
+def test_normalize_deep_growth_is_an_honest_failure(capsys, grow_trs_path):
+    """At fuel 450 the term outgrows the recursive printers; the report is
+    still an exit-1 verdict with the fuel, and blames neither the fuel nor
+    the user."""
+    code = run_command(["normalize", grow_trs_path, "--term", "g(x)", "--fuel", "450", "--json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "reduce the fuel" not in out
+    report = json.loads(out)
+    assert report["status"] in ("failure", "fuel-exhausted")
+    assert report["fuel"] == 450
+
+
 def test_reach_verified_and_not_found(capsys, ack_trs_path):
     code, report = run_json(
         capsys,

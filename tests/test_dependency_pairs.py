@@ -76,6 +76,8 @@ def test_is_dep_pair_alt():
     assert not is_dep_pair_alt(trs, DepPairAlt(0, ()))  # rhs root is s
     assert not is_dep_pair_alt(trs, DepPairAlt(2, (2, 2)))  # subterm is y
     assert not is_dep_pair_alt(trs, DepPairAlt(2, (9,)))
+    assert not is_dep_pair_alt(trs, DepPairAlt(2, (2, 2, 1)))  # below the variable y
+    assert not is_dep_pair_alt(trs, DepPairAlt(2, (0,)))
     assert not is_dep_pair_alt(trs, DepPairAlt(5, ()))
 
 

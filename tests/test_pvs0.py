@@ -137,6 +137,11 @@ def test_chi_input_width_checked():
     program = width1(Vr())
     with pytest.raises(Pvs0Error):
         chi_eval(program, program.body, (1, 2), 5)
+    for fuel in (0, 5):
+        with pytest.raises(Pvs0Error):
+            terminates_on(program, (1, 2), fuel)
+        with pytest.raises(Pvs0Error):
+            epsilon_check(program, program.body, (1, 2), (1,), fuel)
 
 
 def test_chi_ite_tests_against_false_value():
