@@ -5,12 +5,15 @@ Every command reads its inputs from files and flags, prints one report
 exits 0 on a verified or successful outcome, 1 on a not-found, unknown,
 or failed analysis, and 2 on unusable input.  Search budgets come from
 --fuel, the RDP_FUEL environment variable, or the built-in default of
-10000, in that order; a negative budget is unusable input.
+10000, in that order.  Every command resolves its budget once, before it
+reads any input file, so a negative or malformed budget is unusable input
+whatever else the command is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,6 +24,7 @@ from typing import Any, Callable
 
 from . import formats
 from .dependency_pairs import (
+    ChainWitness,
     ConstructionFailure,
     DepPairAlt,
     InvalidDepPairError,
@@ -58,7 +62,7 @@ _MODES = {mode.value: mode for mode in RelationMode}
 
 def _fuel(args: argparse.Namespace) -> int:
     """The search budget; a negative one is unusable input, 0 is a valid budget."""
-    if getattr(args, "fuel", None) is not None:
+    if args.fuel is not None:
         fuel, source = args.fuel, "--fuel"
     else:
         env = os.environ.get("RDP_FUEL")
@@ -147,14 +151,13 @@ def _cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     term = formats.parse_term(args.term, trs)
     mode = _MODES[args.mode]
-    fuel = _fuel(args)
     try:
-        trace = normalize(trs, term, mode, fuel)
+        trace = normalize(trs, term, mode, args.fuel)
     except FuelExhausted as err:
         return {
             "status": "fuel-exhausted",
             "mode": mode.value,
-            "fuel": fuel,
+            "fuel": args.fuel,
             "length": len(err.trace.steps),
             "last": term_to_str(err.trace.end),
             "trace": formats.trace_to_json(err.trace),
@@ -162,7 +165,7 @@ def _cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
     return {
         "status": "normalized",
         "mode": mode.value,
-        "fuel": fuel,
+        "fuel": args.fuel,
         "normal_form": term_to_str(trace.end),
         "length": len(trace.steps),
         "trace": formats.trace_to_json(trace),
@@ -174,14 +177,13 @@ def _cmd_reach(args: argparse.Namespace) -> tuple[dict, int]:
     source = formats.parse_term(args.source, trs)
     target = formats.parse_term(args.target, trs)
     mode = _MODES[args.mode]
-    fuel = _fuel(args)
-    trace = derives(trs, source, target, mode, fuel)
+    trace = derives(trs, source, target, mode, args.fuel)
     if trace is None:
-        return {"status": "not-found", "mode": mode.value, "fuel": fuel}, 1
+        return {"status": "not-found", "mode": mode.value, "fuel": args.fuel}, 1
     return {
         "status": "verified",
         "mode": mode.value,
-        "fuel": fuel,
+        "fuel": args.fuel,
         "length": len(trace.steps),
         "trace": formats.trace_to_json(trace),
     }, 0
@@ -190,13 +192,12 @@ def _cmd_reach(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_loop(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     term = formats.parse_term(args.term, trs)
-    fuel = _fuel(args)
-    cert = detect_innermost_loop(trs, term, fuel)
+    cert = detect_innermost_loop(trs, term, args.fuel)
     if cert is None:
-        return {"status": "not-found", "fuel": fuel}, 1
+        return {"status": "not-found", "fuel": args.fuel}, 1
     return {
         "status": "loop-found",
-        "fuel": fuel,
+        "fuel": args.fuel,
         "start": term_to_str(cert.trace.start),
         "length": len(cert.trace.steps),
         "trace": formats.trace_to_json(cert.trace),
@@ -206,14 +207,13 @@ def _cmd_loop(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_mint(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     term = formats.parse_term(args.term, trs)
-    fuel = _fuel(args)
-    found = find_mint_subterm(trs, term, fuel)
+    found = find_mint_subterm(trs, term, args.fuel)
     if found is None:
-        return {"status": "not-found", "fuel": fuel}, 1
+        return {"status": "not-found", "fuel": args.fuel}, 1
     pos, cert = found
     return {
         "status": "mint-found",
-        "fuel": fuel,
+        "fuel": args.fuel,
         "position": format_position(pos),
         "subterm": term_to_str(subterm_at(term, pos)),
         "certificate": formats.trace_to_json(cert.trace),
@@ -222,8 +222,6 @@ def _cmd_mint(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _restricted_witness(trs: TRS, witness):
     """Drop bindings outside each entry's rule variables; report the count."""
-    from .dependency_pairs import ChainWitness
-
     entries = []
     dropped = 0
     for dp, sigma in witness.entries:
@@ -237,12 +235,13 @@ def _restricted_witness(trs: TRS, witness):
 def _cmd_chain_verify(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     witness = formats.parse_chain_witness(Path(args.witness).read_text(), trs)
-    fuel = _fuel(args)
-    report: dict = {"entries": len(witness.entries), "innermost": args.innermost, "fuel": fuel}
+    report: dict = {
+        "entries": len(witness.entries), "innermost": args.innermost, "fuel": args.fuel
+    }
     if args.rename_apart:
         witness, dropped = _restricted_witness(trs, witness)
         report["rename_apart_dropped_bindings"] = dropped
-    verdict = verify_chain_prefix(trs, witness, args.innermost, fuel)
+    verdict = verify_chain_prefix(trs, witness, args.innermost, args.fuel)
     report["status"] = verdict.status
     report["traces"] = [formats.trace_to_json(t) for t in verdict.traces]
     if verdict.status == "verified":
@@ -256,12 +255,11 @@ def _cmd_chain_verify(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_chain_derive(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     witness = formats.parse_chain_witness(Path(args.witness).read_text(), trs)
-    fuel = _fuel(args)
-    links = derivation_from_chain(trs, witness, fuel)
+    links = derivation_from_chain(trs, witness, args.fuel)
     return {
         "status": "verified",
         "entries": len(witness.entries),
-        "fuel": fuel,
+        "fuel": args.fuel,
         "links": [
             {"term": term_to_str(term), "trace": formats.trace_to_json(trace)}
             for term, trace in links
@@ -272,15 +270,14 @@ def _cmd_chain_derive(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_loop_chain(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     term = formats.parse_term(args.term, trs)
-    fuel = _fuel(args)
-    cert = detect_innermost_loop(trs, term, fuel)
+    cert = detect_innermost_loop(trs, term, args.fuel)
     if cert is None:
-        return {"status": "not-found", "detail": "no-loop-certificate", "fuel": fuel}, 1
-    witness = chain_from_loop(trs, cert, args.length, fuel)
+        return {"status": "not-found", "detail": "no-loop-certificate", "fuel": args.fuel}, 1
+    witness = chain_from_loop(trs, cert, args.length, args.fuel)
     return {
         "status": "verified",
         "length": len(witness.entries),
-        "fuel": fuel,
+        "fuel": args.fuel,
         "witness": formats.witness_to_json(witness),
     }, 0
 
@@ -288,23 +285,21 @@ def _cmd_loop_chain(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_pvs0_eval(args: argparse.Namespace) -> tuple[dict, int]:
     program = formats.parse_pvs0_program(Path(args.program).read_text())
     value = formats.parse_value(args.input)
-    fuel = _fuel(args)
     result = _with_deep_stack(
-        lambda: chi_eval(program, program.body, value, fuel), fuel
+        lambda: chi_eval(program, program.body, value, args.fuel), args.fuel
     )
     if result is None:
-        return {"status": "undefined", "fuel": fuel}, 1
-    return {"status": "ok", "result": list(result), "fuel": fuel}, 0
+        return {"status": "undefined", "fuel": args.fuel}, 1
+    return {"status": "ok", "result": list(result), "fuel": args.fuel}, 0
 
 
 def _cmd_pvs0_terminates(args: argparse.Namespace) -> tuple[dict, int]:
     program = formats.parse_pvs0_program(Path(args.program).read_text())
     value = formats.parse_value(args.input)
-    fuel = _fuel(args)
-    needed = _with_deep_stack(lambda: terminates_on(program, value, fuel), fuel)
+    needed = _with_deep_stack(lambda: terminates_on(program, value, args.fuel), args.fuel)
     if needed is None:
-        return {"status": "unknown-within-fuel", "fuel": fuel}, 1
-    return {"status": "terminates", "fuel_needed": needed, "max_fuel": fuel}, 0
+        return {"status": "unknown-within-fuel", "fuel": args.fuel}, 1
+    return {"status": "terminates", "fuel_needed": needed, "max_fuel": args.fuel}, 0
 
 
 def _cmd_pvs0_contexts(args: argparse.Namespace) -> tuple[dict, int]:
@@ -354,19 +349,19 @@ def _cmd_cc_dp_check(args: argparse.Namespace) -> tuple[dict, int]:
     if not samples:
         raise formats.ParseError("no samples given; use --sample and/or --grid")
     encode = unary_encoder(trs, args.root, args.succ, args.zero)
-    fuel = _fuel(args)
     report = _with_deep_stack(
-        lambda: check_cc_dp_correspondence(program, trs, encode, pairs, samples, fuel),
-        fuel,
+        lambda: check_cc_dp_correspondence(program, trs, encode, pairs, samples, args.fuel),
+        args.fuel,
     )
     report["status"] = "pass" if report["passed"] else "fail"
-    report["fuel"] = fuel
+    report["fuel"] = args.fuel
     return report, 0 if report["passed"] else 1
 
 
 # --- dispatcher ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdp",
@@ -499,17 +494,11 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
+        args.fuel = _fuel(args)
         report, code = args.func(args)
-    except (PreconditionFailed, ConstructionFailure) as err:
-        report = {"status": "failure", "detail": err.reason, "fuel": _fuel(args)}
-        code = 1
-    except RecursionError:
-        report = {
-            "status": "failure",
-            "detail": "recursion-depth-exceeded",
-            "fuel": _fuel(args),
-        }
-        code = 1
+    except (PreconditionFailed, ConstructionFailure, RecursionError) as err:
+        detail = "recursion-depth-exceeded" if isinstance(err, RecursionError) else err.reason
+        report, code = {"status": "failure", "detail": detail, "fuel": args.fuel}, 1
     except (
         formats.ParseError,
         InvalidDepPairError,

@@ -149,6 +149,8 @@ def _raw_terms(raw: _RawTerm) -> Iterator[_RawTerm]:
 
 def _resolve(raw: _RawTerm, signature: Signature, variables: frozenset[Var]) -> Term:
     if Var(raw.name) in variables:
+        if raw.children:
+            raise ParseError(f"variable {raw.name!r} used with arguments", raw.line)
         return Var(raw.name)
     sym = signature.get(raw.name)
     if sym is None:
@@ -166,9 +168,6 @@ def parse_term(text: str, trs: TRS) -> Term:
     ts = _TokenStream(_tokenize(text))
     raw = _parse_raw_term(ts)
     ts.take("eof")
-    for node in _raw_terms(raw):
-        if Var(node.name) in trs.variables and node.children:
-            raise ParseError(f"variable {node.name!r} used with arguments", node.line)
     return _resolve(raw, trs.signature, trs.variables)
 
 

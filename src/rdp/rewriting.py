@@ -122,14 +122,13 @@ class TRS:
 def trs_of(*rules: tuple[Term, Term]) -> TRS:
     """Build a TRS from lhs/rhs pairs, inferring signature and variables."""
     indexed = tuple(Rule(l, r, i) for i, (l, r) in enumerate(rules))
-    symbols: dict[str, Symbol] = {}
+    symbols: set[Symbol] = set()
     variables: set[Var] = set()
     for rule in indexed:
         for t in (rule.lhs, rule.rhs):
-            for sym in symbols_of(t):
-                symbols.setdefault(sym.name, sym)
+            symbols |= symbols_of(t)
             variables |= vars_of(t)
-    return TRS(Signature(tuple(symbols.values())), frozenset(variables), indexed)
+    return TRS(Signature(tuple(symbols)), frozenset(variables), indexed)
 
 
 def defined_symbols(trs: TRS) -> frozenset[Symbol]:

@@ -140,11 +140,7 @@ def root_symbol(term: Term) -> Symbol:
 
 def iter_vars(term: Term) -> Iterator[Var]:
     """Variable occurrences of ``term`` in pre-order (with repetitions)."""
-    if isinstance(term, Var):
-        yield term
-    else:
-        for arg in term.args:
-            yield from iter_vars(arg)
+    return (t for _, t in subterms_of(term) if isinstance(t, Var))
 
 
 def vars_of(term: Term) -> frozenset[Var]:
@@ -196,9 +192,4 @@ def parse_position(text: str) -> Position:
 
 
 def symbols_of(term: Term) -> frozenset[Symbol]:
-    if isinstance(term, Var):
-        return frozenset()
-    out = {term.sym}
-    for arg in term.args:
-        out |= symbols_of(arg)
-    return frozenset(out)
+    return frozenset(t.sym for _, t in subterms_of(term) if isinstance(t, App))

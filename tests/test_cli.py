@@ -12,6 +12,7 @@ HG_TRS = (
     "  h(x,y) -> g(x,y)\n"
     "  g(x,y) -> y\n)\n"
 )
+DEEP_TERM = "s(" * 2000 + "x" + ")" * 2000  # deeper than the parser's recursion reaches
 LOOP_PROGRAM = '{"width": 1, "false_val": [0], "top_val": [1], "body": ["rec", ["vr"]]}'
 
 INNER_ACK_WITNESS = {
@@ -248,6 +249,9 @@ def test_chain_verify_rename_apart(capsys, ack_trs_path, tmp_path):
     )
     assert code == 0
     assert report["rename_apart_dropped_bindings"] == 1
+    code, report = run_json(capsys, ["chain-verify", ack_trs_path, "--witness", witness])
+    assert code == 0
+    assert "rename_apart_dropped_bindings" not in report
 
 
 def test_chain_verify_rejects_bad_witness(capsys, ack_trs_path, tmp_path):
@@ -366,6 +370,13 @@ def test_cc_dp_check_pass(capsys, ack_program_path, ack_trs_path):
     assert code == 0
     assert report["status"] == "pass"
     assert len(report["pairs"]) == 2
+    # The parser is built once per process; appended flags must not carry over.
+    code, report = run_json(
+        capsys,
+        ["cc-dp-check", ack_program_path, ack_trs_path, "--pair", "0:1@ε", "--grid", "1,1"],
+    )
+    assert code == 0
+    assert len(report["pairs"]) == 1
 
 
 def test_cc_dp_check_fail(capsys, ack_program_path, ack_trs_path):
@@ -425,12 +436,17 @@ def test_fuel_flag_beats_env(capsys, loop_trs_path, monkeypatch):
     assert report["length"] == 3
 
 
-def test_fuel_env_must_be_integer(capsys, loop_trs_path, monkeypatch):
+def test_fuel_env_must_be_integer(capsys, loop_trs_path, grow_trs_path, monkeypatch):
     monkeypatch.setenv("RDP_FUEL", "lots")
     code = run_command(["normalize", loop_trs_path, "--term", "f(c)"])
     captured = capsys.readouterr()
     assert code == 2
     assert "RDP_FUEL" in captured.err
+    monkeypatch.setenv("RDP_FUEL", "abc")
+    code = run_command(["normalize", grow_trs_path, "--term", DEEP_TERM])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: RDP_FUEL") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -439,6 +455,8 @@ def test_fuel_env_must_be_integer(capsys, loop_trs_path, monkeypatch):
         ["normalize", "--term", "g(x)"],
         ["loop", "--term", "g(x)"],
         ["reach", "--from", "g(x)", "--to", "x"],
+        ["normalize", "--term", DEEP_TERM],
+        ["dps"],
     ],
 )
 def test_negative_fuel_flag_is_bad_input(capsys, grow_trs_path, argv):
@@ -447,6 +465,7 @@ def test_negative_fuel_flag_is_bad_input(capsys, grow_trs_path, argv):
     assert code == 2
     assert captured.out == ""
     assert "--fuel" in captured.err and "-3" in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -455,6 +474,7 @@ def test_negative_fuel_flag_is_bad_input(capsys, grow_trs_path, argv):
         ["normalize", "--term", "g(x)"],
         ["loop", "--term", "g(x)"],
         ["reach", "--from", "g(x)", "--to", "x"],
+        ["normalize", "--term", DEEP_TERM],
     ],
 )
 def test_negative_fuel_env_is_bad_input(capsys, grow_trs_path, monkeypatch, argv):

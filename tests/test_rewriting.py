@@ -9,6 +9,7 @@ from rdp import (
     RuleRestrictionError,
     Step,
     Substitution,
+    Symbol,
     TRS,
     check_step,
     check_trace,
@@ -69,6 +70,12 @@ def test_trs_indices_must_match_order():
     rule = Rule(ap(F1, X), ap(F1, X), 1)
     with pytest.raises(ValueError):
         TRS(ack_system().signature, frozenset({X}), (rule,))
+
+
+def test_trs_of_rejects_a_name_with_two_arities():
+    f2 = Symbol("f", 2)
+    with pytest.raises(ValueError, match="duplicate symbol name 'f'"):
+        trs_of((ap(F1, X), X), (ap(f2, X, X), ap(F1, X)))
 
 
 def test_defined_symbols():

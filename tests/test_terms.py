@@ -22,6 +22,13 @@ from rdp.terms import root_symbol, subterms_of, symbols_of, vars_in_order
 from helpers import A2, C0, S1, X, Y, Z0, ack, ack_terms, ap, nat
 
 
+def s_tower(depth, leaf):
+    """``s^depth(leaf)``, built without recursion; too deep to hash or print."""
+    for _ in range(depth):
+        leaf = ap(S1, leaf)
+    return leaf
+
+
 def test_symbol_repr_and_negative_arity():
     assert repr(A2) == "a/2"
     with pytest.raises(ValueError):
@@ -91,6 +98,9 @@ def test_vars_helpers():
     assert vars_of(t) == frozenset({X, Y})
     assert vars_in_order(t) == (Y, X)
     assert vars_of(nat(4)) == frozenset()
+    deep = s_tower(5000, X)
+    assert vars_of(deep) == frozenset({X})
+    assert vars_in_order(ap(A2, deep, Y)) == (X, Y)
 
 
 def test_subterms_of_matches_positions():
@@ -105,6 +115,7 @@ def test_subterms_of_matches_positions():
 
 def test_symbols_of():
     assert symbols_of(ack(nat(1), X)) == frozenset({A2, S1, Z0})
+    assert symbols_of(s_tower(5000, ap(Z0))) == frozenset({S1, Z0})
 
 
 def test_term_to_str():
