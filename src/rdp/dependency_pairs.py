@@ -7,6 +7,12 @@ substitution) entries; consecutive entries are chained when the
 instantiated rhs subterm of one rewrites below the root to the
 instantiated lhs of the next.
 
+Pairs are validated where they enter: ``require_dep_pair`` is the one
+rejection, reached through ``to_standard`` by every function that reads a
+pair's lhs and rhs subterm, and through ``validate_witness`` and the witness
+parser for whole witnesses; the pass over a witness's denoted terms trusts
+a witness already validated.
+
 Checking is fuel-bounded and evidence-carrying in both directions: chain
 links come with replayable non-root traces, nontermination evidence is an
 exact innermost cycle, and from a cycle a verified chain of any requested
@@ -16,6 +22,8 @@ length can be extracted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .rewriting import (
     DEFAULT_FUEL,
@@ -29,11 +37,12 @@ from .rewriting import (
     derives,
     embed_trace,
     explore,
+    is_normal_substitution,
     is_nr_normal_form,
     normalize,
     reduce_at,
 )
-from .substitution import Substitution, is_normal_substitution
+from .substitution import Substitution
 from .terms import (
     ROOT,
     App,
@@ -160,6 +169,13 @@ def is_dep_pair_alt(trs: TRS, dp: DepPairAlt) -> bool:
     return isinstance(sub, App) and sub.sym in defined_symbols(trs)
 
 
+def require_dep_pair(trs: TRS, dp: DepPairAlt, entry: int | None = None) -> None:
+    """Reject ``dp`` unless it is a pair of ``trs``; ``entry`` is its witness entry."""
+    if not is_dep_pair_alt(trs, dp):
+        which = "not" if entry is None else f"entry {entry} is not"
+        raise InvalidDepPairError(f"{which} a dependency pair of this TRS: {dp!r}", entry)
+
+
 def dep_pairs_alt(trs: TRS) -> list[DepPairAlt]:
     """All dependency pairs, ordered by (rule index, position pre-order)."""
     defined = defined_symbols(trs)
@@ -172,8 +188,7 @@ def dep_pairs_alt(trs: TRS) -> list[DepPairAlt]:
 
 
 def to_standard(trs: TRS, dp: DepPairAlt) -> DepPair:
-    if not is_dep_pair_alt(trs, dp):
-        raise InvalidDepPairError(f"not a dependency pair of this TRS: {dp!r}")
+    require_dep_pair(trs, dp)
     rule = trs.rules[dp.rule_index]
     return DepPair(rule.lhs, subterm_at(rule.rhs, dp.position))
 
@@ -196,22 +211,15 @@ def standard_dep_pairs(trs: TRS, dedup: bool = False) -> list[DepPair]:
     pairs = [to_standard(trs, dp) for dp in dep_pairs_alt(trs)]
     if not dedup:
         return pairs
-    seen: set[DepPair] = set()
-    out: list[DepPair] = []
+    firsts: dict[DepPair, DepPair] = {}
     for pair in pairs:
-        key = canonical_pair(pair)
-        if key not in seen:
-            seen.add(key)
-            out.append(pair)
-    return out
+        firsts.setdefault(canonical_pair(pair), pair)
+    return list(firsts.values())
 
 
 def validate_witness(trs: TRS, witness: ChainWitness) -> None:
     for i, (dp, _) in enumerate(witness.entries):
-        if not is_dep_pair_alt(trs, dp):
-            raise InvalidDepPairError(
-                f"entry {i} is not a dependency pair of this TRS: {dp!r}", entry=i
-            )
+        require_dep_pair(trs, dp, i)
 
 
 def check_chained(
@@ -230,23 +238,14 @@ def check_chained(
     additionally be nr-normal (checked first; violation is reported as
     precondition-failed, not as not-found).
     """
-    for dp in (dp1, dp2):
-        if not is_dep_pair_alt(trs, dp):
-            raise InvalidDepPairError(f"not a dependency pair of this TRS: {dp!r}")
-    rule1 = trs.rules[dp1.rule_index]
-    rule2 = trs.rules[dp2.rule_index]
+    pair1, pair2 = to_standard(trs, dp1), to_standard(trs, dp2)
     if innermost:
-        for which, rule, sigma in (
-            ("first", rule1, sigma1),
-            ("second", rule2, sigma2),
-        ):
-            if not is_nr_normal_form(trs, sigma.apply(rule.lhs)):
-                return LinkVerdict(
-                    PRECONDITION_FAILED,
-                    reason=f"{which}-lhs-instance-not-nr-normal",
-                )
-    source = sigma1.apply(subterm_at(rule1.rhs, dp1.position))
-    target = sigma2.apply(rule2.lhs)
+        for which, pair, sigma in (("first", pair1, sigma1), ("second", pair2, sigma2)):
+            if not is_nr_normal_form(trs, sigma.apply(pair.lhs)):
+                reason = f"{which}-lhs-instance-not-nr-normal"
+                return LinkVerdict(PRECONDITION_FAILED, reason=reason)
+    source = sigma1.apply(pair1.rhs_sub)
+    target = sigma2.apply(pair2.lhs)
     mode = RelationMode.NON_ROOT_INNERMOST if innermost else RelationMode.NON_ROOT
     trace = derives(trs, source, target, mode, fuel)
     if trace is None:
@@ -261,9 +260,7 @@ def verify_chain_prefix(
     validate_witness(trs, witness)
     traces: list[DerivationTrace] = []
     entries = witness.entries
-    for i in range(len(entries) - 1):
-        dp1, sigma1 = entries[i]
-        dp2, sigma2 = entries[i + 1]
+    for i, ((dp1, sigma1), (dp2, sigma2)) in enumerate(zip(entries, entries[1:])):
         verdict = check_chained(trs, dp1, sigma1, dp2, sigma2, innermost, fuel)
         if verdict.status != VERIFIED:
             return ChainVerdict(
@@ -274,9 +271,7 @@ def verify_chain_prefix(
     return ChainVerdict(VERIFIED, tuple(traces))
 
 
-def term_pos_dps_alt(
-    trs: TRS, witness: ChainWitness, i: int
-) -> tuple[Term, Position]:
+def term_pos_dps_alt(trs: TRS, witness: ChainWitness, i: int) -> tuple[Term, Position]:
     """The i-th term of the derivation a chain witness denotes.
 
     Entry 0 contributes its instantiated rhs; each later entry is plugged in
@@ -286,14 +281,18 @@ def term_pos_dps_alt(
     if not 0 <= i < len(witness.entries):
         raise IndexError(f"witness has {len(witness.entries)} entries, asked for {i}")
     validate_witness(trs, witness)
-    dp0, sigma0 = witness.entries[0]
-    term = sigma0.apply(trs.rules[dp0.rule_index].rhs)
-    acc = dp0.position
-    for j in range(1, i + 1):
-        dpj, sigmaj = witness.entries[j]
-        term = replace_at(term, acc, sigmaj.apply(trs.rules[dpj.rule_index].rhs))
-        acc = acc + dpj.position
-    return term, acc
+    return next(islice(_denoted_terms(trs, witness), i, None))
+
+
+def _denoted_terms(trs: TRS, witness: ChainWitness) -> Iterator[tuple[Term, Position]]:
+    """Every (term, position) of ``term_pos_dps_alt`` in one pass over a valid witness."""
+    term: Term | None = None
+    acc = ROOT
+    for dp, sigma in witness.entries:
+        rhs = sigma.apply(trs.rules[dp.rule_index].rhs)
+        term = rhs if term is None else replace_at(term, acc, rhs)
+        acc += dp.position
+        yield term, acc
 
 
 def derivation_from_chain(
@@ -312,26 +311,15 @@ def derivation_from_chain(
             f"witness is not innermost chained: {verdict.status}"
             + (f" ({verdict.reason})" if verdict.reason else "")
         )
+    denoted = list(_denoted_terms(trs, witness))
     out: list[tuple[Term, DerivationTrace]] = []
-    for i in range(len(witness.entries) - 1):
-        term_i, acc = term_pos_dps_alt(trs, witness, i)
-        embedded = embed_trace(term_i, acc, verdict.traces[i])
+    for i, link in enumerate(verdict.traces):
+        (term_i, acc), (term_next, _) = denoted[i], denoted[i + 1]
         dp_next, sigma_next = witness.entries[i + 1]
-        rule_next = trs.rules[dp_next.rule_index]
-        closing_result = replace_at(
-            embedded.end, acc, sigma_next.apply(rule_next.rhs)
-        )
-        closing = Step(
-            acc,
-            dp_next.rule_index,
-            sigma_next.restrict(vars_of(rule_next.lhs)),
-            closing_result,
-        )
-        trace = DerivationTrace(
-            term_i, embedded.steps + (closing,), RelationMode.INNERMOST
-        )
-        if trace.end != term_pos_dps_alt(trs, witness, i + 1)[0]:
-            raise ConstructionFailure("derivation-does-not-reach-next-term")
+        rule = trs.rules[dp_next.rule_index]
+        closing = Step(acc, rule.index, sigma_next.restrict(vars_of(rule.lhs)), term_next)
+        steps = embed_trace(term_i, acc, link).steps + (closing,)
+        trace = DerivationTrace(term_i, steps, RelationMode.INNERMOST)
         if not check_trace(trs, trace):
             raise ConstructionFailure("derivation-replay-failed")
         out.append((term_i, trace))
@@ -438,6 +426,15 @@ def dp_and_sub_from_nrnf(
     return dp, sigma, subterm_at(reduct, pos)
 
 
+def _pair_below(trs: TRS, term: Term, fuel: int) -> tuple[DepPairAlt, Substitution]:
+    """Normalize ``term`` below the root, then take the pair its root step starts."""
+    try:
+        t = normalize(trs, term, RelationMode.NON_ROOT_INNERMOST, fuel).end
+    except FuelExhausted:
+        raise ConstructionFailure("fuel-exhausted-normalizing") from None
+    return dp_and_sub_from_nrnf(trs, t, fuel)[:2]
+
+
 def next_dp_and_sub(
     trs: TRS,
     dp: DepPairAlt,
@@ -451,19 +448,13 @@ def next_dp_and_sub(
     the subterm below the root, extracts the next pair, and only returns it
     after the link has been verified chained.
     """
-    if not is_dep_pair_alt(trs, dp):
-        raise InvalidDepPairError(f"not a dependency pair of this TRS: {dp!r}")
-    rule = trs.rules[dp.rule_index]
-    if not is_nr_normal_form(trs, sigma.apply(rule.lhs)):
+    pair = to_standard(trs, dp)
+    if not is_nr_normal_form(trs, sigma.apply(pair.lhs)):
         raise ConstructionFailure("lhs-instance-not-nr-normal")
-    u = sigma.apply(subterm_at(rule.rhs, dp.position))
+    u = sigma.apply(pair.rhs_sub)
     if detect_innermost_loop(trs, u, fuel) is None:
         raise ConstructionFailure("no-loop-certificate")
-    try:
-        t = normalize(trs, u, RelationMode.NON_ROOT_INNERMOST, fuel).end
-    except FuelExhausted:
-        raise ConstructionFailure("fuel-exhausted-normalizing") from None
-    dp2, sigma2, _ = dp_and_sub_from_nrnf(trs, t, fuel)
+    dp2, sigma2 = _pair_below(trs, u, fuel)
     verdict = check_chained(trs, dp, sigma, dp2, sigma2, innermost=True, fuel=fuel)
     if verdict.status != VERIFIED:
         raise ConstructionFailure(f"link-not-chained:{verdict.status}")
@@ -487,12 +478,7 @@ def chain_from_loop(
     if found is None:
         raise ConstructionFailure("no-mint-within-fuel")
     pos, _ = found
-    mint = subterm_at(cert.trace.start, pos)
-    try:
-        t0 = normalize(trs, mint, RelationMode.NON_ROOT_INNERMOST, fuel).end
-    except FuelExhausted:
-        raise ConstructionFailure("fuel-exhausted-normalizing") from None
-    entries = [dp_and_sub_from_nrnf(trs, t0, fuel)[:2]]
+    entries = [_pair_below(trs, subterm_at(cert.trace.start, pos), fuel)]
     for _ in range(k - 1):
         entries.append(next_dp_and_sub(trs, entries[-1][0], entries[-1][1], fuel))
     witness = ChainWitness(tuple(entries))

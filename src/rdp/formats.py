@@ -8,11 +8,12 @@ travel as JSON.  Every parse(print(x)) round-trips to an equal value.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable
 
-from .dependency_pairs import ChainWitness, DepPairAlt, InvalidDepPairError, is_dep_pair_alt
+from .dependency_pairs import ChainWitness, DepPairAlt, require_dep_pair
 from .pvs0 import (
     Cnst,
     GAdd,
@@ -57,6 +58,30 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line is not None else message)
         self.line = line
+
+
+def _depth_is_bad_input(parse: Callable) -> Callable:
+    """Report input nested deeper than the recursive reader reaches as a ParseError."""
+    @functools.wraps(parse)
+    def guarded(*args: Any) -> Any:
+        try:
+            return parse(*args)
+        except RecursionError:
+            raise ParseError("nested too deeply to read") from None
+    return guarded
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``json`` reads true and false as bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(data: Any, key: str) -> int:
+    """``data[key]`` if it is a JSON integer; else KeyError or TypeError."""
+    value = data[key]
+    if not _is_int(value):
+        raise TypeError(f"{key!r} must be an integer, found {value!r}")
+    return value
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -141,39 +166,43 @@ def _parse_raw_term(ts: _TokenStream) -> _RawTerm:
     return _RawTerm(name.text, tuple(children), name.line)
 
 
-def _raw_terms(raw: _RawTerm) -> Iterator[_RawTerm]:
-    yield raw
-    for child in raw.children:
-        yield from _raw_terms(child)
-
-
-def _resolve(raw: _RawTerm, signature: Signature, variables: frozenset[Var]) -> Term:
+def _resolve(
+    raw: _RawTerm, symbol: Callable[[_RawTerm], Symbol], variables: frozenset[Var]
+) -> Term:
+    """Build the term in one pre-order walk; ``symbol`` names each application's root."""
     if Var(raw.name) in variables:
         if raw.children:
             raise ParseError(f"variable {raw.name!r} used with arguments", raw.line)
         return Var(raw.name)
-    sym = signature.get(raw.name)
-    if sym is None:
-        raise ParseError(f"unknown identifier {raw.name!r}", raw.line)
-    if sym.arity != len(raw.children):
-        raise ParseError(
-            f"symbol {raw.name!r} has arity {sym.arity}, applied to {len(raw.children)}",
-            raw.line,
-        )
-    return App(sym, tuple(_resolve(c, signature, variables) for c in raw.children))
+    sym = symbol(raw)
+    return App(sym, tuple(_resolve(c, symbol, variables) for c in raw.children))
 
 
+@_depth_is_bad_input
 def parse_term(text: str, trs: TRS) -> Term:
     """Parse a term against the TRS's signature and declared variables."""
     ts = _TokenStream(_tokenize(text))
     raw = _parse_raw_term(ts)
     ts.take("eof")
-    return _resolve(raw, trs.signature, trs.variables)
+
+    def declared(node: _RawTerm) -> Symbol:
+        sym = trs.signature.get(node.name)
+        if sym is None:
+            raise ParseError(f"unknown identifier {node.name!r}", node.line)
+        if sym.arity != len(node.children):
+            raise ParseError(
+                f"symbol {node.name!r} has arity {sym.arity}, applied to {len(node.children)}",
+                node.line,
+            )
+        return sym
+
+    return _resolve(raw, declared, trs.variables)
 
 
 # --- TRS files -------------------------------------------------------------
 
 
+@_depth_is_bad_input
 def parse_trs(text: str) -> TRS:
     """Parse a ``(VAR ...)`` / ``(RULES ...)`` system.
 
@@ -210,41 +239,33 @@ def parse_trs(text: str) -> TRS:
             raise ParseError(f"unknown section {section.text!r}", section.line)
     if raw_rules is None:
         raise ParseError("missing (RULES ...) section")
-    var_names = var_names or {}
+    variables = frozenset(Var(n) for n in var_names or {})
 
-    arities: dict[str, tuple[int, int]] = {}  # name -> (arity, first line)
-    for lhs, rhs, _ in raw_rules:
-        for side in (lhs, rhs):
-            for node in _raw_terms(side):
-                if node.name in var_names:
-                    if node.children:
-                        raise ParseError(
-                            f"variable {node.name!r} used with arguments", node.line
-                        )
-                    continue
-                seen = arities.get(node.name)
-                if seen is None:
-                    arities[node.name] = (len(node.children), node.line)
-                elif seen[0] != len(node.children):
-                    raise ParseError(
-                        f"symbol {node.name!r} used with arity {len(node.children)} "
-                        f"but with arity {seen[0]} on line {seen[1]}",
-                        node.line,
-                    )
-    signature = Signature(tuple(Symbol(n, a) for n, (a, _) in arities.items()))
-    variables = frozenset(Var(n) for n in var_names)
-    rules = []
-    for index, (lhs, rhs, line) in enumerate(raw_rules):
-        try:
-            rules.append(
-                Rule(
-                    _resolve(lhs, signature, variables),
-                    _resolve(rhs, signature, variables),
-                    index,
-                )
+    inferred: dict[str, tuple[Symbol, int]] = {}  # name -> (symbol, first line)
+
+    def infer(node: _RawTerm) -> Symbol:
+        seen = inferred.get(node.name)
+        if seen is None:
+            seen = inferred[node.name] = (Symbol(node.name, len(node.children)), node.line)
+        elif seen[0].arity != len(node.children):
+            raise ParseError(
+                f"symbol {node.name!r} used with arity {len(node.children)} "
+                f"but with arity {seen[0].arity} on line {seen[1]}",
+                node.line,
             )
+        return seen[0]
+
+    sides = [
+        (_resolve(lhs, infer, variables), _resolve(rhs, infer, variables), line)
+        for lhs, rhs, line in raw_rules
+    ]
+    rules = []
+    for index, (lhs, rhs, line) in enumerate(sides):
+        try:
+            rules.append(Rule(lhs, rhs, index))
         except RuleRestrictionError as err:
             raise RuleRestrictionError(f"line {line}: {err}") from None
+    signature = Signature(tuple(sym for sym, _ in inferred.values()))
     return TRS(signature, variables, tuple(rules))
 
 
@@ -311,7 +332,7 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
             steps.append(
                 Step(
                     parse_position(raw["position"]),
-                    int(raw["rule_index"]),
+                    _int_field(raw, "rule_index"),
                     parse_substitution(raw["substitution"], trs),
                     parse_term(raw["term"], trs),
                 )
@@ -338,15 +359,12 @@ def parse_chain_witness(text: str, trs: TRS) -> ChainWitness:
         if not isinstance(raw, dict):
             raise ParseError(f"entry {i} must be an object")
         try:
-            rule_index = int(raw["rule"])
+            rule_index = _int_field(raw, "rule")
             position = parse_position(str(raw.get("position", "")))
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"entry {i}: {err}") from None
         dp = DepPairAlt(rule_index, position)
-        if not is_dep_pair_alt(trs, dp):
-            raise InvalidDepPairError(
-                f"entry {i} is not a dependency pair of this TRS: {dp!r}", entry=i
-            )
+        require_dep_pair(trs, dp, i)
         sigma = parse_substitution(raw.get("substitution", {}), trs)
         entries.append((dp, sigma))
     return ChainWitness(tuple(entries))
@@ -377,9 +395,9 @@ def _node(data: Any, what: str) -> list:
 def _parse_gscalar(data: Any) -> GScalar:
     node = _node(data, "guard scalar")
     tag, *rest = node
-    if tag == "const" and len(rest) == 1 and isinstance(rest[0], int):
+    if tag == "const" and len(rest) == 1 and _is_int(rest[0]):
         return GConst(rest[0])
-    if tag == "comp" and len(rest) == 2 and all(isinstance(x, int) for x in rest):
+    if tag == "comp" and len(rest) == 2 and all(_is_int(x) for x in rest):
         return GComp(rest[0], rest[1])
     if tag == "add" and len(rest) == 2:
         return GAdd(_parse_gscalar(rest[0]), _parse_gscalar(rest[1]))
@@ -415,14 +433,14 @@ def _parse_pexpr(data: Any) -> Pvs0Expr:
     node = _node(data, "expression")
     tag, *rest = node
     if tag == "cnst" and len(rest) == 1 and isinstance(rest[0], list):
-        if not all(isinstance(c, int) and c >= 0 for c in rest[0]):
+        if not all(_is_int(c) and c >= 0 for c in rest[0]):
             raise ParseError(f"constant must be a list of naturals: {rest[0]!r}")
         return Cnst(tuple(rest[0]))
     if tag == "vr" and not rest:
         return Vr()
-    if tag == "op1" and len(rest) == 2 and isinstance(rest[0], int):
+    if tag == "op1" and len(rest) == 2 and _is_int(rest[0]):
         return Op1(rest[0], _parse_pexpr(rest[1]))
-    if tag == "op2" and len(rest) == 3 and isinstance(rest[0], int):
+    if tag == "op2" and len(rest) == 3 and _is_int(rest[0]):
         return Op2(rest[0], _parse_pexpr(rest[1]), _parse_pexpr(rest[2]))
     if tag == "rec" and len(rest) == 1:
         return Rec(_parse_pexpr(rest[0]))
@@ -441,7 +459,7 @@ def parse_pvs0_program(text: str) -> Pvs0Program:
     if not isinstance(data, dict):
         raise ParseError("program must be a JSON object")
     try:
-        width = int(data["width"])
+        width = _int_field(data, "width")
         false_val = tuple(data["false_val"])
         top_val = tuple(data["top_val"])
         raw_o1 = data.get("o1", [])
@@ -450,7 +468,7 @@ def parse_pvs0_program(text: str) -> Pvs0Program:
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"malformed program: {err}") from None
     for name, value in (("false_val", false_val), ("top_val", top_val)):
-        if not all(isinstance(c, int) and c >= 0 for c in value):
+        if not all(_is_int(c) and c >= 0 for c in value):
             raise ParseError(f"{name} must be a list of naturals: {value!r}")
     o1 = tuple(
         OperatorDef(1, _parse_gvalue(raw, false_val, top_val)) for raw in raw_o1

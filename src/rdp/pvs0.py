@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
-from .dependency_pairs import DepPairAlt, InvalidDepPairError, is_dep_pair_alt
+from .dependency_pairs import DepPairAlt, to_standard
 from .rewriting import DEFAULT_FUEL, TRS, defined_symbols
 from .substitution import match
-from .terms import App, Term, format_position, subterm_at
+from .terms import App, Term, format_position
 
 Value = tuple[int, ...]
 
@@ -502,16 +502,13 @@ def check_cc_dp_correspondence(
             raise Pvs0Error(
                 f"no calling context {ctx_index}; program has {len(contexts)}"
             )
-        if not is_dep_pair_alt(trs, dp):
-            raise InvalidDepPairError(f"not a dependency pair of this TRS: {dp!r}")
+        pair = to_standard(trs, dp)
         ctx = contexts[ctx_index]
-        rule = trs.rules[dp.rule_index]
-        rhs_sub = subterm_at(rule.rhs, dp.position)
         sample_rows: list[dict] = []
         pair_ok = True
         for v in samples:
             cond = _condition_holds(program, ctx, v, fuel)
-            sigma = match(rule.lhs, encode(v))
+            sigma = match(pair.lhs, encode(v))
             matched = sigma is not None
             iff_ok = (cond is True) == matched
             row: dict = {
@@ -525,7 +522,7 @@ def check_cc_dp_correspondence(
                 actual_value = chi_eval(program, ctx.actual, v, fuel)
                 if actual_value is not None:
                     assert sigma is not None
-                    next_agrees = encode(actual_value) == sigma.apply(rhs_sub)
+                    next_agrees = encode(actual_value) == sigma.apply(pair.rhs_sub)
                     pair_ok = pair_ok and next_agrees
             row["next_call"] = next_agrees
             pair_ok = pair_ok and iff_ok

@@ -107,6 +107,8 @@ class TRS:
     rules: tuple[Rule, ...]
     # Rules by the name of their lhs root symbol, in index order.
     _by_root: dict[str, tuple[Rule, ...]] = field(init=False, repr=False, compare=False)
+    # Root symbols of left-hand sides.
+    _defined: frozenset[Symbol] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_root: dict[str, list[Rule]] = {}
@@ -117,6 +119,7 @@ class TRS:
         object.__setattr__(
             self, "_by_root", {name: tuple(rules) for name, rules in by_root.items()}
         )
+        object.__setattr__(self, "_defined", frozenset(r.lhs.sym for r in self.rules))
 
 
 def trs_of(*rules: tuple[Term, Term]) -> TRS:
@@ -133,7 +136,7 @@ def trs_of(*rules: tuple[Term, Term]) -> TRS:
 
 def defined_symbols(trs: TRS) -> frozenset[Symbol]:
     """Root symbols of left-hand sides; everything else is a constructor."""
-    return frozenset(rule.lhs.sym for rule in trs.rules if isinstance(rule.lhs, App))
+    return trs._defined
 
 
 @dataclass(frozen=True)
@@ -311,6 +314,11 @@ def reduce_at(
 
 def is_normal_form(trs: TRS, term: Term, mode: RelationMode) -> bool:
     return next(_fireable(trs, term, mode), None) is None
+
+
+def is_normal_substitution(sigma: Substitution, trs: TRS) -> bool:
+    """True when every term in the range of ``sigma`` is a normal form of ``trs``."""
+    return all(is_normal_form(trs, t, RelationMode.FULL) for _, t in sigma.items())
 
 
 def _call_by_value(trs: TRS, term: Term, non_root: bool) -> Iterator[Step]:

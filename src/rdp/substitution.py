@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .terms import App, Term, Var, iter_vars, term_to_str, vars_in_order
-
-if TYPE_CHECKING:
-    from .rewriting import TRS
 
 
 class Substitution:
@@ -107,12 +104,3 @@ def rename_apart(term: Term, forbidden: Iterable[Var]) -> tuple[Term, Substituti
         renaming[v] = Var(fresh)
     sigma = Substitution(renaming)
     return sigma.apply(term), sigma
-
-
-def is_normal_substitution(sigma: Substitution, trs: TRS) -> bool:
-    """True when every term in the range of ``sigma`` is a normal form of ``trs``."""
-    from .rewriting import RelationMode, is_normal_form
-
-    return all(
-        is_normal_form(trs, t, RelationMode.FULL) for _, t in sigma.items()
-    )

@@ -8,7 +8,7 @@ argument indices with ``()`` denoting the root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 
 class InvalidPositionError(ValueError):

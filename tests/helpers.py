@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rdp import (
     App,
+    ChainWitness,
     Cnst,
     GAdd,
     GComp,
@@ -27,6 +28,7 @@ from rdp import (
     Vr,
     chi_eval,
     trs_of,
+    validate_witness,
 )
 from rdp.pvs0 import Pvs0Expr, Value
 from rdp.rewriting import (
@@ -401,3 +403,25 @@ def oracle_minimal_fuel(
             return None
         prev_failed = n
         n = min(n * 2, max_fuel)
+
+
+def oracle_term_pos_dps_alt(
+    trs: TRS, witness: ChainWitness, i: int
+) -> tuple[Term, Position]:
+    """The i-th term of the derivation a chain witness denotes.
+
+    Entry 0 contributes its instantiated rhs; each later entry is plugged in
+    at the accumulated position, which extends by that entry's pair position.
+    The returned position always addresses a subterm of the returned term.
+    """
+    if not 0 <= i < len(witness.entries):
+        raise IndexError(f"witness has {len(witness.entries)} entries, asked for {i}")
+    validate_witness(trs, witness)
+    dp0, sigma0 = witness.entries[0]
+    term = sigma0.apply(trs.rules[dp0.rule_index].rhs)
+    acc = dp0.position
+    for j in range(1, i + 1):
+        dpj, sigmaj = witness.entries[j]
+        term = replace_at(term, acc, sigmaj.apply(trs.rules[dpj.rule_index].rhs))
+        acc = acc + dpj.position
+    return term, acc

@@ -13,6 +13,7 @@ HG_TRS = (
     "  g(x,y) -> y\n)\n"
 )
 DEEP_TERM = "s(" * 2000 + "x" + ")" * 2000  # deeper than the parser's recursion reaches
+DEEP_TRS = f"(VAR x)\n(RULES g(x) -> {DEEP_TERM})\n"
 LOOP_PROGRAM = '{"width": 1, "false_val": [0], "top_val": [1], "body": ["rec", ["vr"]]}'
 
 INNER_ACK_WITNESS = {
@@ -526,3 +527,22 @@ def test_malformed_trs_is_a_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "trs_text, argv",
+    [
+        (GROW_TRS, ["normalize", "--term", DEEP_TERM, "--fuel", "5"]),
+        (GROW_TRS, ["reach", "--from", DEEP_TERM, "--to", "x", "--fuel", "5"]),
+        (DEEP_TRS, ["dps"]),
+    ],
+    ids=["normalize", "reach", "dps"],
+)
+def test_input_too_deep_to_read_is_bad_input(capsys, tmp_path, trs_text, argv):
+    path = tmp_path / "system.trs"
+    path.write_text(trs_text)
+    code = run_command([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: nested too deeply to read\n"

@@ -17,6 +17,7 @@ from rdp import (
     canonical_pair,
     chain_from_loop,
     check_certificate,
+    check_cc_dp_correspondence,
     check_chained,
     check_trace,
     dep_pairs_alt,
@@ -26,9 +27,11 @@ from rdp import (
     find_mint_subterm,
     is_dep_pair_alt,
     next_dp_and_sub,
+    parse_chain_witness,
     standard_dep_pairs,
     term_pos_dps_alt,
     to_standard,
+    unary_encoder,
     validate_witness,
     verify_chain_prefix,
 )
@@ -217,6 +220,33 @@ def test_check_chained_rejects_bad_pairs():
     trs = ack_system()
     with pytest.raises(InvalidDepPairError):
         check_chained(trs, DepPairAlt(0, ()), sub(), DepPairAlt(1, ()), sub(), False)
+
+
+NOT_A_PAIR = "not a dependency pair of this TRS: (0, ε)"
+GOOD, BAD = (DepPairAlt(1, ()), sub()), (DepPairAlt(0, ()), sub())
+REJECTION_SITES = {
+    "to_standard": (lambda trs, _: to_standard(trs, BAD[0]), None),
+    "validate_witness": (
+        lambda trs, _: validate_witness(trs, ChainWitness((GOOD, BAD))), 1),
+    "check_chained": (lambda trs, _: check_chained(trs, *GOOD, *BAD, False), None),
+    "next_dp_and_sub": (lambda trs, _: next_dp_and_sub(trs, *BAD, 50), None),
+    "parse_chain_witness": (
+        lambda trs, _: parse_chain_witness(
+            '{"entries": [{"rule": 1}, {"rule": 0}]}', trs), 1),
+    "check_cc_dp_correspondence": (
+        lambda trs, program: check_cc_dp_correspondence(
+            program, trs, unary_encoder(trs), [(0, BAD[0])], [(0, 0)]), None),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REJECTION_SITES))
+def test_every_site_rejects_a_non_pair_alike(ack_program, site):
+    call, entry = REJECTION_SITES[site]
+    with pytest.raises(InvalidDepPairError) as info:
+        call(ack_system(), ack_program)
+    prefix = "" if entry is None else f"entry {entry} is "
+    assert str(info.value) == prefix + NOT_A_PAIR
+    assert info.value.entry == entry
 
 
 def test_verify_chain_prefix_vacuous():

@@ -117,6 +117,14 @@ def test_parse_term_errors():
         parse_term("a(0, 0) a", trs)
 
 
+def test_input_too_deep_to_read_is_a_parse_error():
+    deep = "s(" * 2000 + "0" + ")" * 2000
+    with pytest.raises(ParseError, match="nested too deeply to read"):
+        parse_term(deep, ack_system())
+    with pytest.raises(ParseError, match="nested too deeply to read"):
+        parse_trs(f"(RULES f -> {deep})")
+
+
 # --- substitutions ---------------------------------------------------------
 
 
@@ -157,6 +165,10 @@ def test_parse_trace_errors():
         parse_trace(
             {"start": "a(0,0)", "mode": "full", "steps": [{"position": "1"}]}, trs
         )
+    for rule_index in (0.7, True, "0"):
+        step = {"position": "", "rule_index": rule_index, "substitution": {}, "term": "s(0)"}
+        with pytest.raises(ParseError, match="'rule_index' must be an integer"):
+            parse_trace({"start": "a(0,0)", "mode": "full", "steps": [step]}, trs)
 
 
 # --- chain witnesses -------------------------------------------------------
@@ -197,6 +209,9 @@ def test_witness_shape_errors():
         parse_chain_witness('{"entries": [3]}', trs)
     with pytest.raises(ParseError, match="entry 0"):
         parse_chain_witness('{"entries": [{"position": "1"}]}', trs)
+    for rule in ("1.9", "true", '"1"'):
+        with pytest.raises(ParseError, match="entry 0: 'rule' must be an integer"):
+            parse_chain_witness(f'{{"entries": [{{"rule": {rule}}}]}}', trs)
 
 
 # --- programs --------------------------------------------------------------
@@ -234,6 +249,21 @@ def test_parse_program_errors():
             '{"width": 1, "false_val": [0], "top_val": [1],'
             ' "o1": [["frob"]], "body": ["vr"]}'
         )
+    base = {"width": 1, "false_val": [0], "top_val": [1], "body": ["vr"]}
+    for field, value, message in (
+        ("width", 2.9, "'width' must be an integer"),
+        ("width", True, "'width' must be an integer"),
+        ("false_val", [True], "false_val must be a list of naturals"),
+        ("top_val", [1.0], "top_val must be a list of naturals"),
+        ("body", ["cnst", [True]], "constant must be a list of naturals"),
+        ("body", ["op1", True, ["vr"]], "malformed expression node"),
+        ("body", ["op2", 0.0, ["vr"], ["vr"]], "malformed expression node"),
+        ("o1", [["tuple", ["const", True]]], "malformed guard scalar node"),
+        ("o1", [["tuple", ["const", 1.5]]], "malformed guard scalar node"),
+        ("o1", [["tuple", ["comp", 0, False]]], "malformed guard scalar node"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_pvs0_program(json.dumps({**base, field: value}))
 
 
 def test_parse_program_semantic_errors_use_the_evaluator_type():

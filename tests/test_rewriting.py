@@ -7,6 +7,7 @@ from rdp import (
     RelationMode,
     Rule,
     RuleRestrictionError,
+    Signature,
     Step,
     Substitution,
     Symbol,
@@ -81,6 +82,20 @@ def test_trs_of_rejects_a_name_with_two_arities():
 def test_defined_symbols():
     assert defined_symbols(ack_system()) == frozenset({A2})
     assert defined_symbols(loop_system()) == frozenset({F1})
+
+
+def test_defined_symbols_are_stored_but_not_compared(ack_trs):
+    built = ack_system()
+    extra = Signature(built.signature.symbols + (Symbol("w", 1),))
+    direct = TRS(extra, built.variables, built.rules)
+    for trs in (built, ack_trs, direct):
+        assert defined_symbols(trs) == frozenset({A2})
+        assert defined_symbols(trs) is defined_symbols(trs)
+    assert ack_trs == built
+    twin = TRS(built.signature, built.variables, built.rules)
+    object.__setattr__(twin, "_defined", frozenset())
+    assert twin == built and hash(twin) == hash(built)
+    assert "_defined" not in repr(twin)
 
 
 def test_has_redex_and_normal_forms():
