@@ -102,12 +102,10 @@ from .substitution import (
     EMPTY_SUBSTITUTION,
     Substitution,
     match,
-    rename_apart,
 )
 from .terms import (
     App,
     InvalidPositionError,
-    NotAnApplicationError,
     Position,
     ROOT,
     Signature,

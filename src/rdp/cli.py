@@ -24,7 +24,6 @@ from typing import Any, Callable
 
 from . import formats
 from .dependency_pairs import (
-    ChainWitness,
     ConstructionFailure,
     DepPairAlt,
     InvalidDepPairError,
@@ -55,7 +54,7 @@ from .rewriting import (
     derives,
     normalize,
 )
-from .terms import format_position, parse_position, subterm_at, term_to_str, vars_of
+from .terms import format_position, parse_position, subterm_at, term_to_str
 
 _MODES = {mode.value: mode for mode in RelationMode}
 
@@ -220,30 +219,17 @@ def _cmd_mint(args: argparse.Namespace) -> tuple[dict, int]:
     }, 0
 
 
-def _restricted_witness(trs: TRS, witness):
-    """Drop bindings outside each entry's rule variables; report the count."""
-    entries = []
-    dropped = 0
-    for dp, sigma in witness.entries:
-        keep = vars_of(trs.rules[dp.rule_index].lhs)
-        restricted = sigma.restrict(keep)
-        dropped += len(sigma.domain()) - len(restricted.domain())
-        entries.append((dp, restricted))
-    return ChainWitness(tuple(entries)), dropped
-
-
 def _cmd_chain_verify(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     witness = formats.parse_chain_witness(Path(args.witness).read_text(), trs)
-    report: dict = {
-        "entries": len(witness.entries), "innermost": args.innermost, "fuel": args.fuel
-    }
-    if args.rename_apart:
-        witness, dropped = _restricted_witness(trs, witness)
-        report["rename_apart_dropped_bindings"] = dropped
     verdict = verify_chain_prefix(trs, witness, args.innermost, args.fuel)
-    report["status"] = verdict.status
-    report["traces"] = [formats.trace_to_json(t) for t in verdict.traces]
+    report: dict = {
+        "entries": len(witness.entries),
+        "innermost": args.innermost,
+        "fuel": args.fuel,
+        "status": verdict.status,
+        "traces": [formats.trace_to_json(t) for t in verdict.traces],
+    }
     if verdict.status == "verified":
         return report, 0
     report["failed_link"] = verdict.failed_index
@@ -409,8 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("trs")
     cmd.add_argument("--witness", required=True)
     cmd.add_argument("--innermost", action="store_true")
-    cmd.add_argument("--rename-apart", action="store_true",
-                     help="restrict each entry's substitution to its rule's variables")
 
     cmd = add("chain-derive", _cmd_chain_derive,
               "build the derivation an innermost chain witness denotes")

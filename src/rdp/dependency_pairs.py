@@ -426,13 +426,25 @@ def dp_and_sub_from_nrnf(
     return dp, sigma, subterm_at(reduct, pos)
 
 
-def _pair_below(trs: TRS, term: Term, fuel: int) -> tuple[DepPairAlt, Substitution]:
-    """Normalize ``term`` below the root, then take the pair its root step starts."""
+def _pair_below(trs: TRS, term: Term, fuel: int) -> tuple[DepPairAlt, Substitution, Term]:
+    """Normalize ``term`` below the root, then extract as dp_and_sub_from_nrnf does."""
     try:
         t = normalize(trs, term, RelationMode.NON_ROOT_INNERMOST, fuel).end
     except FuelExhausted:
         raise ConstructionFailure("fuel-exhausted-normalizing") from None
-    return dp_and_sub_from_nrnf(trs, t, fuel)[:2]
+    return dp_and_sub_from_nrnf(trs, t, fuel)
+
+
+def _chained_step(
+    trs: TRS, dp: DepPairAlt, sigma: Substitution, u: Term, fuel: int
+) -> tuple[DepPairAlt, Substitution, Term]:
+    """The entry after (dp, sigma), whose instantiated rhs subterm ``u`` carries a
+    certificate, returned with its own certified subterm once the link is verified."""
+    dp2, sigma2, u2 = _pair_below(trs, u, fuel)
+    verdict = check_chained(trs, dp, sigma, dp2, sigma2, innermost=True, fuel=fuel)
+    if verdict.status != VERIFIED:
+        raise ConstructionFailure(f"link-not-chained:{verdict.status}")
+    return dp2, sigma2, u2
 
 
 def next_dp_and_sub(
@@ -454,10 +466,7 @@ def next_dp_and_sub(
     u = sigma.apply(pair.rhs_sub)
     if detect_innermost_loop(trs, u, fuel) is None:
         raise ConstructionFailure("no-loop-certificate")
-    dp2, sigma2 = _pair_below(trs, u, fuel)
-    verdict = check_chained(trs, dp, sigma, dp2, sigma2, innermost=True, fuel=fuel)
-    if verdict.status != VERIFIED:
-        raise ConstructionFailure(f"link-not-chained:{verdict.status}")
+    dp2, sigma2, _ = _chained_step(trs, dp, sigma, u, fuel)
     return dp2, sigma2
 
 
@@ -466,9 +475,10 @@ def chain_from_loop(
 ) -> ChainWitness:
     """Extract a verified innermost chain witness of length ``k`` from a cycle.
 
-    Entry 0 comes from the certified term's minimal looping subterm; later
-    entries are produced by iterating next_dp_and_sub.  The result is
-    re-checked with verify_chain_prefix before being returned.
+    Entry 0 comes from the certified term's minimal looping subterm.  Each
+    later entry grows from the certified subterm its predecessor's
+    extraction located, so the preconditions of next_dp_and_sub hold by
+    construction, and each link is verified as it is added.
     """
     if k < 1:
         raise ValueError("chain length must be at least 1")
@@ -478,13 +488,9 @@ def chain_from_loop(
     if found is None:
         raise ConstructionFailure("no-mint-within-fuel")
     pos, _ = found
-    entries = [_pair_below(trs, subterm_at(cert.trace.start, pos), fuel)]
+    dp, sigma, u = _pair_below(trs, subterm_at(cert.trace.start, pos), fuel)
+    entries = [(dp, sigma)]
     for _ in range(k - 1):
-        entries.append(next_dp_and_sub(trs, entries[-1][0], entries[-1][1], fuel))
-    witness = ChainWitness(tuple(entries))
-    verdict = verify_chain_prefix(trs, witness, innermost=True, fuel=fuel)
-    if verdict.status != VERIFIED:
-        raise ConstructionFailure(
-            f"chain-verification-failed-at-link-{verdict.failed_index}"
-        )
-    return witness
+        dp, sigma, u = _chained_step(trs, dp, sigma, u, fuel)
+        entries.append((dp, sigma))
+    return ChainWitness(tuple(entries))

@@ -43,7 +43,10 @@ from .rewriting import (
 )
 from .substitution import Substitution
 from .terms import (
+    ROOT,
     App,
+    InvalidPositionError,
+    Position,
     Signature,
     Symbol,
     Term,
@@ -82,6 +85,15 @@ def _int_field(data: Any, key: str) -> int:
     if not _is_int(value):
         raise TypeError(f"{key!r} must be an integer, found {value!r}")
     return value
+
+
+def _position_field(data: Any) -> Position:
+    """``data["position"]`` read as a position if it is a string; else KeyError,
+    TypeError or InvalidPositionError."""
+    value = data["position"]
+    if not isinstance(value, str):
+        raise TypeError(f"'position' must be a string, found {value!r}")
+    return parse_position(value)
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -331,13 +343,13 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
         try:
             steps.append(
                 Step(
-                    parse_position(raw["position"]),
+                    _position_field(raw),
                     _int_field(raw, "rule_index"),
                     parse_substitution(raw["substitution"], trs),
                     parse_term(raw["term"], trs),
                 )
             )
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, InvalidPositionError) as err:
             raise ParseError(f"malformed trace step: {err}") from None
     return DerivationTrace(start, tuple(steps), mode)
 
@@ -345,6 +357,7 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
 # --- chain witnesses -------------------------------------------------------
 
 
+@_depth_is_bad_input
 def parse_chain_witness(text: str, trs: TRS) -> ChainWitness:
     """Parse and validate a witness: each entry must name a dependency pair
     of ``trs`` and bind only declared variables to well-formed terms."""
@@ -360,7 +373,7 @@ def parse_chain_witness(text: str, trs: TRS) -> ChainWitness:
             raise ParseError(f"entry {i} must be an object")
         try:
             rule_index = _int_field(raw, "rule")
-            position = parse_position(str(raw.get("position", "")))
+            position = _position_field(raw) if "position" in raw else ROOT
         except (KeyError, TypeError, ValueError) as err:
             raise ParseError(f"entry {i}: {err}") from None
         dp = DepPairAlt(rule_index, position)
@@ -449,6 +462,7 @@ def _parse_pexpr(data: Any) -> Pvs0Expr:
     raise ParseError(f"malformed expression node: {data!r}")
 
 
+@_depth_is_bad_input
 def parse_pvs0_program(text: str) -> Pvs0Program:
     """Parse a program file.  Shape errors raise ParseError; width and
     guard-bound violations surface as the evaluator's own error type."""

@@ -1,10 +1,10 @@
-"""Substitutions, syntactic matching, and fresh renaming of variables."""
+"""Substitutions and syntactic matching."""
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .terms import App, Term, Var, iter_vars, term_to_str, vars_in_order
+from .terms import App, Term, Var, term_to_str
 
 
 class Substitution:
@@ -81,26 +81,3 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
         else:
             return None
     return Substitution(bindings)
-
-
-def rename_apart(term: Term, forbidden: Iterable[Var]) -> tuple[Term, Substitution]:
-    """A variant of ``term`` sharing no variable with ``forbidden``.
-
-    Clashing variables get fresh names ``base#k`` with the least k avoiding
-    the forbidden set, the term's own variables, and earlier picks.  Returns
-    the variant together with the variable renaming that produced it.
-    """
-    forbidden_names = {v.name for v in forbidden}
-    used = forbidden_names | {v.name for v in iter_vars(term)}
-    renaming: dict[Var, Term] = {}
-    for v in vars_in_order(term):
-        if v.name not in forbidden_names:
-            continue
-        k = 1
-        while f"{v.name}#{k}" in used:
-            k += 1
-        fresh = f"{v.name}#{k}"
-        used.add(fresh)
-        renaming[v] = Var(fresh)
-    sigma = Substitution(renaming)
-    return sigma.apply(term), sigma

@@ -15,10 +15,6 @@ class InvalidPositionError(ValueError):
     """Raised when a position does not address a subterm of the given term."""
 
 
-class NotAnApplicationError(ValueError):
-    """Raised when an application-only operation is applied to a variable."""
-
-
 @dataclass(frozen=True)
 class Symbol:
     name: str
@@ -130,12 +126,6 @@ def replace_at(term: Term, pos: Position, replacement: Term) -> Term:
         + term.args[i:]
     )
     return App(term.sym, new_args)
-
-
-def root_symbol(term: Term) -> Symbol:
-    if isinstance(term, Var):
-        raise NotAnApplicationError(f"variable {term.name} has no root symbol")
-    return term.sym
 
 
 def iter_vars(term: Term) -> Iterator[Var]:

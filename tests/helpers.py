@@ -10,6 +10,8 @@ from rdp import (
     App,
     ChainWitness,
     Cnst,
+    ConstructionFailure,
+    DepPairAlt,
     GAdd,
     GComp,
     GConst,
@@ -17,19 +19,32 @@ from rdp import (
     GMonus,
     GTuple,
     Ite,
+    LoopCertificate,
     Op1,
     Op2,
     OperatorDef,
+    PreconditionFailed,
     Pvs0Program,
     Rec,
+    Substitution,
     Symbol,
     Term,
     Var,
     Vr,
+    check_certificate,
+    check_chained,
     chi_eval,
+    detect_innermost_loop,
+    dp_and_sub_from_nrnf,
+    find_mint_subterm,
+    is_nr_normal_form,
+    normalize,
+    to_standard,
     trs_of,
     validate_witness,
+    verify_chain_prefix,
 )
+from rdp.dependency_pairs import VERIFIED
 from rdp.pvs0 import Pvs0Expr, Value
 from rdp.rewriting import (
     DEFAULT_FUEL,
@@ -57,6 +72,15 @@ EQ2 = Symbol("eq", 2)
 T0 = Symbol("t", 0)
 D1 = Symbol("d", 1)
 ONE0 = Symbol("one", 0)
+E1 = Symbol("e", 1)
+SW2 = Symbol("sw", 2)
+W1 = Symbol("w", 1)
+B2 = Symbol("b", 2)
+M1 = Symbol("m", 1)
+K1 = Symbol("k", 1)
+FORK0 = Symbol("fork", 0)
+NEAR0 = Symbol("near", 0)
+FAR0 = Symbol("far", 0)
 
 X = Var("x")
 Y = Var("y")
@@ -123,6 +147,22 @@ def growing_wrap_system():
     return trs_of((ap(P1, X), ap(Q1, ap(P1, X))))
 
 
+def detour_system():
+    """fork -> k(k(k(k(far)))); fork -> near; k(x) -> x; f(near) -> f(fork); f(far) -> f(fork)
+
+    Normalizing f(fork) below the root takes the five steps to f(far), while
+    the cycle through f(near) is found among three terms.
+    """
+    fork, near, far = ap(FORK0), ap(NEAR0), ap(FAR0)
+    return trs_of(
+        (fork, ap(K1, ap(K1, ap(K1, ap(K1, far))))),
+        (fork, near),
+        (ap(K1, X), X),
+        (ap(F1, near), ap(F1, fork)),
+        (ap(F1, far), ap(F1, fork)),
+    )
+
+
 def eq_system():
     """eq(x,x) -> t; eq(s(x),s(y)) -> eq(x,y); d(x) -> eq(x,one); one -> s(0)
 
@@ -134,6 +174,29 @@ def eq_system():
         (ap(D1, X), ap(EQ2, X, ap(ONE0))),
         (ap(ONE0), ap(S1, ap(Z0))),
     )
+
+
+def random_looping_instance(rng: random.Random):
+    """A small system with an exact innermost cycle, under an inert context."""
+    c = ap(C0)
+    shape = rng.choice(("self", "alternate", "swap"))
+    if shape == "self":
+        rules = [(ap(F1, X), ap(F1, X))]
+        start = ap(F1, c)
+    elif shape == "alternate":
+        rules = [(ap(D1, X), ap(E1, X)), (ap(E1, X), ap(D1, X))]
+        start = ap(D1, c)
+    else:
+        rules = [(ap(SW2, X, Y), ap(SW2, Y, X))]
+        start = ap(SW2, c, ap(W1, c))
+    has_inert = rng.random() < 0.5
+    if has_inert:
+        rules.append((ap(M1, X), X))
+    for _ in range(rng.randint(0, 2)):
+        start = ap(W1, start) if rng.random() < 0.7 else ap(B2, start, c)
+    if has_inert and rng.random() < 0.4:
+        start = ap(B2, ap(M1, c), start)
+    return trs_of(*rules), start
 
 
 def terms_over(symbols, max_leaves: int = 10):
@@ -221,10 +284,12 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # --- oracles -----------------------------------------------------------------
 #
 # The original definitions of the successor core, of the breadth-first
-# searches and of the PVS0 least-fuel search, kept verbatim (renamed
-# ``oracle_*``) as the obviously correct reference for the differential
-# tests.  They rescan the term for every position and try every rule
-# everywhere; the fuel search probes fuels 1, 2, 4, ... and then bisects.
+# searches, of the PVS0 least-fuel search and of chain growth, kept verbatim
+# (renamed ``oracle_*``) as the obviously correct reference for the
+# differential tests.  They rescan the term for every position and try every
+# rule everywhere; the fuel search probes fuels 1, 2, 4, ... and then
+# bisects; chain growth searches each entry's loop again and re-checks every
+# link at the end.
 
 
 def oracle_has_redex(trs: TRS, term: Term) -> bool:
@@ -425,3 +490,67 @@ def oracle_term_pos_dps_alt(
         term = replace_at(term, acc, sigmaj.apply(trs.rules[dpj.rule_index].rhs))
         acc = acc + dpj.position
     return term, acc
+
+
+def _oracle_pair_below(trs: TRS, term: Term, fuel: int) -> tuple[DepPairAlt, Substitution]:
+    """Normalize ``term`` below the root, then take the pair its root step starts."""
+    try:
+        t = normalize(trs, term, RelationMode.NON_ROOT_INNERMOST, fuel).end
+    except FuelExhausted:
+        raise ConstructionFailure("fuel-exhausted-normalizing") from None
+    return dp_and_sub_from_nrnf(trs, t, fuel)[:2]
+
+
+def oracle_next_dp_and_sub(
+    trs: TRS,
+    dp: DepPairAlt,
+    sigma: Substitution,
+    fuel: int = DEFAULT_FUEL,
+) -> tuple[DepPairAlt, Substitution]:
+    """The entry following (dp, sigma) in a chain being grown from a loop.
+
+    Checks the preconditions within fuel (the instantiated rhs subterm
+    carries a certificate, the instantiated lhs is nr-normal), normalizes
+    the subterm below the root, extracts the next pair, and only returns it
+    after the link has been verified chained.
+    """
+    pair = to_standard(trs, dp)
+    if not is_nr_normal_form(trs, sigma.apply(pair.lhs)):
+        raise ConstructionFailure("lhs-instance-not-nr-normal")
+    u = sigma.apply(pair.rhs_sub)
+    if detect_innermost_loop(trs, u, fuel) is None:
+        raise ConstructionFailure("no-loop-certificate")
+    dp2, sigma2 = _oracle_pair_below(trs, u, fuel)
+    verdict = check_chained(trs, dp, sigma, dp2, sigma2, innermost=True, fuel=fuel)
+    if verdict.status != VERIFIED:
+        raise ConstructionFailure(f"link-not-chained:{verdict.status}")
+    return dp2, sigma2
+
+
+def oracle_chain_from_loop(
+    trs: TRS, cert: LoopCertificate, k: int, fuel: int = DEFAULT_FUEL
+) -> ChainWitness:
+    """Extract a verified innermost chain witness of length ``k`` from a cycle.
+
+    Entry 0 comes from the certified term's minimal looping subterm; later
+    entries are produced by iterating next_dp_and_sub.  The result is
+    re-checked with verify_chain_prefix before being returned.
+    """
+    if k < 1:
+        raise ValueError("chain length must be at least 1")
+    if not check_certificate(trs, cert):
+        raise PreconditionFailed("loop-certificate-does-not-replay")
+    found = find_mint_subterm(trs, cert.trace.start, fuel)
+    if found is None:
+        raise ConstructionFailure("no-mint-within-fuel")
+    pos, _ = found
+    entries = [_oracle_pair_below(trs, subterm_at(cert.trace.start, pos), fuel)]
+    for _ in range(k - 1):
+        entries.append(oracle_next_dp_and_sub(trs, entries[-1][0], entries[-1][1], fuel))
+    witness = ChainWitness(tuple(entries))
+    verdict = verify_chain_prefix(trs, witness, innermost=True, fuel=fuel)
+    if verdict.status != VERIFIED:
+        raise ConstructionFailure(
+            f"chain-verification-failed-at-link-{verdict.failed_index}"
+        )
+    return witness

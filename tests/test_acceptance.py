@@ -51,8 +51,6 @@ from rdp import (
 from rdp.cli import run_command
 
 from helpers import (
-    C0,
-    F1,
     G2,
     H2,
     S1,
@@ -66,6 +64,7 @@ from helpers import (
     hg_system,
     loop_system,
     nat,
+    random_looping_instance,
     random_pvs0_program,
 )
 
@@ -136,37 +135,6 @@ def test_02_published_chain_link(ack_trs):
 
 # --- 3: every verified chain yields a connected derivation -----------------
 
-_W1 = Symbol("w", 1)
-_B2 = Symbol("b", 2)
-_M1 = Symbol("m", 1)
-_D1 = Symbol("d", 1)
-_E1 = Symbol("e", 1)
-_SW2 = Symbol("sw", 2)
-
-
-def _random_looping_instance(rng: random.Random):
-    """A small system with an exact innermost cycle, under an inert context."""
-    c = ap(C0)
-    shape = rng.choice(("self", "alternate", "swap"))
-    if shape == "self":
-        rules = [(ap(F1, X), ap(F1, X))]
-        start = ap(F1, c)
-    elif shape == "alternate":
-        rules = [(ap(_D1, X), ap(_E1, X)), (ap(_E1, X), ap(_D1, X))]
-        start = ap(_D1, c)
-    else:
-        rules = [(ap(_SW2, X, Y), ap(_SW2, Y, X))]
-        start = ap(_SW2, c, ap(_W1, c))
-    has_inert = rng.random() < 0.5
-    if has_inert:
-        rules.append((ap(_M1, X), X))
-    for _ in range(rng.randint(0, 2)):
-        start = ap(_W1, start) if rng.random() < 0.7 else ap(_B2, start, c)
-    if has_inert and rng.random() < 0.4:
-        start = ap(_B2, ap(_M1, c), start)
-    return trs_of(*rules), start
-
-
 def _connected_derivation(trs, witness, fuel=2000) -> bool:
     links = derivation_from_chain(trs, witness, fuel)
     if len(links) != len(witness.entries) - 1:
@@ -210,7 +178,7 @@ def test_03_chains_denote_derivations(ack_trs):
 
     rng = random.Random(1203)
     for _ in range(20):
-        trs, start = _random_looping_instance(rng)
+        trs, start = random_looping_instance(rng)
         found = detect_innermost_loop(trs, start, 300)
         assert found is not None
         corpus.append((trs, chain_from_loop(trs, found, rng.randint(2, 5), 300)))

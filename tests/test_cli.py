@@ -14,6 +14,12 @@ HG_TRS = (
 )
 DEEP_TERM = "s(" * 2000 + "x" + ")" * 2000  # deeper than the parser's recursion reaches
 DEEP_TRS = f"(VAR x)\n(RULES g(x) -> {DEEP_TERM})\n"
+# JSON deeper than the reader's recursion reaches
+DEEP_PROGRAM = (
+    '{"width": 1, "false_val": [0], "top_val": [1], "body": '
+    + '["rec", ' * 3000 + '["vr"]' + "]" * 3000 + "}"
+)
+DEEP_WITNESS = '{"entries": ' + "[" * 5000 + "]" * 5000 + "}"
 LOOP_PROGRAM = '{"width": 1, "false_val": [0], "top_val": [1], "body": ["rec", ["vr"]]}'
 
 INNER_ACK_WITNESS = {
@@ -216,6 +222,23 @@ def test_chain_verify_innermost(capsys, ack_trs_path, tmp_path):
     assert report["status"] == "verified"
     assert report["entries"] == 2
     assert len(report["traces"]) == 1
+    # The links read only lhs variables, so a binding outside its entry's rule
+    # changes neither the verdict nor the traces.
+    verdicts = []
+    for extra in ({}, {"y": "0"}):
+        entries = [
+            {"rule": 1, "position": "", "substitution": {"x": "s(s(0))", **extra}},
+            {"rule": 2, "position": "", "substitution": {"x": "s(0)", "y": "0"}},
+            {"rule": 2, "position": "", "substitution": {"x": "0", "y": "s(s(0))"}},
+        ]
+        witness = write_json(tmp_path, "w.json", {"entries": entries})
+        code, report = run_json(
+            capsys, ["chain-verify", ack_trs_path, "--witness", witness, "--innermost"]
+        )
+        verdicts.append((code, report["status"], report["traces"]))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][:2] == (0, "verified")
+    assert [len(trace["steps"]) for trace in verdicts[0][2]] == [0, 5]
 
 
 def test_chain_verify_non_root(capsys, ack_trs_path, tmp_path):
@@ -236,23 +259,6 @@ def test_chain_verify_innermost_precondition(capsys, ack_trs_path, tmp_path):
     assert report["status"] == "precondition-failed"
     assert report["failed_link"] == 0
     assert report["reason"] == "second-lhs-instance-not-nr-normal"
-
-
-def test_chain_verify_rename_apart(capsys, ack_trs_path, tmp_path):
-    witness = write_json(
-        tmp_path,
-        "w.json",
-        {"entries": [{"rule": 1, "substitution": {"x": "0", "y": "s(0)"}}]},
-    )
-    code, report = run_json(
-        capsys,
-        ["chain-verify", ack_trs_path, "--witness", witness, "--rename-apart"],
-    )
-    assert code == 0
-    assert report["rename_apart_dropped_bindings"] == 1
-    code, report = run_json(capsys, ["chain-verify", ack_trs_path, "--witness", witness])
-    assert code == 0
-    assert "rename_apart_dropped_bindings" not in report
 
 
 def test_chain_verify_rejects_bad_witness(capsys, ack_trs_path, tmp_path):
@@ -530,18 +536,26 @@ def test_malformed_trs_is_a_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "trs_text, argv",
+    "files, argv",
     [
-        (GROW_TRS, ["normalize", "--term", DEEP_TERM, "--fuel", "5"]),
-        (GROW_TRS, ["reach", "--from", DEEP_TERM, "--to", "x", "--fuel", "5"]),
-        (DEEP_TRS, ["dps"]),
+        ({"s.trs": GROW_TRS}, ["normalize", "s.trs", "--term", DEEP_TERM, "--fuel", "5"]),
+        ({"s.trs": GROW_TRS}, ["reach", "s.trs", "--from", DEEP_TERM, "--to", "x", "--fuel", "5"]),
+        ({"s.trs": DEEP_TRS}, ["dps", "s.trs"]),
+        ({"p.json": DEEP_PROGRAM}, ["pvs0-eval", "p.json", "--input", "1"]),
+        ({"p.json": DEEP_PROGRAM}, ["pvs0-terminates", "p.json", "--input", "1"]),
+        ({"p.json": DEEP_PROGRAM}, ["pvs0-contexts", "p.json"]),
+        (
+            {"s.trs": LOOP_TRS, "w.json": DEEP_WITNESS},
+            ["chain-verify", "s.trs", "--witness", "w.json"],
+        ),
     ],
-    ids=["normalize", "reach", "dps"],
+    ids=["normalize", "reach", "dps", "pvs0-eval", "pvs0-terminates", "pvs0-contexts",
+         "chain-verify"],
 )
-def test_input_too_deep_to_read_is_bad_input(capsys, tmp_path, trs_text, argv):
-    path = tmp_path / "system.trs"
-    path.write_text(trs_text)
-    code = run_command([argv[0], str(path), *argv[1:]])
+def test_input_too_deep_to_read_is_bad_input(capsys, tmp_path, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = run_command([str(tmp_path / arg) if arg in files else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -1,4 +1,5 @@
-"""The one pass over a witness's denoted terms against the original definition.
+"""The one pass over a witness's denoted terms, and chain growth, against
+the original definitions.
 
 ``term_pos_dps_alt`` and ``derivation_from_chain`` now share one pass that
 builds every denoted term once.  At every index, on random Ackermann and
@@ -6,20 +7,30 @@ loop-system witnesses of length 0..6 (some with entries that are not
 dependency pairs), they must give exactly what the original
 ``term_pos_dps_alt``, kept in ``helpers``, gives: the same term and
 position, or the same error with the same message and entry.
+
+``chain_from_loop`` now grows each entry from the subterm its predecessor
+certified and checks each link once.  On cycles of the loop, nest and
+detour systems and of the criterion-3 shapes in random inert contexts, at
+lengths 1..8 and fuels low enough to stop growth at every stage, it must
+give the original's witness or fail with the original's error.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdp import (
     ChainWitness,
+    ConstructionFailure,
     DepPairAlt,
     InvalidDepPairError,
     PreconditionFailed,
     RelationMode,
     Substitution,
+    chain_from_loop,
     dep_pairs_alt,
     derivation_from_chain,
+    detect_innermost_loop,
     match,
     normalize,
     subterm_at,
@@ -28,15 +39,22 @@ from rdp import (
 
 from helpers import (
     C0,
+    F1,
+    NEAR0,
+    P1,
     X,
     Y,
     ack_system,
     ap,
+    detour_system,
+    fc,
     hg_system,
     loop_system,
     nat,
     nest_system,
+    oracle_chain_from_loop,
     oracle_term_pos_dps_alt,
+    random_looping_instance,
 )
 
 FUEL = 500
@@ -91,7 +109,9 @@ def chained_witness(draw):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (IndexError, InvalidDepPairError) as err:
+    except (
+        IndexError, InvalidDepPairError, ConstructionFailure, PreconditionFailed
+    ) as err:
         return type(err), str(err), getattr(err, "entry", None)
 
 
@@ -133,3 +153,49 @@ def test_derivation_from_chain_terms_match_the_oracle(case):
     ):
         assert trace.start == term
         assert trace.steps[-1].position == pos
+
+
+LOOPING = {
+    "loop": (loop_system(), fc()),
+    "nest": (nest_system(), ap(P1, ap(C0))),
+    "detour": (detour_system(), ap(F1, ap(NEAR0))),
+}
+
+
+@st.composite
+def looping_instance(draw):
+    """A system and a term with an innermost cycle, found at full fuel."""
+    name = draw(st.sampled_from(sorted(LOOPING) + ["criterion-3"]))
+    if name == "criterion-3":
+        trs, start = random_looping_instance(draw(st.randoms(use_true_random=False)))
+    else:
+        trs, start = LOOPING[name]
+    cert = detect_innermost_loop(trs, start, FUEL)
+    assert cert is not None
+    return trs, cert
+
+
+@settings(max_examples=300, deadline=None)
+@given(looping_instance(), st.integers(1, 8), st.integers(0, 12))
+def test_chain_from_loop_matches_the_oracle(instance, k, fuel):
+    trs, cert = instance
+    assert _outcome(chain_from_loop, trs, cert, k, fuel) == _outcome(
+        oracle_chain_from_loop, trs, cert, k, fuel
+    )
+
+
+@pytest.mark.parametrize(
+    "fuel, reason",
+    [
+        (2, "no-mint-within-fuel"),
+        (4, "fuel-exhausted-normalizing"),
+        (6, "link-not-chained:not-found"),
+    ],
+)
+def test_chain_from_loop_fails_like_the_oracle(fuel, reason):
+    """The detour system stops growth at each stage the fuel can cut off."""
+    trs, start = LOOPING["detour"]
+    cert = detect_innermost_loop(trs, start, FUEL)
+    want = (ConstructionFailure, reason, None)
+    assert _outcome(chain_from_loop, trs, cert, 3, fuel) == want
+    assert _outcome(oracle_chain_from_loop, trs, cert, 3, fuel) == want

@@ -123,6 +123,13 @@ def test_input_too_deep_to_read_is_a_parse_error():
         parse_term(deep, ack_system())
     with pytest.raises(ParseError, match="nested too deeply to read"):
         parse_trs(f"(RULES f -> {deep})")
+    deep_body = '["rec", ' * 3000 + '["vr"]' + "]" * 3000
+    with pytest.raises(ParseError, match="nested too deeply to read"):
+        parse_pvs0_program(
+            f'{{"width": 1, "false_val": [0], "top_val": [1], "body": {deep_body}}}'
+        )
+    with pytest.raises(ParseError, match="nested too deeply to read"):
+        parse_chain_witness('{"entries": ' + "[" * 5000 + "]" * 5000 + "}", ack_system())
 
 
 # --- substitutions ---------------------------------------------------------
@@ -169,6 +176,10 @@ def test_parse_trace_errors():
         step = {"position": "", "rule_index": rule_index, "substitution": {}, "term": "s(0)"}
         with pytest.raises(ParseError, match="'rule_index' must be an integer"):
             parse_trace({"start": "a(0,0)", "mode": "full", "steps": [step]}, trs)
+    for position in (1, None, "a.b", "0"):
+        step = {"position": position, "rule_index": 0, "substitution": {}, "term": "s(0)"}
+        with pytest.raises(ParseError, match="malformed trace step: .*position"):
+            parse_trace({"start": "a(0,0)", "mode": "full", "steps": [step]}, trs)
 
 
 # --- chain witnesses -------------------------------------------------------
@@ -212,6 +223,12 @@ def test_witness_shape_errors():
     for rule in ("1.9", "true", '"1"'):
         with pytest.raises(ParseError, match="entry 0: 'rule' must be an integer"):
             parse_chain_witness(f'{{"entries": [{{"rule": {rule}}}]}}', trs)
+    # As strings, "2.1" and "2" name pairs of rule 0 of hg; as numbers they are no position.
+    for position in ("2.1", "2"):
+        with pytest.raises(ParseError, match="entry 0: 'position' must be a string"):
+            parse_chain_witness(
+                f'{{"entries": [{{"rule": 0, "position": {position}}}]}}', hg_system()
+            )
 
 
 # --- programs --------------------------------------------------------------

@@ -1,9 +1,7 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
-from rdp import EMPTY_SUBSTITUTION, Substitution, Var, is_normal_substitution, match, rename_apart
-from rdp.terms import vars_of
+from rdp import EMPTY_SUBSTITUTION, Substitution, Var, is_normal_substitution, match
 
 from helpers import X, Y, Z0, ack, ack_system, ack_terms, ap, ground_ack_terms, nat
 
@@ -60,35 +58,6 @@ def test_match_recovers_an_equivalent_substitution(pattern, t1, t2):
     found = match(pattern, subject)
     assert found is not None
     assert found.apply(pattern) == subject
-
-
-def test_rename_apart_disjoint_is_identity():
-    t = ack(X, Y)
-    variant, renaming = rename_apart(t, [Var("z")])
-    assert variant == t
-    assert renaming == EMPTY_SUBSTITUTION
-
-
-def test_rename_apart_clashes():
-    t = ack(X, Y)
-    variant, renaming = rename_apart(t, [X])
-    assert vars_of(variant).isdisjoint({X})
-    assert renaming.apply(t) == variant
-    assert variant == ack(Var("x#1"), Y)
-
-
-def test_rename_apart_avoids_own_variables():
-    t = ack(X, Var("x#1"))
-    variant, _ = rename_apart(t, [X])
-    assert vars_of(variant) == frozenset({Var("x#2"), Var("x#1")})
-
-
-@given(ack_terms, st.sets(st.sampled_from(("x", "y", "z")), max_size=3))
-def test_rename_apart_property(t, names):
-    forbidden = [Var(n) for n in names]
-    variant, renaming = rename_apart(t, forbidden)
-    assert vars_of(variant).isdisjoint(forbidden)
-    assert renaming.apply(t) == variant
 
 
 def test_is_normal_substitution():

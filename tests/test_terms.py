@@ -4,7 +4,6 @@ from hypothesis import given
 from rdp import (
     App,
     InvalidPositionError,
-    NotAnApplicationError,
     ROOT,
     Signature,
     Symbol,
@@ -17,7 +16,7 @@ from rdp import (
     term_to_str,
     vars_of,
 )
-from rdp.terms import root_symbol, subterms_of, symbols_of, vars_in_order
+from rdp.terms import subterms_of, symbols_of, vars_in_order
 
 from helpers import A2, C0, S1, X, Y, Z0, ack, ack_terms, ap, nat
 
@@ -85,12 +84,6 @@ def test_replace_at():
     assert replace_at(t, ROOT, X) == X
     with pytest.raises(InvalidPositionError):
         replace_at(t, (1, 2), X)
-
-
-def test_root_symbol():
-    assert root_symbol(nat(1)) == S1
-    with pytest.raises(NotAnApplicationError):
-        root_symbol(X)
 
 
 def test_vars_helpers():
