@@ -10,7 +10,11 @@ One successor core answers every question about redexes.  Rules are
 indexed by the root symbol of their lhs; a pre-order walk over the term
 yields the positions that may fire, and under the innermost modes one
 bottom-up pass first records, per node, the matching rules and whether a
-redex lies below.  ``normalize`` always takes the first of those steps:
+redex lies below.  A breadth-first search keeps one such table for all the
+terms it expands, under every mode, so each expansion matches only the
+nodes it has not seen and skips every subterm without a redex; on a term
+that grows by a node per step, fuel buys work linearly.  ``normalize``
+always takes the first of those steps:
 leftmost-outermost under ``full`` and ``non-root``, leftmost-innermost
 under the innermost modes, where it is computed call by value (arguments
 left to right, then the root).  Its traces are the ones the original
@@ -199,11 +203,17 @@ def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
     return out
 
 
-def _redex_table(trs: TRS, term: Term) -> dict[int, tuple[list, bool]]:
-    """One bottom-up pass: for every application node of ``term`` (keyed by
-    ``id``), the rules matching there and whether a redex lies strictly below.
+def _redex_table(trs: TRS, term: Term, table: dict[int, tuple]) -> dict[int, tuple]:
+    """Add to ``table`` every application node of ``term`` it lacks, keyed by
+    ``id``, and return it.  An entry is ``(matches, below, node)``: the rules
+    matching at the node, whether a redex lies strictly below it, and the
+    node itself, which keeps its ``id`` from being reused while the table
+    lives.
+
+    One bottom-up pass that stops at nodes already present, so a table kept
+    across the terms of one search matches each node once, however many
+    terms share it.  A table is only valid for the ``trs`` that filled it.
     """
-    table: dict[int, tuple[list, bool]] = {}
     stack: list[Term] = [term]
     while stack:
         node = stack[-1]
@@ -218,11 +228,11 @@ def _redex_table(trs: TRS, term: Term) -> dict[int, tuple[list, bool]]:
         below = False
         for arg in node.args:
             if isinstance(arg, App):
-                matches, arg_below = table[id(arg)]
+                matches, arg_below, _ = table[id(arg)]
                 if matches or arg_below:
                     below = True
                     break
-        table[id(node)] = (_matches(trs, node), below)
+        table[id(node)] = (_matches(trs, node), below, node)
     return table
 
 
@@ -236,18 +246,27 @@ def _may_fire(mode: RelationMode, at_root: bool, redex_below: Callable[[], bool]
 
 
 def _fireable(
-    trs: TRS, term: Term, mode: RelationMode
+    trs: TRS,
+    term: Term,
+    mode: RelationMode,
+    table: dict[int, tuple] | None = None,
 ) -> Iterator[tuple[list[list], list[tuple[Rule, Substitution]]]]:
     """Each position of ``term`` that may fire under ``mode``, in pre-order,
     as its path and its matching rules.
 
-    The path is only valid until the walk resumes.  Innermost modes first
-    run the bottom-up pass, which also lets the walk skip every subterm
-    without a redex; the other modes match lazily during the walk.
+    The path is only valid until the walk resumes.  Given a redex ``table``
+    (see ``_redex_table``), the walk first adds the nodes of ``term`` it
+    lacks, then reads matches from it under every mode and skips every
+    subterm without a redex.  Without one, innermost modes build a table for
+    ``term`` alone, and the other modes match lazily during the walk, so
+    that a caller asking for the first position stops early.
     """
     if isinstance(term, Var):
         return
-    table = _redex_table(trs, term) if mode.innermost else None
+    if table is not None:
+        _redex_table(trs, term, table)
+    elif mode.innermost:
+        table = _redex_table(trs, term, {})
     frames: list[list] = []
     node: Term = term
     while True:
@@ -256,7 +275,7 @@ def _fireable(
                 # Not known without the pass; only innermost modes need it.
                 matches, below = _matches(trs, node), True
             else:
-                matches, below = table[id(node)]
+                matches, below, _ = table[id(node)]
             if matches and _may_fire(mode, not frames, lambda: below):
                 yield frames, matches
             if node.args and below:
@@ -286,9 +305,16 @@ def is_nr_normal_form(trs: TRS, term: Term) -> bool:
     return next(_fireable(trs, term, RelationMode.NON_ROOT), None) is None
 
 
-def iter_successors(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
-    """One-step reducts under ``mode``, ordered by (position pre-order, rule index)."""
-    for frames, matches in _fireable(trs, term, mode):
+def iter_successors(
+    trs: TRS, term: Term, mode: RelationMode, table: dict[int, tuple] | None = None
+) -> Iterator[Step]:
+    """One-step reducts under ``mode``, ordered by (position pre-order, rule index).
+
+    ``table`` is a redex table that one search keeps for ``trs`` across
+    the terms it expands (see ``_redex_table``); without one the call
+    stands alone.
+    """
+    for frames, matches in _fireable(trs, term, mode, table):
         pos = tuple(frame[2] for frame in frames)
         for rule, sigma in matches:
             yield Step(pos, rule.index, sigma, _plug(frames, sigma.apply(rule.rhs)))
@@ -403,13 +429,19 @@ def explore(
     before, and None when it is new but refused because ``fuel`` terms are
     already admitted.  Refused terms are never expanded; what a refusal
     means is the caller's fuel rule.
+
+    One redex table serves the whole search.  A successor shares all but
+    the rebuilt path and the contractum with the term it came from, so each
+    expansion matches only the nodes it has not seen, and terms hash once;
+    on a term that grows by a node per step, fuel buys work linearly.
     """
     admitted: set[Term] = {start}
     queue: deque[Term] = deque([start])
+    table: dict[int, tuple] = {}
     while queue:
         u = queue.popleft()
         tagged: list[tuple[Step, bool | None]] = []
-        for step in iter_successors(trs, u, mode):
+        for step in iter_successors(trs, u, mode, table):
             v = step.result
             if v in admitted:
                 tagged.append((step, False))

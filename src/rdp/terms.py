@@ -3,6 +3,10 @@
 Terms are immutable trees: a variable leaf or a symbol applied to exactly
 ``arity`` arguments.  Subterms are addressed by positions, tuples of 1-based
 argument indices with ``()`` denoting the root.
+
+An application node computes its hash once and keeps it, and hashing and
+equality walk the term with an explicit stack, so both work at any depth
+and a set or dict lookup of a term already hashed costs constant time.
 """
 
 from __future__ import annotations
@@ -38,19 +42,78 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+# Stores a field of an immutable App, whose own __setattr__ refuses.
+_set = object.__setattr__
+
+
 class App:
-    """A symbol applied to exactly ``sym.arity`` argument terms."""
+    """A symbol applied to exactly ``sym.arity`` argument terms.
+
+    Immutable.  The hash is computed on first use, for every descendant
+    still without one, bottom-up with an explicit stack, and then kept in
+    the node, so hashing and comparing terms of any depth never recurse.
+    """
+
+    __slots__ = ("sym", "args", "_hash")
 
     sym: Symbol
-    args: tuple[Term, ...] = ()
+    args: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.sym.arity:
+    def __init__(self, sym: Symbol, args: tuple[Term, ...] = ()) -> None:
+        if len(args) != sym.arity:
             raise ValueError(
-                f"symbol {self.sym.name!r} has arity {self.sym.arity}, "
-                f"got {len(self.args)} arguments"
+                f"symbol {sym.name!r} has arity {sym.arity}, got {len(args)} arguments"
             )
+        _set(self, "sym", sym)
+        _set(self, "args", args)
+        _set(self, "_hash", None)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable term")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable term")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            stack: list[App] = [self]
+            while stack:
+                node = stack[-1]
+                pending = [a for a in node.args if a.__class__ is App and a._hash is None]
+                if pending:
+                    stack += pending
+                    continue
+                stack.pop()
+                _set(node, "_hash", hash((node.sym, *map(hash, node.args))))
+            h = self._hash
+        return h
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality.  Differing cached hashes settle it early, but
+        no hash is ever computed here: equal terms built apart are compared
+        node by node.
+        """
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            ha, hb = a._hash, b._hash
+            if ha is not None and hb is not None and ha != hb:
+                return False
+            if a.sym is not b.sym and a.sym != b.sym:
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if x.__class__ is App and y.__class__ is App:
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __repr__(self) -> str:
         return term_to_str(self)

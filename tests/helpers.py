@@ -284,12 +284,12 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # --- oracles -----------------------------------------------------------------
 #
 # The original definitions of the successor core, of the breadth-first
-# searches, of the PVS0 least-fuel search and of chain growth, kept verbatim
-# (renamed ``oracle_*``) as the obviously correct reference for the
-# differential tests.  They rescan the term for every position and try every
-# rule everywhere; the fuel search probes fuels 1, 2, 4, ... and then
-# bisects; chain growth searches each entry's loop again and re-checks every
-# link at the end.
+# searches (the loop search over oracle successors), of the PVS0 least-fuel
+# search and of chain growth, kept verbatim (renamed ``oracle_*``) as the
+# obviously correct reference for the differential tests.  They rescan the
+# term for every position and try every rule everywhere; the fuel search
+# probes fuels 1, 2, 4, ... and then bisects; chain growth searches each
+# entry's loop again and re-checks every link at the end.
 
 
 def oracle_has_redex(trs: TRS, term: Term) -> bool:
@@ -440,6 +440,61 @@ def oracle_descendants(
             visited.add(v)
             queue.append(v)
     return frozenset(visited), truncated
+
+
+def oracle_detect_innermost_loop(
+    trs: TRS, term: Term, fuel: int = DEFAULT_FUEL
+) -> LoopCertificate | None:
+    """Search for an exact innermost cycle reachable from ``term``.
+
+    Explores at most ``fuel`` distinct terms breadth-first, then looks for a
+    cycle among them by depth-first search.  Sound but incomplete: None only
+    means no cycle was found within fuel, and in particular nonterminating
+    systems whose terms grow forever are never caught.
+    """
+    edges: dict[Term, list[Step]] = {}
+    admitted: set[Term] = {term}
+    queue: deque[Term] = deque([term])
+    while queue:
+        u = queue.popleft()
+        edges[u] = oracle_successors(trs, u, RelationMode.INNERMOST)
+        for step in edges[u]:
+            v = step.result
+            if v not in admitted and len(admitted) < fuel:
+                admitted.add(v)
+                queue.append(v)
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {u: WHITE for u in edges}
+    for root in edges:
+        if color[root] != WHITE:
+            continue
+        stack: list[tuple[Term, object]] = [(root, iter(edges[root]))]
+        path_steps: list[Step] = []
+        color[root] = GRAY
+        while stack:
+            node, it = stack[-1]
+            step = next(it, None)  # type: ignore[call-overload]
+            if step is None:
+                color[node] = BLACK
+                stack.pop()
+                if path_steps:
+                    path_steps.pop()
+                continue
+            v = step.result
+            if v not in edges:
+                continue
+            if color[v] == GRAY:
+                cycle_from = next(i for i, (n, _) in enumerate(stack) if n == v)
+                steps = tuple(path_steps[cycle_from:]) + (step,)
+                return LoopCertificate(
+                    DerivationTrace(v, steps, RelationMode.INNERMOST)
+                )
+            if color[v] == WHITE:
+                color[v] = GRAY
+                stack.append((v, iter(edges[v])))
+                path_steps.append(step)
+    return None
 
 
 def oracle_minimal_fuel(

@@ -210,6 +210,25 @@ def test_loop_chain(capsys, loop_trs_path, grow_trs_path):
     assert report["detail"] == "no-loop-certificate"
 
 
+@pytest.mark.parametrize(
+    "argv, fuel",
+    [
+        (["loop", "--term", "g(x)"], 10_000),
+        (["mint", "--term", "g(x)"], 10_000),
+        (["loop-chain", "--term", "g(x)", "--length", "2"], 10_000),
+        (["reach", "--from", "g(x)", "--to", "x", "--fuel", "2000"], 2000),
+    ],
+)
+def test_searches_on_growing_terms_answer_not_found(
+    capsys, grow_trs_path, monkeypatch, argv, fuel
+):
+    """The search reaches terms thousands of levels deep and still gives an
+    honest negative verdict, not a depth failure."""
+    monkeypatch.delenv("RDP_FUEL", raising=False)
+    code, report = run_json(capsys, [argv[0], grow_trs_path, *argv[1:]])
+    assert (code, report["status"], report["fuel"]) == (1, "not-found", fuel)
+
+
 # --- chain witnesses -------------------------------------------------------
 
 

@@ -394,6 +394,7 @@ def test_detect_innermost_loop_none_on_terminating():
 def test_detect_innermost_loop_none_on_growing():
     """Nontermination without a cycle is never claimed."""
     assert detect_innermost_loop(grow_system(), ap(G1, X), 300) is None
+    assert detect_innermost_loop(grow_system(), ap(G1, X), 800) is None
 
 
 def test_detect_innermost_loop_under_context():

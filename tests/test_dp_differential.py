@@ -13,6 +13,11 @@ certified and checks each link once.  On cycles of the loop, nest and
 detour systems and of the criterion-3 shapes in random inert contexts, at
 lengths 1..8 and fuels low enough to stop growth at every stage, it must
 give the original's witness or fail with the original's error.
+
+``detect_innermost_loop`` now runs on one redex table per search.  On the
+loop, nest, detour and growing systems and the criterion-3 shapes, from
+fixed and drawn start terms at fuels 1..40, it must return the certificate
+the original search over oracle successors returns, or None when that does.
 """
 
 import pytest
@@ -30,16 +35,21 @@ from rdp import (
     chain_from_loop,
     dep_pairs_alt,
     derivation_from_chain,
+    derives,
+    descendants,
     detect_innermost_loop,
     match,
     normalize,
     subterm_at,
     term_pos_dps_alt,
+    trs_of,
 )
 
 from helpers import (
     C0,
     F1,
+    FORK0,
+    G1,
     NEAR0,
     P1,
     X,
@@ -48,13 +58,18 @@ from helpers import (
     ap,
     detour_system,
     fc,
+    grow_system,
     hg_system,
     loop_system,
     nat,
     nest_system,
     oracle_chain_from_loop,
+    oracle_derives,
+    oracle_descendants,
+    oracle_detect_innermost_loop,
     oracle_term_pos_dps_alt,
     random_looping_instance,
+    terms_over,
 )
 
 FUEL = 500
@@ -199,3 +214,62 @@ def test_chain_from_loop_fails_like_the_oracle(fuel, reason):
     want = (ConstructionFailure, reason, None)
     assert _outcome(chain_from_loop, trs, cert, 3, fuel) == want
     assert _outcome(oracle_chain_from_loop, trs, cert, 3, fuel) == want
+
+
+LOOP_FUELS = range(1, 41)
+LOOP_SEARCHES = {
+    "loop": (loop_system(), (fc(), ap(F1, fc()))),
+    "nest": (nest_system(), (ap(P1, ap(C0)), ap(P1, ap(P1, ap(C0))))),
+    "detour": (detour_system(), (ap(F1, ap(FORK0)), ap(F1, ap(NEAR0)))),
+    "grow": (grow_system(), (ap(G1, X), ap(G1, ap(G1, ap(C0))))),
+}
+
+
+def _same_loop_search(trs, start):
+    for fuel in LOOP_FUELS:
+        got = detect_innermost_loop(trs, start, fuel)
+        assert got == oracle_detect_innermost_loop(trs, start, fuel), fuel
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_SEARCHES))
+def test_loop_search_matches_the_oracle(name):
+    trs, starts = LOOP_SEARCHES[name]
+    for start in starts:
+        _same_loop_search(trs, start)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(LOOP_SEARCHES)), st.data())
+def test_loop_search_matches_the_oracle_from_drawn_terms(name, data):
+    trs, _ = LOOP_SEARCHES[name]
+    _same_loop_search(trs, data.draw(terms_over(trs.signature.symbols, max_leaves=4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_loop_search_matches_the_oracle_in_inert_contexts(rng):
+    _same_loop_search(*random_looping_instance(rng))
+
+
+def test_one_term_searched_under_two_systems():
+    """Each search keeps its own redex table: the same term object, searched
+    under systems with the same symbols and different rules, gets each
+    system's own answer, in either order."""
+    c = ap(C0)
+    start = ap(F1, c)
+    looping = trs_of((ap(F1, c), ap(F1, c)))
+    halting = trs_of((ap(F1, X), c))
+    assert looping.signature == halting.signature
+    for first, second in ((looping, halting), (halting, looping)):
+        for trs in (first, second):
+            _same_loop_search(trs, start)
+            for fuel in (1, 2, 5):
+                for mode in RelationMode:
+                    assert descendants(trs, start, mode, fuel) == oracle_descendants(
+                        trs, start, mode, fuel
+                    )
+                    assert derives(trs, start, c, mode, fuel) == oracle_derives(
+                        trs, start, c, mode, fuel
+                    )
+    assert detect_innermost_loop(looping, start, 5) is not None
+    assert detect_innermost_loop(halting, start, 5) is None

@@ -17,6 +17,7 @@ from rdp import (
     defined_symbols,
     derives,
     descendants,
+    detect_innermost_loop,
     embed_trace,
     has_redex,
     is_normal_form,
@@ -27,6 +28,7 @@ from rdp import (
     successors,
     trs_of,
 )
+from rdp import rewriting
 
 from helpers import (
     A2,
@@ -255,6 +257,23 @@ def test_descendants_normal_form_and_truncation():
     grown, cut = descendants(grow_system(), ap(G1, X), FULL, 3)
     assert cut
     assert len(grown) == 3
+
+
+@pytest.mark.parametrize("n", [500, 1000, 2000])
+def test_loop_search_matches_each_node_once(monkeypatch, n):
+    """One redex table per search: each expansion of ``g(s^k(x))`` matches
+    only its two new nodes, so fuel n buys at most 2n + 2 match rounds."""
+    calls = 0
+    matches = rewriting._matches
+
+    def counting(trs, node):
+        nonlocal calls
+        calls += 1
+        return matches(trs, node)
+
+    monkeypatch.setattr(rewriting, "_matches", counting)
+    assert detect_innermost_loop(grow_system(), ap(G1, X), n) is None
+    assert calls <= 2 * n + 2
 
 
 def test_check_step_rejects_tampering():

@@ -18,11 +18,13 @@ from rdp import (
 )
 from rdp.terms import subterms_of, symbols_of, vars_in_order
 
-from helpers import A2, C0, S1, X, Y, Z0, ack, ack_terms, ap, nat
+from helpers import A2, C0, F1, G2, S1, X, Y, Z0, ack, ack_terms, ap, nat, terms_over
+
+TERMS = terms_over([A2, S1, Z0, F1, G2], max_leaves=6)
 
 
 def s_tower(depth, leaf):
-    """``s^depth(leaf)``, built without recursion; too deep to hash or print."""
+    """``s^depth(leaf)``, built without recursion; too deep to print."""
     for _ in range(depth):
         leaf = ap(S1, leaf)
     return leaf
@@ -46,6 +48,56 @@ def test_terms_are_hashable_values():
     assert hash(nat(3)) == hash(nat(3))
     assert nat(2) != nat(3)
     assert X != Var("y")
+    assert ap(S1, X) != X and X != ap(S1, X)
+
+
+def rebuild(t):
+    """A copy of ``t`` that shares no application node with it."""
+    if isinstance(t, Var):
+        return t
+    return App(t.sym, tuple(rebuild(a) for a in t.args))
+
+
+@given(TERMS)
+def test_a_rebuilt_copy_is_equal_and_hashes_alike(t):
+    twin, other = rebuild(t), rebuild(t)
+    assert twin == t and t == twin and twin == other
+    if isinstance(t, App):
+        assert twin is not t
+        assert twin._hash is None and other._hash is None  # equality hashes nothing
+    assert hash(twin) == hash(t)
+    assert twin == t and {t: 1}[twin] == 1
+
+
+@given(TERMS, TERMS)
+def test_terms_are_equal_exactly_when_they_print_alike(t, u):
+    same = term_to_str(t) == term_to_str(u)
+    assert (t == u) is same
+    assert (rebuild(t) == u) is same
+    hash(t)  # a cached hash on one side only changes nothing
+    assert (t == rebuild(u)) is same and (rebuild(u) == t) is same
+    if same:
+        assert hash(t) == hash(u)
+
+
+@pytest.mark.parametrize("field", ["sym", "args", "_hash"])
+def test_app_fields_cannot_be_assigned(field):
+    t = ap(S1, X)
+    with pytest.raises(AttributeError):
+        setattr(t, field, None)
+    with pytest.raises(AttributeError):
+        delattr(t, field)
+    assert t.sym == S1 and t.args == (X,)
+
+
+def test_deep_terms_hash_and_compare_without_recursion():
+    one, two = s_tower(100_000, X), s_tower(100_000, X)
+    assert one == two
+    assert hash(one) == hash(two)
+    assert one == two  # now with both hashes cached
+    assert one != s_tower(100_000, Y)
+    assert one != s_tower(99_999, X)
+    assert len({one, two}) == 1
 
 
 def test_signature_lookup_and_duplicates():
