@@ -346,36 +346,29 @@ def detect_innermost_loop(
         for u, tagged in explore(trs, term, RelationMode.INNERMOST, fuel)
     }
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {u: WHITE for u in edges}
+    # Depth-first, one path of (node, steps not yet tried, step into node).
+    done: set[Term] = set()
     for root in edges:
-        if color[root] != WHITE:
+        if root in done:
             continue
-        stack: list[tuple[Term, object]] = [(root, iter(edges[root]))]
-        path_steps: list[Step] = []
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            step = next(it, None)  # type: ignore[call-overload]
+        path: list[tuple] = [(root, iter(edges[root]), None)]
+        on_path: dict[Term, int] = {root: 0}
+        while path:
+            node, remaining, _ = path[-1]
+            step = next(remaining, None)
             if step is None:
-                color[node] = BLACK
-                stack.pop()
-                if path_steps:
-                    path_steps.pop()
+                path.pop()
+                del on_path[node]
+                done.add(node)
                 continue
             v = step.result
-            if v not in edges:
+            if v not in edges or v in done:
                 continue
-            if color[v] == GRAY:
-                cycle_from = next(i for i, (n, _) in enumerate(stack) if n == v)
-                steps = tuple(path_steps[cycle_from:]) + (step,)
-                return LoopCertificate(
-                    DerivationTrace(v, steps, RelationMode.INNERMOST)
-                )
-            if color[v] == WHITE:
-                color[v] = GRAY
-                stack.append((v, iter(edges[v])))
-                path_steps.append(step)
+            if v in on_path:
+                steps = tuple(s for _, _, s in path[on_path[v] + 1 :]) + (step,)
+                return LoopCertificate(DerivationTrace(v, steps, RelationMode.INNERMOST))
+            on_path[v] = len(path)
+            path.append((v, iter(edges[v]), step))
     return None
 
 

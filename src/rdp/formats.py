@@ -338,6 +338,8 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
         raw_steps = data["steps"]
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"malformed trace: {err}") from None
+    if not isinstance(raw_steps, list):
+        raise ParseError(f"malformed trace: steps must be a list, got {raw_steps!r}")
     steps = []
     for raw in raw_steps:
         try:
@@ -484,6 +486,9 @@ def parse_pvs0_program(text: str) -> Pvs0Program:
     for name, value in (("false_val", false_val), ("top_val", top_val)):
         if not all(_is_int(c) and c >= 0 for c in value):
             raise ParseError(f"{name} must be a list of naturals: {value!r}")
+    for name, bank in (("o1", raw_o1), ("o2", raw_o2)):
+        if not isinstance(bank, list):
+            raise ParseError(f"malformed program: {name} must be a list, got {bank!r}")
     o1 = tuple(
         OperatorDef(1, _parse_gvalue(raw, false_val, top_val)) for raw in raw_o1
     )

@@ -10,15 +10,16 @@ One successor core answers every question about redexes.  Rules are
 indexed by the root symbol of their lhs; a pre-order walk over the term
 yields the positions that may fire, and under the innermost modes one
 bottom-up pass first records, per node, the matching rules and whether a
-redex lies below.  A breadth-first search keeps one such table for all the
-terms it expands, under every mode, so each expansion matches only the
-nodes it has not seen and skips every subterm without a redex; on a term
-that grows by a node per step, fuel buys work linearly.  ``normalize``
-always takes the first of those steps:
-leftmost-outermost under ``full`` and ``non-root``, leftmost-innermost
-under the innermost modes, where it is computed call by value (arguments
-left to right, then the root).  Its traces are the ones the original
-definitions, which rescanned the whole term for every step, produced.
+redex lies below.  Every walk asks one rule, ``_may_fire``, whether a
+position may fire under a mode.  A breadth-first search keeps one such
+table for all the terms it expands, under every mode, so each expansion
+matches only the nodes it has not seen and skips every subterm without a
+redex; on a term that grows by a node per step, fuel buys work linearly.
+``normalize`` always takes the first of those steps: leftmost-outermost
+under ``full`` and ``non-root``, leftmost-innermost under the innermost
+modes, where it is computed call by value (arguments left to right, then
+the root).  Its traces are the ones the original definitions, which
+rescanned the whole term for every step, produced.
 
 Fuel bounds work, never correctness: a positive answer always carries a
 replayable trace, a negative answer only says nothing was found within fuel.
@@ -40,9 +41,9 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _plug,
+    _split_at,
     format_position,
-    replace_at,
-    subterm_at,
     symbols_of,
     term_to_str,
     vars_of,
@@ -180,17 +181,8 @@ class DerivationTrace:
 
 # --- the successor core ------------------------------------------------------
 #
-# A frame is ``[symbol, arguments, i, ...]``: one ancestor on the path to a
-# subterm, the path going on through its i-th argument (1-based).  Extra
-# items are private to the walk that built the frame.
-
-
-def _plug(frames: list[list], term: Term) -> Term:
-    """Rebuild the whole term around ``term`` from the path ``frames``."""
-    for frame in reversed(frames):
-        sym, args, i = frame[0], frame[1], frame[2]
-        term = App(sym, (*args[: i - 1], term, *args[i:]))
-    return term
+# The walks below keep a path as ``terms`` frames (see ``_split_at``), made
+# lists so that a walk can advance ``i`` in place, and rebuild with ``_plug``.
 
 
 def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
@@ -328,13 +320,13 @@ def reduce_at(
     trs: TRS, term: Term, pos: Position, mode: RelationMode
 ) -> Step | None:
     """The lowest-rule-index step at ``pos`` valid under ``mode``, if any."""
-    sub = subterm_at(term, pos)
+    frames, sub = _split_at(term, pos)
     if isinstance(sub, Var):
         return None
     if not _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub)):
         return None
     for rule, sigma in _matches(trs, sub):
-        return Step(pos, rule.index, sigma, replace_at(term, pos, sigma.apply(rule.rhs)))
+        return Step(pos, rule.index, sigma, _plug(frames, sigma.apply(rule.rhs)))
     return None
 
 
@@ -347,15 +339,16 @@ def is_normal_substitution(sigma: Substitution, trs: TRS) -> bool:
     return all(is_normal_form(trs, t, RelationMode.FULL) for _, t in sigma.items())
 
 
-def _call_by_value(trs: TRS, term: Term, non_root: bool) -> Iterator[Step]:
-    """The innermost derivation that normalizes arguments left to right
-    before trying the root (never the root of ``term`` when ``non_root``).
+def _call_by_value(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
+    """The derivation under an innermost ``mode`` that normalizes arguments
+    left to right before trying the root.
 
     Innermost redexes never nest, so each step fires the first innermost
-    redex in pre-order, exactly as ``iter_successors`` orders them.  After a
-    step only the contractum's rule-built part is examined: its variable
-    parts are subterms of normal forms, hence normal.  The walk keeps a
-    frame per ancestor, extended by the hints (the rhs pattern under the
+    redex in pre-order, exactly as ``iter_successors`` orders them; a node
+    is tried only once its arguments are normal, so never with a redex
+    below.  After a step only the contractum's rule-built part is examined:
+    its variable parts are subterms of normal forms, hence normal.  The walk
+    keeps a frame per ancestor, with the hints (the rhs pattern under the
     node) and the ancestor's arguments normalized so far.
     """
     frames: list[list] = []
@@ -367,7 +360,7 @@ def _call_by_value(trs: TRS, term: Term, non_root: bool) -> Iterator[Step]:
             node, hint = node.args[0], hints[0] if hints is not None else None
         normal = isinstance(node, Var) or isinstance(hint, Var)
         while True:
-            if not normal and not (non_root and not frames):
+            if not normal and _may_fire(mode, not frames, lambda: False):
                 fired = _matches(trs, node)
                 if fired:
                     rule, sigma = fired[0]
@@ -389,10 +382,8 @@ def _call_by_value(trs: TRS, term: Term, non_root: bool) -> Iterator[Step]:
             node, normal = App(sym, tuple(args)), False
 
 
-def _normalizing_steps(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
-    if mode.innermost:
-        yield from _call_by_value(trs, term, mode.non_root)
-        return
+def _leftmost_outermost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
+    """The derivation that always takes the first step of ``iter_successors``."""
     step = next(iter_successors(trs, term, mode), None)
     while step is not None:
         yield step
@@ -411,8 +402,9 @@ def normalize(
     Each step consumes one unit of fuel; raises FuelExhausted (carrying the
     partial trace) if no normal form is reached within ``fuel`` steps.
     """
+    walk = _call_by_value if mode.innermost else _leftmost_outermost
     steps: list[Step] = []
-    for step in _normalizing_steps(trs, term, mode):
+    for step in walk(trs, term, mode):
         if len(steps) >= fuel:
             raise FuelExhausted(DerivationTrace(term, tuple(steps), mode))
         steps.append(step)
@@ -507,7 +499,7 @@ def descendants(
 def check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
     """Replay one step: position, rule, substitution, side condition, result."""
     try:
-        sub = subterm_at(source, step.position)
+        frames, sub = _split_at(source, step.position)
     except InvalidPositionError:
         return False
     if not 0 <= step.rule_index < len(trs.rules):
@@ -517,8 +509,7 @@ def check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
     rule = trs.rules[step.rule_index]
     if step.substitution.apply(rule.lhs) != sub:
         return False
-    expected = replace_at(source, step.position, step.substitution.apply(rule.rhs))
-    return expected == step.result
+    return _plug(frames, step.substitution.apply(rule.rhs)) == step.result
 
 
 def check_trace(trs: TRS, trace: DerivationTrace) -> bool:
@@ -538,14 +529,9 @@ def embed_trace(context: Term, pos: Position, trace: DerivationTrace) -> Derivat
     the innermost side condition only look at the redex subterm, which the
     embedding does not change.
     """
-    start = replace_at(context, pos, trace.start)
+    frames, _ = _split_at(context, pos)
     steps = tuple(
-        Step(
-            pos + step.position,
-            step.rule_index,
-            step.substitution,
-            replace_at(context, pos, step.result),
-        )
-        for step in trace.steps
+        Step(pos + s.position, s.rule_index, s.substitution, _plug(frames, s.result))
+        for s in trace.steps
     )
-    return DerivationTrace(start, steps, trace.mode)
+    return DerivationTrace(_plug(frames, trace.start), steps, trace.mode)

@@ -7,6 +7,8 @@ argument indices with ``()`` denoting the root.
 An application node computes its hash once and keeps it, and hashing and
 equality walk the term with an explicit stack, so both work at any depth
 and a set or dict lookup of a term already hashed costs constant time.
+Every walk to a position goes through one descent, ``_split_at``, and every
+rebuild around one through ``_plug``; neither recurses.
 """
 
 from __future__ import annotations
@@ -162,33 +164,39 @@ def positions_of(term: Term) -> list[Position]:
     return [pos for pos, _ in subterms_of(term)]
 
 
-def subterm_at(term: Term, pos: Position) -> Term:
-    """The subterm of ``term`` at ``pos``."""
+# A frame is ``(symbol, arguments, i, ...)``: one ancestor on the path to a
+# subterm, the path going on through its i-th argument (1-based).  Extra
+# items are private to the walk that built the frame.
+def _split_at(term: Term, pos: Position) -> tuple[list[tuple], Term]:
+    """The path to ``pos`` in ``term``, one frame per ancestor, and the subterm there."""
+    frames: list[tuple] = []
     current = term
     for depth, i in enumerate(pos):
         if not isinstance(current, App) or not 1 <= i <= len(current.args):
             raise InvalidPositionError(
                 f"position {format_position(pos)} invalid at depth {depth} in {term_to_str(term)}"
             )
+        frames.append((current.sym, current.args, i))
         current = current.args[i - 1]
-    return current
+    return frames, current
+
+
+def _plug(frames: list, term: Term) -> Term:
+    """Rebuild the whole term around ``term`` from the path ``frames``."""
+    for frame in reversed(frames):
+        sym, args, i = frame[0], frame[1], frame[2]
+        term = App(sym, (*args[: i - 1], term, *args[i:]))
+    return term
+
+
+def subterm_at(term: Term, pos: Position) -> Term:
+    """The subterm of ``term`` at ``pos``."""
+    return _split_at(term, pos)[1]
 
 
 def replace_at(term: Term, pos: Position, replacement: Term) -> Term:
     """``term`` with the subterm at ``pos`` replaced by ``replacement``."""
-    if not pos:
-        return replacement
-    if not isinstance(term, App) or not 1 <= pos[0] <= len(term.args):
-        raise InvalidPositionError(
-            f"position {format_position(pos)} invalid in {term_to_str(term)}"
-        )
-    i = pos[0]
-    new_args = (
-        term.args[: i - 1]
-        + (replace_at(term.args[i - 1], pos[1:], replacement),)
-        + term.args[i:]
-    )
-    return App(term.sym, new_args)
+    return _plug(_split_at(term, pos)[0], replacement)
 
 
 def iter_vars(term: Term) -> Iterator[Var]:

@@ -55,7 +55,14 @@ from rdp.rewriting import (
     Step,
 )
 from rdp.substitution import match
-from rdp.terms import Position, positions_of, replace_at, subterm_at
+from rdp.terms import (
+    InvalidPositionError,
+    Position,
+    format_position,
+    positions_of,
+    subterm_at,
+    term_to_str,
+)
 
 A2 = Symbol("a", 2)
 S1 = Symbol("s", 1)
@@ -312,6 +319,23 @@ def oracle_is_nr_normal_form(trs: TRS, term: Term) -> bool:
     return not any(oracle_has_redex(trs, arg) for arg in term.args)
 
 
+def oracle_replace_at(term: Term, pos: Position, replacement: Term) -> Term:
+    """``term`` with the subterm at ``pos`` replaced by ``replacement``."""
+    if not pos:
+        return replacement
+    if not isinstance(term, App) or not 1 <= pos[0] <= len(term.args):
+        raise InvalidPositionError(
+            f"position {format_position(pos)} invalid in {term_to_str(term)}"
+        )
+    i = pos[0]
+    new_args = (
+        term.args[: i - 1]
+        + (oracle_replace_at(term.args[i - 1], pos[1:], replacement),)
+        + term.args[i:]
+    )
+    return App(term.sym, new_args)
+
+
 def oracle_iter_successors(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
     """One-step reducts under ``mode``, ordered by (position pre-order, rule index)."""
     for pos in positions_of(term):
@@ -326,7 +350,7 @@ def oracle_iter_successors(trs: TRS, term: Term, mode: RelationMode) -> Iterator
             sigma = match(rule.lhs, sub)
             if sigma is None:
                 continue
-            result = replace_at(term, pos, sigma.apply(rule.rhs))
+            result = oracle_replace_at(term, pos, sigma.apply(rule.rhs))
             yield Step(pos, rule.index, sigma, result)
 
 
@@ -348,7 +372,7 @@ def oracle_reduce_at(
     for rule in trs.rules:
         sigma = match(rule.lhs, sub)
         if sigma is not None:
-            result = replace_at(term, pos, sigma.apply(rule.rhs))
+            result = oracle_replace_at(term, pos, sigma.apply(rule.rhs))
             return Step(pos, rule.index, sigma, result)
     return None
 
@@ -542,7 +566,7 @@ def oracle_term_pos_dps_alt(
     acc = dp0.position
     for j in range(1, i + 1):
         dpj, sigmaj = witness.entries[j]
-        term = replace_at(term, acc, sigmaj.apply(trs.rules[dpj.rule_index].rhs))
+        term = oracle_replace_at(term, acc, sigmaj.apply(trs.rules[dpj.rule_index].rhs))
         acc = acc + dpj.position
     return term, acc
 

@@ -335,11 +335,19 @@ def test_pvs0_eval(capsys, ack_program_path):
     assert report["status"] == "undefined"
 
 
-def test_pvs0_eval_rejects_bad_input(capsys, ack_program_path):
+def test_pvs0_eval_rejects_bad_input(capsys, ack_program_path, tmp_path):
     code = run_command(["pvs0-eval", ack_program_path, "--input", "x"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:")
+
+    path = tmp_path / "p.json"
+    path.write_text('{"width": 1, "false_val": [0], "top_val": [1], "body": ["vr"], "o1": 5}')
+    code = run_command(["pvs0-eval", str(path), "--input", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: malformed program: o1 must be a list, got 5\n"
 
 
 def test_pvs0_terminates(capsys, ack_program_path):

@@ -172,6 +172,9 @@ def test_parse_trace_errors():
         parse_trace(
             {"start": "a(0,0)", "mode": "full", "steps": [{"position": "1"}]}, trs
         )
+    for raw_steps in (5, None):
+        with pytest.raises(ParseError, match="malformed trace: steps must be a list"):
+            parse_trace({"mode": "full", "start": "0", "steps": raw_steps}, trs)
     for rule_index in (0.7, True, "0"):
         step = {"position": "", "rule_index": rule_index, "substitution": {}, "term": "s(0)"}
         with pytest.raises(ParseError, match="'rule_index' must be an integer"):
@@ -278,6 +281,14 @@ def test_parse_program_errors():
         ("o1", [["tuple", ["const", True]]], "malformed guard scalar node"),
         ("o1", [["tuple", ["const", 1.5]]], "malformed guard scalar node"),
         ("o1", [["tuple", ["comp", 0, False]]], "malformed guard scalar node"),
+        ("o1", 5, "malformed program: o1 must be a list"),
+        ("o1", None, "malformed program: o1 must be a list"),
+        ("o1", "ab", "malformed program: o1 must be a list"),
+        ("o1", {"a": 1}, "malformed program: o1 must be a list"),
+        ("o2", 5, "malformed program: o2 must be a list"),
+        ("o2", None, "malformed program: o2 must be a list"),
+        ("o2", "ab", "malformed program: o2 must be a list"),
+        ("o2", {"a": 1}, "malformed program: o2 must be a list"),
     ):
         with pytest.raises(ParseError, match=message):
             parse_pvs0_program(json.dumps({**base, field: value}))

@@ -18,7 +18,22 @@ from rdp import (
 )
 from rdp.terms import subterms_of, symbols_of, vars_in_order
 
-from helpers import A2, C0, F1, G2, S1, X, Y, Z0, ack, ack_terms, ap, nat, terms_over
+from helpers import (
+    A2,
+    C0,
+    F1,
+    G2,
+    S1,
+    X,
+    Y,
+    Z0,
+    ack,
+    ack_terms,
+    ap,
+    nat,
+    oracle_replace_at,
+    terms_over,
+)
 
 TERMS = terms_over([A2, S1, Z0, F1, G2], max_leaves=6)
 
@@ -134,8 +149,32 @@ def test_replace_at():
     t = ack(nat(1), Y)
     assert replace_at(t, (2,), nat(0)) == ack(nat(1), nat(0))
     assert replace_at(t, ROOT, X) == X
-    with pytest.raises(InvalidPositionError):
+    # Both name the whole position and the whole term.
+    message = r"^position 1\.2 invalid at depth 1 in a\(s\(0\),y\)$"
+    with pytest.raises(InvalidPositionError, match=message):
         replace_at(t, (1, 2), X)
+    with pytest.raises(InvalidPositionError, match=message):
+        subterm_at(t, (1, 2))
+
+
+@given(TERMS, TERMS)
+def test_replace_at_agrees_with_the_recursive_definition(t, u):
+    valid = positions_of(t)
+    for pos in valid:
+        assert replace_at(t, pos, u) == oracle_replace_at(t, pos, u)
+        sibling = pos[:-1] + (pos[-1] + 1,) if pos else ()
+        for bad in (pos + (0,), pos + (1,), pos + (3,), sibling):
+            if bad not in valid:
+                for replace in (replace_at, oracle_replace_at):
+                    with pytest.raises(InvalidPositionError):
+                        replace(t, bad, u)
+
+
+def test_replace_at_deep_in_a_tower_does_not_recurse():
+    tower = s_tower(100_000, X)
+    pos = (1,) * 99_999
+    assert replace_at(tower, pos, Y) == s_tower(99_999, Y)
+    assert subterm_at(replace_at(tower, pos + (1,), Y), pos) == ap(S1, Y)
 
 
 def test_vars_helpers():
