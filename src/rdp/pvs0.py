@@ -10,9 +10,10 @@ deterministic and monotone in the fuel.  ``rec`` is the only construct
 that consumes fuel, so the least fuel that makes an evaluation defined is
 one more than its deepest ``rec`` nesting: ``terminates_on`` and
 ``epsilon_check`` read it off a single evaluation at their maximum fuel.
-On programs whose recursion does not bottom out, the Python recursion
-depth of the evaluator tracks the fuel; the command-line front end runs
-evaluations on a dedicated thread with a matching stack.
+The evaluator is one loop over an explicit stack that holds only the
+constructs still waiting for an operand's value (a ``rec`` body and an
+``ite`` branch replace their construct), so it does not recurse in
+Python: its depth is bounded by the fuel and by memory, on any thread.
 
 Operator bodies live in a separate guard language (component accessors,
 natural constants, addition, truncated subtraction, comparisons,
@@ -136,18 +137,26 @@ GValue = Union[GTuple, GIf]
 
 @dataclass(frozen=True)
 class OperatorDef:
+    """An operator body, its argument and component indices checked here, once."""
+
     arity: int
     body: GValue
 
+    def __post_init__(self) -> None:
+        _check_guard(self.body, self.arity, None)
 
-def _check_guard(expr: GValue | GScalar, arity: int, width: int) -> None:
+
+def _check_guard(expr: GValue | GScalar, arity: int, width: int | None) -> None:
+    """Check a guard's shape; a ``width`` of None checks only what the arity can."""
     if isinstance(expr, GConst):
         if expr.value < 0:
             raise Pvs0Error("guard constants are naturals")
     elif isinstance(expr, GComp):
         if not 0 <= expr.arg < arity:
             raise Pvs0Error(f"argument index {expr.arg} out of range for arity {arity}")
-        if not 0 <= expr.component < width:
+        if expr.component < 0:
+            raise Pvs0Error(f"component index {expr.component} is negative")
+        if width is not None and expr.component >= width:
             raise Pvs0Error(
                 f"component index {expr.component} out of range for width {width}"
             )
@@ -155,7 +164,7 @@ def _check_guard(expr: GValue | GScalar, arity: int, width: int) -> None:
         _check_guard(expr.left, arity, width)
         _check_guard(expr.right, arity, width)
     elif isinstance(expr, GTuple):
-        if len(expr.items) != width:
+        if width is not None and len(expr.items) != width:
             raise Pvs0Error(
                 f"tuple of {len(expr.items)} components in a width-{width} program"
             )
@@ -272,47 +281,56 @@ def _evaluate(
         raise Pvs0Error(f"input {value} does not fit width {program.width}")
     o1, o2, body, false_val = program.o1, program.o2, program.body, program.false_val
     lowest = fuel
-
-    def ev(expr: Pvs0Expr, value: Value, fuel: int) -> Value | None:
-        nonlocal lowest
-        if fuel <= 0:
-            return None
-        match expr:
-            case Cnst(v):
-                return v
-            case Vr():
-                return value
-            case Op1(index, arg):
-                if not 0 <= index < len(o1):
-                    return None
-                v1 = ev(arg, value, fuel)
-                return None if v1 is None else guard_eval(o1[index], (v1,))
-            case Op2(index, left, right):
-                if not 0 <= index < len(o2):
-                    return None
-                v1 = ev(left, value, fuel)
-                if v1 is None:
-                    return None
-                v2 = ev(right, value, fuel)
-                if v2 is None:
-                    return None
-                return guard_eval(o2[index], (v1, v2))
-            case Rec(arg):
-                v1 = ev(arg, value, fuel)
-                if v1 is None:
-                    return None
+    if fuel <= 0:
+        return None, lowest
+    # Constructs waiting for an operand's value, innermost last, as
+    # (construct, input, fuel, left operand or None).  Undefined ends the run;
+    # a rec body or an ite branch replaces its construct instead of waiting.
+    stack: list[tuple] = []
+    while True:
+        # Descend from ``expr`` under ``value`` and ``fuel`` to a value.
+        cls = expr.__class__
+        if cls is Vr:
+            result = value
+        elif cls is Cnst:
+            result = expr.value
+        elif cls is Ite or cls is Rec:
+            stack.append((expr, value, fuel, None))
+            expr = expr.cond if cls is Ite else expr.arg
+            continue
+        elif cls is Op1 or cls is Op2:
+            if not 0 <= expr.index < len(o1 if cls is Op1 else o2):
+                return None, lowest
+            stack.append((expr, value, fuel, None))
+            expr = expr.arg if cls is Op1 else expr.left
+            continue
+        else:
+            raise Pvs0Error(f"not a program expression: {expr!r}")
+        # Hand ``result`` up until a construct has another operand to run.
+        while stack:
+            construct, value, fuel, left = stack.pop()
+            cls = construct.__class__
+            if cls is Op1:
+                result = guard_eval(o1[construct.index], (result,))
+            elif cls is Ite:
+                expr = construct.then if result != false_val else construct.orelse
+                break
+            elif cls is Rec:
                 fuel -= 1
                 if fuel < lowest:
                     lowest = fuel
-                return ev(body, v1, fuel)
-            case Ite(cond, then, orelse):
-                vc = ev(cond, value, fuel)
-                if vc is None:
-                    return None
-                return ev(then if vc != false_val else orelse, value, fuel)
-        raise Pvs0Error(f"not a program expression: {expr!r}")
-
-    return ev(expr, value, fuel), lowest
+                if fuel <= 0:
+                    return None, lowest
+                expr, value = body, result
+                break
+            elif left is None:
+                stack.append((construct, value, fuel, result))
+                expr = construct.right
+                break
+            else:
+                result = guard_eval(o2[construct.index], (left, result))
+        else:
+            return result, lowest
 
 
 def chi_eval(

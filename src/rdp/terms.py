@@ -173,8 +173,13 @@ def _split_at(term: Term, pos: Position) -> tuple[list[tuple], Term]:
     current = term
     for depth, i in enumerate(pos):
         if not isinstance(current, App) or not 1 <= i <= len(current.args):
+            stop = (
+                f"{current.name} is a variable"
+                if isinstance(current, Var)
+                else f"{current.sym!r} has no argument {i}"
+            )
             raise InvalidPositionError(
-                f"position {format_position(pos)} invalid at depth {depth} in {term_to_str(term)}"
+                f"position {format_position(pos)} invalid at depth {depth}: {stop}"
             )
         frames.append((current.sym, current.args, i))
         current = current.args[i - 1]

@@ -34,6 +34,7 @@ from rdp import (
     check_certificate,
     check_chained,
     chi_eval,
+    guard_eval,
     detect_innermost_loop,
     dp_and_sub_from_nrnf,
     find_mint_subterm,
@@ -45,7 +46,7 @@ from rdp import (
     verify_chain_prefix,
 )
 from rdp.dependency_pairs import VERIFIED
-from rdp.pvs0 import Pvs0Expr, Value
+from rdp.pvs0 import Pvs0Error, Pvs0Expr, Value
 from rdp.rewriting import (
     DEFAULT_FUEL,
     TRS,
@@ -291,10 +292,11 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # --- oracles -----------------------------------------------------------------
 #
 # The original definitions of the successor core, of the breadth-first
-# searches (the loop search over oracle successors), of the PVS0 least-fuel
-# search and of chain growth, kept verbatim (renamed ``oracle_*``) as the
-# obviously correct reference for the differential tests.  They rescan the
-# term for every position and try every rule everywhere; the fuel search
+# searches (the loop search over oracle successors), of the PVS0 evaluator
+# and least-fuel search and of chain growth, kept verbatim (renamed
+# ``oracle_*``) as the obviously correct reference for the differential
+# tests.  They rescan the term for every position and try every rule
+# everywhere; the evaluator recurses once per construct; the fuel search
 # probes fuels 1, 2, 4, ... and then bisects; chain growth searches each
 # entry's loop again and re-checks every link at the end.
 
@@ -519,6 +521,58 @@ def oracle_detect_innermost_loop(
                 stack.append((v, iter(edges[v])))
                 path_steps.append(step)
     return None
+
+
+def oracle_evaluate(
+    program: Pvs0Program, expr: Pvs0Expr, value: Value, fuel: int
+) -> tuple[Value | None, int]:
+    """``chi_eval``'s result, with the lowest fuel any ``rec`` ran the body at
+    (``fuel`` itself when no ``rec`` ran)."""
+    if len(value) != program.width:
+        raise Pvs0Error(f"input {value} does not fit width {program.width}")
+    o1, o2, body, false_val = program.o1, program.o2, program.body, program.false_val
+    lowest = fuel
+
+    def ev(expr: Pvs0Expr, value: Value, fuel: int) -> Value | None:
+        nonlocal lowest
+        if fuel <= 0:
+            return None
+        match expr:
+            case Cnst(v):
+                return v
+            case Vr():
+                return value
+            case Op1(index, arg):
+                if not 0 <= index < len(o1):
+                    return None
+                v1 = ev(arg, value, fuel)
+                return None if v1 is None else guard_eval(o1[index], (v1,))
+            case Op2(index, left, right):
+                if not 0 <= index < len(o2):
+                    return None
+                v1 = ev(left, value, fuel)
+                if v1 is None:
+                    return None
+                v2 = ev(right, value, fuel)
+                if v2 is None:
+                    return None
+                return guard_eval(o2[index], (v1, v2))
+            case Rec(arg):
+                v1 = ev(arg, value, fuel)
+                if v1 is None:
+                    return None
+                fuel -= 1
+                if fuel < lowest:
+                    lowest = fuel
+                return ev(body, v1, fuel)
+            case Ite(cond, then, orelse):
+                vc = ev(cond, value, fuel)
+                if vc is None:
+                    return None
+                return ev(then if vc != false_val else orelse, value, fuel)
+        raise Pvs0Error(f"not a program expression: {expr!r}")
+
+    return ev(expr, value, fuel), lowest
 
 
 def oracle_minimal_fuel(

@@ -360,14 +360,30 @@ def test_pvs0_terminates(capsys, ack_program_path):
 
 
 def test_pvs0_terminates_survives_deep_recursion(capsys, tmp_path):
-    """A divergent program burns one stack frame per fuel unit; the report
-    must still come back as unknown instead of crashing."""
+    """A divergent program nests one ``rec`` per fuel unit until the fuel
+    runs out; the report must come back as unknown, at any fuel."""
     path = write_json(tmp_path, "loop.pvs0.json", LOOP_PROGRAM)
-    code, report = run_json(
-        capsys, ["pvs0-terminates", path, "--input", "0", "--fuel", "5000"]
-    )
-    assert code == 1
-    assert report["status"] == "unknown-within-fuel"
+    for fuel in ("5000", "100000"):
+        code, report = run_json(
+            capsys, ["pvs0-terminates", path, "--input", "0", "--fuel", fuel]
+        )
+        assert code == 1
+        assert report == {"status": "unknown-within-fuel", "fuel": int(fuel)}
+
+
+@pytest.mark.parametrize("depth", [9, 12])
+def test_pvs0_nested_recs_answer_honestly_at_the_default_fuel(capsys, tmp_path, depth):
+    """``rec^depth(vr)`` diverges with ``depth`` calls pending per fuel unit;
+    at the default fuel that is undefined / unknown, not a crash."""
+    body = '["vr"]'
+    for _ in range(depth):
+        body = f'["rec", {body}]'
+    program = '{"width": 1, "false_val": [0], "top_val": [1], "body": ' + body + "}"
+    path = write_json(tmp_path, "nested.pvs0.json", program)
+    code, report = run_json(capsys, ["pvs0-eval", path, "--input", "1"])
+    assert (code, report) == (1, {"status": "undefined", "fuel": 10000})
+    code, report = run_json(capsys, ["pvs0-terminates", path, "--input", "1"])
+    assert (code, report) == (1, {"status": "unknown-within-fuel", "fuel": 10000})
 
 
 def test_pvs0_contexts(capsys, ack_program_path):

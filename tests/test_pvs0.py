@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rdp import (
@@ -87,6 +89,20 @@ def test_guard_eval_arity_mismatch():
     op = OperatorDef(1, GTuple((GConst(0),)))
     with pytest.raises(Pvs0Error):
         guard_eval(op, ((1,), (2,)))
+
+
+def test_operator_rejects_out_of_range_components():
+    """Checked once, when the operator is built, not on every evaluation: a
+    negative index must not wrap round, and an argument index past the
+    arity must not surface as an IndexError."""
+    with pytest.raises(Pvs0Error, match="component index -1 is negative"):
+        OperatorDef(1, GTuple((GComp(0, -1),)))
+    with pytest.raises(Pvs0Error, match="argument index -1 out of range for arity 1"):
+        OperatorDef(1, GTuple((GComp(-1, 0),)))
+    with pytest.raises(Pvs0Error, match="argument index 1 out of range for arity 1"):
+        OperatorDef(1, GIf("eq", GConst(0), GConst(0), GTuple((GComp(1, 0),)), GTuple((GConst(0),))))
+    with pytest.raises(Pvs0Error, match="argument index 2 out of range for arity 2"):
+        OperatorDef(2, GTuple((GAdd(GComp(0, 0), GComp(2, 0)),)))
 
 
 def test_gif_rejects_unknown_comparison():
@@ -197,6 +213,11 @@ def test_terminates_on_ackermann(ack_program):
 
 def test_terminates_on_unknown_for_loop():
     assert terminates_on(loop_program(), (0,), 50) is None
+    # The evaluator keeps its own stack: any fuel works on the calling
+    # thread at the default recursion limit.
+    assert sys.getrecursionlimit() <= 1000
+    assert terminates_on(loop_program(), (0,), 100_000) is None
+    assert chi_eval(loop_program(), Rec(Rec(Rec(Vr()))), (0,), 100_000) is None
 
 
 def test_epsilon_check(ack_program):

@@ -1,8 +1,14 @@
-"""The one-pass least fuel of ``terminates_on`` and ``epsilon_check``
-against the probe-and-bisect search it replaced (``oracle_minimal_fuel``).
+"""The explicit-stack evaluator against the recursive one it replaced
+(``oracle_evaluate``), and the one-pass least fuel of ``terminates_on`` and
+``epsilon_check`` against the probe-and-bisect search it replaced
+(``oracle_minimal_fuel``).
 """
 
 import random
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdp import (
     EpsilonResult,
@@ -16,10 +22,33 @@ from rdp import (
     epsilon_check,
     terminates_on,
 )
+from rdp.pvs0 import _evaluate
 
-from helpers import oracle_minimal_fuel, random_pvs0_program
+from helpers import oracle_evaluate, oracle_minimal_fuel, random_pvs0_program
 
 FUELS = range(41)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_evaluator_agrees_with_the_recursive_definition(seed):
+    """Same result and same lowest body fuel, for the body and every
+    actual parameter, on every input in {0,1,2}^width at fuels 0-12."""
+    program = random_pvs0_program(random.Random(seed))
+    exprs = [program.body] + [ctx.actual for ctx in calling_contexts(program)]
+    for value in product(range(3), repeat=program.width):
+        for fuel in range(13):
+            for expr in exprs:
+                expected = oracle_evaluate(program, expr, value, fuel)
+                assert _evaluate(program, expr, value, fuel) == expected
+
+
+def test_evaluator_agrees_on_ackermann(ack_program):
+    for m in range(3):
+        for n in range(4):
+            for fuel in range(0, 14, 3):
+                expected = oracle_evaluate(ack_program, ack_program.body, (m, n), fuel)
+                assert _evaluate(ack_program, ack_program.body, (m, n), fuel) == expected
 
 
 def check_against_oracle(program, expr, value, max_fuel):

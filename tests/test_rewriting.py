@@ -286,6 +286,8 @@ def test_check_step_rejects_tampering():
     wrong_rule = Step(step.position, 2, step.substitution, step.result)
     assert not check_step(trs, t, wrong_rule, FULL)
     assert not check_step(trs, t, Step((9,), 0, step.substitution, step.result), FULL)
+    # An invalid position in a term too deep to print is still just a rejection.
+    assert not check_step(trs, nat(1000), Step((2,), 0, step.substitution, step.result), FULL)
 
 
 def test_check_step_enforces_mode():

@@ -149,12 +149,15 @@ def test_replace_at():
     t = ack(nat(1), Y)
     assert replace_at(t, (2,), nat(0)) == ack(nat(1), nat(0))
     assert replace_at(t, ROOT, X) == X
-    # Both name the whole position and the whole term.
-    message = r"^position 1\.2 invalid at depth 1 in a\(s\(0\),y\)$"
+    # Both name the whole position, the depth and the node the descent
+    # stopped at, never the whole term.
+    message = r"^position 1\.2 invalid at depth 1: s/1 has no argument 2$"
     with pytest.raises(InvalidPositionError, match=message):
         replace_at(t, (1, 2), X)
     with pytest.raises(InvalidPositionError, match=message):
         subterm_at(t, (1, 2))
+    with pytest.raises(InvalidPositionError, match=r"^position 2\.1 invalid at depth 1: y is a variable$"):
+        replace_at(t, (2, 1), X)
 
 
 @given(TERMS, TERMS)
@@ -175,6 +178,13 @@ def test_replace_at_deep_in_a_tower_does_not_recurse():
     pos = (1,) * 99_999
     assert replace_at(tower, pos, Y) == s_tower(99_999, Y)
     assert subterm_at(replace_at(tower, pos + (1,), Y), pos) == ap(S1, Y)
+    # An invalid position is reported, and the tower is not printed.
+    with pytest.raises(InvalidPositionError, match=r"^position 2 invalid at depth 0: s/1 has no argument 2$"):
+        subterm_at(tower, (2,))
+    with pytest.raises(InvalidPositionError, match=r"invalid at depth 99999: s/1 has no argument 2$"):
+        replace_at(tower, pos + (2,), X)
+    with pytest.raises(InvalidPositionError, match=r"invalid at depth 100000: x is a variable$"):
+        replace_at(tower, pos + (1, 1), X)
 
 
 def test_vars_helpers():
