@@ -26,7 +26,6 @@ from . import formats
 from .dependency_pairs import (
     ConstructionFailure,
     DepPairAlt,
-    InvalidDepPairError,
     PreconditionFailed,
     chain_from_loop,
     dep_pairs_alt,
@@ -38,7 +37,6 @@ from .dependency_pairs import (
     derivation_from_chain,
 )
 from .pvs0 import (
-    Pvs0Error,
     calling_contexts,
     check_cc_dp_correspondence,
     chi_eval,
@@ -49,7 +47,6 @@ from .rewriting import (
     DEFAULT_FUEL,
     FuelExhausted,
     RelationMode,
-    RuleRestrictionError,
     TRS,
     derives,
     normalize,
@@ -464,14 +461,7 @@ def run_command(argv: list[str]) -> int:
     except (PreconditionFailed, ConstructionFailure, RecursionError) as err:
         detail = "recursion-depth-exceeded" if isinstance(err, RecursionError) else err.reason
         report, code = {"status": "failure", "detail": detail, "fuel": args.fuel}, 1
-    except (
-        formats.ParseError,
-        InvalidDepPairError,
-        RuleRestrictionError,
-        Pvs0Error,
-        OSError,
-        ValueError,
-    ) as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(json.dumps(report, indent=2) if args.json else _render_text(report))

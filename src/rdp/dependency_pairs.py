@@ -380,16 +380,27 @@ def find_mint_subterm(
     Arguments are searched before the term itself, so no proper subterm of
     the reported one carries a certificate within the same fuel.
     """
-    if isinstance(term, App):
-        for i, arg in enumerate(term.args, start=1):
-            found = find_mint_subterm(trs, arg, fuel)
-            if found is not None:
-                pos, cert = found
-                return (i,) + pos, cert
-    cert = detect_innermost_loop(trs, term, fuel)
-    if cert is not None:
-        return (), cert
-    return None
+    # Ancestors of ``node`` as [node, 1-based index of the child being searched].
+    frames: list[list] = []
+    node = term
+    while True:
+        while isinstance(node, App) and node.args:
+            frames.append([node, 1])
+            node = node.args[0]
+        while True:
+            cert = detect_innermost_loop(trs, node, fuel)
+            if cert is not None:
+                return tuple(frame[1] for frame in frames), cert
+            if not frames:
+                return None
+            frame = frames[-1]
+            parent, i = frame
+            if i < len(parent.args):
+                frame[1] = i + 1
+                node = parent.args[i]
+                break
+            frames.pop()
+            node = parent
 
 
 def dp_and_sub_from_nrnf(

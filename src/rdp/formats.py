@@ -574,7 +574,9 @@ def program_to_json(program: Pvs0Program) -> dict:
 
 def parse_value(text: str) -> tuple[int, ...]:
     """Parse a tuple of naturals: ``2,3`` or ``(2,3)``."""
-    cleaned = text.strip().strip("()")
+    cleaned = text.strip()
+    if cleaned.startswith("(") and cleaned.endswith(")"):
+        cleaned = cleaned[1:-1]
     if not cleaned:
         raise ParseError(f"empty value {text!r}")
     try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .dependency_pairs import DepPairAlt, to_standard
 from .rewriting import DEFAULT_FUEL, TRS, defined_symbols
@@ -179,25 +179,41 @@ def _check_guard(expr: GValue | GScalar, arity: int, width: int | None) -> None:
         raise Pvs0Error(f"not a guard expression: {expr!r}")
 
 
-def _check_expr(expr: Pvs0Expr, width: int) -> None:
-    if isinstance(expr, Cnst):
-        if len(expr.value) != width or any(c < 0 for c in expr.value):
-            raise Pvs0Error(f"constant {expr.value} in a width-{width} program")
-    elif isinstance(expr, Vr):
-        pass
-    elif isinstance(expr, Op1):
-        _check_expr(expr.arg, width)
-    elif isinstance(expr, Op2):
-        _check_expr(expr.left, width)
-        _check_expr(expr.right, width)
-    elif isinstance(expr, Rec):
-        _check_expr(expr.arg, width)
-    elif isinstance(expr, Ite):
-        _check_expr(expr.cond, width)
-        _check_expr(expr.then, width)
-        _check_expr(expr.orelse, width)
-    else:
-        raise Pvs0Error(f"not a program expression: {expr!r}")
+def _walk(body: Pvs0Expr) -> Iterator[tuple[Pvs0Expr, list[tuple]]]:
+    """Each subexpression of ``body`` in pre-order, with its path: one
+    ``(index, guard)`` per step down, the guard ``(cond, True)`` into a
+    conditional's then branch, ``(cond, False)`` into its else branch and
+    None elsewhere.  One explicit stack, so a body of any depth can be
+    walked; the path is valid only until the walk resumes."""
+    path: list[tuple] = []
+    # Subexpressions still to visit: (expr, the parent's depth, the step to it).
+    stack: list[tuple] = [(body, 0, None)]
+    while stack:
+        expr, depth, step = stack.pop()
+        del path[depth:]
+        if step is not None:
+            path.append(step)
+        yield expr, path
+        depth = len(path)
+        if isinstance(expr, (Op1, Rec)):
+            stack.append((expr.arg, depth, (1, None)))
+        elif isinstance(expr, Op2):
+            stack += [(expr.right, depth, (2, None)), (expr.left, depth, (1, None))]
+        elif isinstance(expr, Ite):
+            stack += [
+                (expr.orelse, depth, (3, (expr.cond, False))),
+                (expr.then, depth, (2, (expr.cond, True))),
+                (expr.cond, depth, (1, None)),
+            ]
+
+
+def _check_expr(body: Pvs0Expr, width: int) -> None:
+    for expr, _ in _walk(body):
+        if isinstance(expr, Cnst):
+            if len(expr.value) != width or any(c < 0 for c in expr.value):
+                raise Pvs0Error(f"constant {expr.value} in a width-{width} program")
+        elif not isinstance(expr, (Vr, Op1, Op2, Rec, Ite)):
+            raise Pvs0Error(f"not a program expression: {expr!r}")
 
 
 @dataclass(frozen=True)
@@ -407,31 +423,11 @@ def calling_contexts(program: Pvs0Program) -> list[CallingContext]:
     context, after the enclosing one.  Guards are collected only when the
     path passes through a branch of a conditional, not through its test.
     """
-    out: list[CallingContext] = []
-
-    def walk(
-        expr: Pvs0Expr,
-        path: tuple[int, ...],
-        guards: tuple[tuple[Pvs0Expr, bool], ...],
-    ) -> None:
-        match expr:
-            case Op1(_, arg):
-                walk(arg, path + (1,), guards)
-            case Op2(_, left, right):
-                walk(left, path + (1,), guards)
-                walk(right, path + (2,), guards)
-            case Rec(arg):
-                out.append(CallingContext(path, guards, arg))
-                walk(arg, path + (1,), guards)
-            case Ite(cond, then, orelse):
-                walk(cond, path + (1,), guards)
-                walk(then, path + (2,), guards + ((cond, True),))
-                walk(orelse, path + (3,), guards + ((cond, False),))
-            case _:
-                pass
-
-    walk(program.body, (), ())
-    return out
+    return [
+        CallingContext(tuple(i for i, _ in path), tuple(g for _, g in path if g), expr.arg)
+        for expr, path in _walk(program.body)
+        if isinstance(expr, Rec)
+    ]
 
 
 def _condition_holds(

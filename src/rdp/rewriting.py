@@ -316,18 +316,22 @@ def successors(trs: TRS, term: Term, mode: RelationMode) -> list[Step]:
     return list(iter_successors(trs, term, mode))
 
 
+def _steps_at(trs: TRS, term: Term, pos: Position, mode: RelationMode) -> Iterator[Step]:
+    """Every step ``mode`` allows at ``pos`` in ``term``, by rule index; an
+    invalid ``pos`` raises InvalidPositionError when the first is asked for."""
+    frames, sub = _split_at(term, pos)
+    if isinstance(sub, Var):
+        return
+    if _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub)):
+        for rule, sigma in _matches(trs, sub):
+            yield Step(pos, rule.index, sigma, _plug(frames, sigma.apply(rule.rhs)))
+
+
 def reduce_at(
     trs: TRS, term: Term, pos: Position, mode: RelationMode
 ) -> Step | None:
     """The lowest-rule-index step at ``pos`` valid under ``mode``, if any."""
-    frames, sub = _split_at(term, pos)
-    if isinstance(sub, Var):
-        return None
-    if not _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub)):
-        return None
-    for rule, sigma in _matches(trs, sub):
-        return Step(pos, rule.index, sigma, _plug(frames, sigma.apply(rule.rhs)))
-    return None
+    return next(_steps_at(trs, term, pos, mode), None)
 
 
 def is_normal_form(trs: TRS, term: Term, mode: RelationMode) -> bool:
@@ -497,19 +501,12 @@ def descendants(
 
 
 def check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
-    """Replay one step: position, rule, substitution, side condition, result."""
+    """Replay one step: it must be one of the steps ``mode`` allows at its
+    position, so its substitution is the matcher of its rule there."""
     try:
-        frames, sub = _split_at(source, step.position)
+        return step in _steps_at(trs, source, step.position, mode)
     except InvalidPositionError:
         return False
-    if not 0 <= step.rule_index < len(trs.rules):
-        return False
-    if not _may_fire(mode, not step.position, lambda: not is_nr_normal_form(trs, sub)):
-        return False
-    rule = trs.rules[step.rule_index]
-    if step.substitution.apply(rule.lhs) != sub:
-        return False
-    return _plug(frames, step.substitution.apply(rule.rhs)) == step.result
 
 
 def check_trace(trs: TRS, trace: DerivationTrace) -> bool:

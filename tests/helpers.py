@@ -46,7 +46,7 @@ from rdp import (
     verify_chain_prefix,
 )
 from rdp.dependency_pairs import VERIFIED
-from rdp.pvs0 import Pvs0Error, Pvs0Expr, Value
+from rdp.pvs0 import CallingContext, Pvs0Error, Pvs0Expr, Value
 from rdp.rewriting import (
     DEFAULT_FUEL,
     TRS,
@@ -54,11 +54,14 @@ from rdp.rewriting import (
     FuelExhausted,
     RelationMode,
     Step,
+    _may_fire,
 )
 from rdp.substitution import match
 from rdp.terms import (
     InvalidPositionError,
     Position,
+    _plug,
+    _split_at,
     format_position,
     positions_of,
     subterm_at,
@@ -291,14 +294,17 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 
 # --- oracles -----------------------------------------------------------------
 #
-# The original definitions of the successor core, of the breadth-first
-# searches (the loop search over oracle successors), of the PVS0 evaluator
-# and least-fuel search and of chain growth, kept verbatim (renamed
-# ``oracle_*``) as the obviously correct reference for the differential
-# tests.  They rescan the term for every position and try every rule
-# everywhere; the evaluator recurses once per construct; the fuel search
-# probes fuels 1, 2, 4, ... and then bisects; chain growth searches each
-# entry's loop again and re-checks every link at the end.
+# The original definitions of the successor core, of step replay, of the
+# breadth-first searches (the loop search over oracle successors), of the
+# PVS0 evaluator, least-fuel search and calling contexts, of the minimal
+# looping subterm and of chain growth, kept verbatim (renamed ``oracle_*``)
+# as the obviously correct reference for the differential tests.  They
+# rescan the term for every position and try every rule everywhere; step
+# replay re-derives the step from the rule the step names; the evaluator,
+# the contexts and the looping-subterm search recurse once per construct or
+# argument; the fuel search probes fuels 1, 2, 4, ... and then bisects;
+# chain growth searches each entry's loop again and re-checks every link at
+# the end.
 
 
 def oracle_has_redex(trs: TRS, term: Term) -> bool:
@@ -381,6 +387,22 @@ def oracle_reduce_at(
 
 def oracle_is_normal_form(trs: TRS, term: Term, mode: RelationMode) -> bool:
     return next(oracle_iter_successors(trs, term, mode), None) is None
+
+
+def oracle_check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
+    """Replay one step: position, rule, substitution, side condition, result."""
+    try:
+        frames, sub = _split_at(source, step.position)
+    except InvalidPositionError:
+        return False
+    if not 0 <= step.rule_index < len(trs.rules):
+        return False
+    if not _may_fire(mode, not step.position, lambda: not is_nr_normal_form(trs, sub)):
+        return False
+    rule = trs.rules[step.rule_index]
+    if step.substitution.apply(rule.lhs) != sub:
+        return False
+    return _plug(frames, step.substitution.apply(rule.rhs)) == step.result
 
 
 def oracle_normalize(
@@ -575,6 +597,40 @@ def oracle_evaluate(
     return ev(expr, value, fuel), lowest
 
 
+def oracle_calling_contexts(program: Pvs0Program) -> list[CallingContext]:
+    """All calling contexts of the body, in depth-first pre-order.
+
+    A ``rec`` nested in another call's actual parameter yields its own
+    context, after the enclosing one.  Guards are collected only when the
+    path passes through a branch of a conditional, not through its test.
+    """
+    out: list[CallingContext] = []
+
+    def walk(
+        expr: Pvs0Expr,
+        path: tuple[int, ...],
+        guards: tuple[tuple[Pvs0Expr, bool], ...],
+    ) -> None:
+        match expr:
+            case Op1(_, arg):
+                walk(arg, path + (1,), guards)
+            case Op2(_, left, right):
+                walk(left, path + (1,), guards)
+                walk(right, path + (2,), guards)
+            case Rec(arg):
+                out.append(CallingContext(path, guards, arg))
+                walk(arg, path + (1,), guards)
+            case Ite(cond, then, orelse):
+                walk(cond, path + (1,), guards)
+                walk(then, path + (2,), guards + ((cond, True),))
+                walk(orelse, path + (3,), guards + ((cond, False),))
+            case _:
+                pass
+
+    walk(program.body, (), ())
+    return out
+
+
 def oracle_minimal_fuel(
     program: Pvs0Program, expr: Pvs0Expr, value: Value, max_fuel: int
 ) -> int | None:
@@ -623,6 +679,26 @@ def oracle_term_pos_dps_alt(
         term = oracle_replace_at(term, acc, sigmaj.apply(trs.rules[dpj.rule_index].rhs))
         acc = acc + dpj.position
     return term, acc
+
+
+def oracle_find_mint_subterm(
+    trs: TRS, term: Term, fuel: int = DEFAULT_FUEL
+) -> tuple[Position, LoopCertificate] | None:
+    """Deepest-leftmost subterm carrying a loop certificate, with its position.
+
+    Arguments are searched before the term itself, so no proper subterm of
+    the reported one carries a certificate within the same fuel.
+    """
+    if isinstance(term, App):
+        for i, arg in enumerate(term.args, start=1):
+            found = oracle_find_mint_subterm(trs, arg, fuel)
+            if found is not None:
+                pos, cert = found
+                return (i,) + pos, cert
+    cert = detect_innermost_loop(trs, term, fuel)
+    if cert is not None:
+        return (), cert
+    return None
 
 
 def _oracle_pair_below(trs: TRS, term: Term, fuel: int) -> tuple[DepPairAlt, Substitution]:

@@ -1,9 +1,12 @@
 """The successor core against the original definitions kept in ``helpers``.
 
 Every mode, every system, every position: successor lists, single-position
-reduction, the normal-form predicates and normalization traces (complete or
-cut off by fuel) must be exactly the ones the original definitions produce.
+reduction, the normal-form predicates, normalization traces (complete or
+cut off by fuel) and step replay, on honest and on tampered steps, must be
+exactly the ones the original definitions produce.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,9 @@ from hypothesis import strategies as st
 from rdp import (
     FuelExhausted,
     RelationMode,
+    Step,
+    Substitution,
+    check_step,
     derives,
     descendants,
     has_redex,
@@ -25,16 +31,23 @@ from rdp import (
 )
 
 from helpers import (
+    C0,
+    F1,
+    X,
+    Y,
     ack,
     ack_system,
     ack_terms,
+    ap,
     eq_system,
+    fc,
     ground_ack_terms,
     grow_system,
     hg_system,
     loop_system,
     nat,
     nest_system,
+    oracle_check_step,
     oracle_derives,
     oracle_descendants,
     oracle_has_redex,
@@ -146,3 +159,62 @@ def test_ackermann_normal_forms_match_oracle(m, n):
             want = oracle_normalize(trs, term, mode, 5000)
             assert got == want
             assert trace_to_json(got) == trace_to_json(want)
+
+
+def _tampered(trs, source, step):
+    """The step, then copies with its rule, position, result or substitution
+    changed; a changed substitution binds only variables the step's own one
+    binds, since an extra binding is the one case where replay got stricter."""
+    yield step
+    for index in range(-1, len(trs.rules) + 1):
+        yield replace(step, rule_index=index)
+    for pos in ((), step.position[:-1], step.position + (1,), step.position + (2,), (9,)):
+        yield replace(step, position=pos)
+    yield replace(step, result=source)
+    bindings = dict(step.substitution.items())
+    for var in bindings:
+        yield replace(step, substitution=Substitution({**bindings, var: ap(C0)}))
+        dropped = {v: t for v, t in bindings.items() if v != var}
+        yield replace(step, substitution=Substitution(dropped))
+
+
+def _assert_replay_agrees(trs, source, steps):
+    for step in steps:
+        for candidate in _tampered(trs, source, step):
+            for mode in MODES:
+                got = check_step(trs, source, candidate, mode)
+                assert got == oracle_check_step(trs, source, candidate, mode), (
+                    candidate,
+                    mode,
+                )
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_check_step_matches_oracle_on_successors_and_traces(name, data):
+    """Every full-mode successor (so also steps a stricter mode refuses) and
+    every step of a normalization trace in each mode, honest or tampered,
+    replays exactly when the original ``check_step`` says it does."""
+    trs, terms = SYSTEMS[name]
+    term = data.draw(terms)
+    _assert_replay_agrees(trs, term, successors(trs, term, RelationMode.FULL))
+    fuel = max(FUELS.get(name, range(11)))
+    for mode in MODES:
+        trace = _normalize_outcome(normalize, trs, term, mode, fuel)[1]
+        for source, step in zip(trace.terms(), trace.steps):
+            _assert_replay_agrees(trs, source, [step])
+
+
+def test_check_step_rejects_a_substitution_binding_outside_the_lhs():
+    """The one intended difference from the original replay: a step replays
+    only when its substitution is the matcher, so an extra binding, which
+    changes neither the instantiated lhs nor the result, is refused."""
+    trs = loop_system()
+    honest = Step((), 0, Substitution({X: ap(C0)}), fc())
+    padded = replace(honest, substitution=Substitution({X: ap(C0), Y: ap(F1, ap(C0))}))
+    for mode in (RelationMode.FULL, RelationMode.INNERMOST):
+        assert check_step(trs, fc(), honest, mode)
+        assert oracle_check_step(trs, fc(), honest, mode)
+        assert oracle_check_step(trs, fc(), padded, mode)
+        assert not check_step(trs, fc(), padded, mode)

@@ -49,6 +49,7 @@ from helpers import (
     P1,
     Q1,
     S1,
+    W1,
     X,
     Y,
     Z0,
@@ -419,6 +420,24 @@ def test_find_mint_subterm_self_when_arguments_quiet():
 
 def test_find_mint_subterm_none():
     assert find_mint_subterm(ack_system(), ack(nat(1), nat(1)), 500) is None
+
+
+def test_mint_and_chain_answer_under_a_deep_context():
+    """``f(c)`` under 3,000 levels of ``w``, past the default recursion
+    limit: the loop search certifies the whole term, and the minimal looping
+    subterm and a chain grown from the cycle are found too."""
+    trs = loop_system()
+    term = fc()
+    for _ in range(3000):
+        term = ap(W1, term)
+    pos, cert = find_mint_subterm(trs, term, 50)
+    assert pos == (1,) * 3000
+    assert cert.trace.start == fc()
+    loop = detect_innermost_loop(trs, term, 50)
+    assert loop is not None and loop.trace.start == term
+    witness = chain_from_loop(trs, loop, 3, 50)
+    assert witness.entries == ((DepPairAlt(0, ()), sub(x=ap(C0))),) * 3
+    assert verify_chain_prefix(trs, witness, innermost=True, fuel=50).status == VERIFIED
 
 
 def test_dp_and_sub_from_nrnf_loop_fixed_point():

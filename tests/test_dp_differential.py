@@ -14,6 +14,11 @@ detour systems and of the criterion-3 shapes in random inert contexts, at
 lengths 1..8 and fuels low enough to stop growth at every stage, it must
 give the original's witness or fail with the original's error.
 
+``find_mint_subterm`` now walks the term once, post-order, with an explicit
+stack.  On the criterion-3 shapes in random inert contexts, alone and side
+by side, at fuels 0..12, it must find the original's subterm and
+certificate, or None when that does.
+
 ``detect_innermost_loop`` now runs on one redex table per search.  On the
 loop, nest, detour and growing systems and the criterion-3 shapes, from
 fixed and drawn start terms at fuels 1..40, it must return the certificate
@@ -38,6 +43,7 @@ from rdp import (
     derives,
     descendants,
     detect_innermost_loop,
+    find_mint_subterm,
     match,
     normalize,
     subterm_at,
@@ -46,6 +52,7 @@ from rdp import (
 )
 
 from helpers import (
+    B2,
     C0,
     F1,
     FORK0,
@@ -67,6 +74,7 @@ from helpers import (
     oracle_derives,
     oracle_descendants,
     oracle_detect_innermost_loop,
+    oracle_find_mint_subterm,
     oracle_term_pos_dps_alt,
     random_looping_instance,
     terms_over,
@@ -214,6 +222,15 @@ def test_chain_from_loop_fails_like_the_oracle(fuel, reason):
     want = (ConstructionFailure, reason, None)
     assert _outcome(chain_from_loop, trs, cert, 3, fuel) == want
     assert _outcome(oracle_chain_from_loop, trs, cert, 3, fuel) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 12))
+def test_find_mint_subterm_matches_the_oracle_in_inert_contexts(rng, fuel):
+    trs, start = random_looping_instance(rng)
+    for term in (start, ap(B2, start, start)):
+        got = find_mint_subterm(trs, term, fuel)
+        assert got == oracle_find_mint_subterm(trs, term, fuel)
 
 
 LOOP_FUELS = range(1, 41)

@@ -315,6 +315,6 @@ def test_parse_value():
     assert parse_value("2,3") == (2, 3)
     assert parse_value("(2,3)") == (2, 3)
     assert parse_value(" (4) ") == (4,)
-    for bad in ("", "()", "x", "1,-2"):
+    for bad in ("", "()", "x", "1,-2", "(1,2", "1,2)", "((1,2))", ")1,2("):
         with pytest.raises(ParseError):
             parse_value(bad)

@@ -262,6 +262,24 @@ def test_calling_contexts_ackermann(ack_program):
     ]
 
 
+def test_a_deep_body_builds_lists_its_contexts_and_evaluates():
+    """Building, listing contexts and evaluating each walk one explicit
+    stack, so a 3,000-deep body, past the default recursion limit, works."""
+    never = Cnst((0,))
+    body = Vr()
+    for i in range(3000):
+        body = Ite(never, Rec(Vr()), body) if i % 3 == 0 else Op1(0, body)
+    succ = OperatorDef(1, GTuple((GAdd(GComp(0, 0), GConst(1)),)))
+    program = width1(body, o1=[succ])
+    contexts = calling_contexts(program)
+    assert len(contexts) == 1000
+    assert contexts[0] == CallingContext((1, 1, 2), ((never, True),), Vr())
+    assert contexts[-1] == CallingContext(
+        (1, 1, 3) * 999 + (1, 1, 2), ((never, False),) * 999 + ((never, True),), Vr()
+    )
+    assert chi_eval(program, body, (0,), 1) == (2000,)
+
+
 # --- encoding and the correspondence check ---------------------------------
 
 

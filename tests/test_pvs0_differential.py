@@ -1,7 +1,8 @@
 """The explicit-stack evaluator against the recursive one it replaced
-(``oracle_evaluate``), and the one-pass least fuel of ``terminates_on`` and
+(``oracle_evaluate``), the one-pass least fuel of ``terminates_on`` and
 ``epsilon_check`` against the probe-and-bisect search it replaced
-(``oracle_minimal_fuel``).
+(``oracle_minimal_fuel``), and calling contexts read off the one body walk
+against the recursive walk they replaced (``oracle_calling_contexts``).
 """
 
 import random
@@ -24,7 +25,12 @@ from rdp import (
 )
 from rdp.pvs0 import _evaluate
 
-from helpers import oracle_evaluate, oracle_minimal_fuel, random_pvs0_program
+from helpers import (
+    oracle_calling_contexts,
+    oracle_evaluate,
+    oracle_minimal_fuel,
+    random_pvs0_program,
+)
 
 FUELS = range(41)
 
@@ -49,6 +55,17 @@ def test_evaluator_agrees_on_ackermann(ack_program):
             for fuel in range(0, 14, 3):
                 expected = oracle_evaluate(ack_program, ack_program.body, (m, n), fuel)
                 assert _evaluate(ack_program, ack_program.body, (m, n), fuel) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_calling_contexts_agree_with_the_recursive_definition(seed):
+    program = random_pvs0_program(random.Random(seed))
+    assert calling_contexts(program) == oracle_calling_contexts(program)
+
+
+def test_calling_contexts_agree_on_ackermann(ack_program):
+    assert calling_contexts(ack_program) == oracle_calling_contexts(ack_program)
 
 
 def check_against_oracle(program, expr, value, max_fuel):
