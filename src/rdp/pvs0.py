@@ -17,13 +17,15 @@ Python: its depth is bounded by the fuel and by memory, on any thread.
 
 Operator bodies live in a separate guard language (component accessors,
 natural constants, addition, truncated subtraction, comparisons,
-tuple construction) that always terminates and cannot recurse.
+tuple construction) that always terminates and cannot recurse.  Each
+operator is checked, sorts included, and compiled once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import eq, le, lt
 from typing import Callable, Iterator, Union
 
 from .dependency_pairs import DepPairAlt, to_standard
@@ -32,6 +34,7 @@ from .substitution import match
 from .terms import App, Term, format_position
 
 Value = tuple[int, ...]
+_COMPARE = {"lt": lt, "le": le, "eq": eq}
 
 
 class Pvs0Error(ValueError):
@@ -128,7 +131,7 @@ class GIf:
     orelse: "GValue"
 
     def __post_init__(self) -> None:
-        if self.cmp not in ("lt", "le", "eq"):
+        if self.cmp not in _COMPARE:
             raise Pvs0Error(f"unknown comparison {self.cmp!r}")
 
 
@@ -137,46 +140,65 @@ GValue = Union[GTuple, GIf]
 
 @dataclass(frozen=True)
 class OperatorDef:
-    """An operator body, its argument and component indices checked here, once."""
+    """An operator body, checked (sorts included) and compiled once, here.
+
+    One pass over the body checks that constants are naturals, argument
+    indices are below the arity, component indices are not negative, and
+    each node is a scalar or a value where one belongs.  It leaves ``_run``,
+    the body as a closure over the argument tuple, and two facts for the
+    program's width check: ``_widths``, the tuple widths the body can
+    return, and ``_reads``, one more than the largest component it reads.
+    """
 
     arity: int
     body: GValue
+    _run: Callable[[tuple[Value, ...]], Value] = field(init=False, compare=False, repr=False)
+    _widths: frozenset[int] = field(init=False, compare=False, repr=False)
+    _reads: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_guard(self.body, self.arity, None)
+        arity, widths, reads = self.arity, set(), 0
+
+        def build(node: GValue | GScalar, want: str) -> Callable:
+            nonlocal reads
+            cls = node.__class__
+            if _SORT.get(cls) != want:
+                raise Pvs0Error(f"not a {want} guard expression: {node!r}")
+            if cls is GConst:
+                k = node.value
+                if k < 0:
+                    raise Pvs0Error("guard constants are naturals")
+                return lambda args: k
+            if cls is GComp:
+                a, c = node.arg, node.component
+                if not 0 <= a < arity:
+                    raise Pvs0Error(f"argument index {a} out of range for arity {arity}")
+                if c < 0:
+                    raise Pvs0Error(f"component index {c} is negative")
+                reads = max(reads, c + 1)
+                return lambda args: args[a][c]
+            if cls is GTuple:
+                items = [build(item, "scalar") for item in node.items]
+                widths.add(len(items))
+                return lambda args: tuple([f(args) for f in items])
+            left, right = build(node.left, "scalar"), build(node.right, "scalar")
+            if cls is GAdd:
+                return lambda args: left(args) + right(args)
+            if cls is GMonus:
+                return lambda args: max(left(args) - right(args), 0)
+            test = _COMPARE[node.cmp]
+            then, orelse = build(node.then, "value"), build(node.orelse, "value")
+            return lambda args: then(args) if test(left(args), right(args)) else orelse(args)
+
+        run = build(self.body, "value")
+        for name, fact in (("_run", run), ("_widths", frozenset(widths)), ("_reads", reads)):
+            object.__setattr__(self, name, fact)
+
+    def __reduce__(self):  # closures do not pickle: rebuild from the body
+        return OperatorDef, (self.arity, self.body)
 
 
-def _check_guard(expr: GValue | GScalar, arity: int, width: int | None) -> None:
-    """Check a guard's shape; a ``width`` of None checks only what the arity can."""
-    if isinstance(expr, GConst):
-        if expr.value < 0:
-            raise Pvs0Error("guard constants are naturals")
-    elif isinstance(expr, GComp):
-        if not 0 <= expr.arg < arity:
-            raise Pvs0Error(f"argument index {expr.arg} out of range for arity {arity}")
-        if expr.component < 0:
-            raise Pvs0Error(f"component index {expr.component} is negative")
-        if width is not None and expr.component >= width:
-            raise Pvs0Error(
-                f"component index {expr.component} out of range for width {width}"
-            )
-    elif isinstance(expr, (GAdd, GMonus)):
-        _check_guard(expr.left, arity, width)
-        _check_guard(expr.right, arity, width)
-    elif isinstance(expr, GTuple):
-        if width is not None and len(expr.items) != width:
-            raise Pvs0Error(
-                f"tuple of {len(expr.items)} components in a width-{width} program"
-            )
-        for item in expr.items:
-            _check_guard(item, arity, width)
-    elif isinstance(expr, GIf):
-        _check_guard(expr.left, arity, width)
-        _check_guard(expr.right, arity, width)
-        _check_guard(expr.then, arity, width)
-        _check_guard(expr.orelse, arity, width)
-    else:
-        raise Pvs0Error(f"not a guard expression: {expr!r}")
+_SORT = dict.fromkeys(GScalar.__args__, "scalar") | dict.fromkeys(GValue.__args__, "value")
 
 
 def _walk(body: Pvs0Expr) -> Iterator[tuple[Pvs0Expr, list[tuple]]]:
@@ -232,60 +254,35 @@ class Pvs0Program:
     body: Pvs0Expr
 
     def __post_init__(self) -> None:
-        if self.width < 1:
+        width = self.width
+        if width < 1:
             raise Pvs0Error("width must be positive")
         for name, value in (("false_val", self.false_val), ("top_val", self.top_val)):
-            if len(value) != self.width or any(c < 0 for c in value):
-                raise Pvs0Error(f"{name} {value} does not fit width {self.width}")
+            if len(value) != width or any(c < 0 for c in value):
+                raise Pvs0Error(f"{name} {value} does not fit width {width}")
         for bank, expected_arity in ((self.o1, 1), (self.o2, 2)):
             for defn in bank:
                 if defn.arity != expected_arity:
-                    raise Pvs0Error(
-                        f"operator arity {defn.arity}, expected {expected_arity}"
-                    )
-                _check_guard(defn.body, expected_arity, self.width)
-        _check_expr(self.body, self.width)
+                    raise Pvs0Error(f"operator arity {defn.arity}, expected {expected_arity}")
+                extra = defn._widths - {width}
+                if extra:
+                    raise Pvs0Error(f"tuple of {min(extra)} components in a width-{width} program")
+                if defn._reads > width:
+                    raise Pvs0Error(f"component index {defn._reads - 1} out of range for width {width}")
+        _check_expr(self.body, width)
 
 
 # --- evaluation ------------------------------------------------------------
 
 
 def guard_eval(defn: OperatorDef, args: tuple[Value, ...]) -> Value:
-    """Evaluate an operator body; total on well-formed inputs."""
+    """Apply an operator to ``args``; total on values of the program's width."""
     if len(args) != defn.arity:
         raise Pvs0Error(f"operator of arity {defn.arity} applied to {len(args)} values")
-
-    def scalar(e: GScalar) -> int:
-        if isinstance(e, GConst):
-            return e.value
-        if isinstance(e, GComp):
-            value = args[e.arg]
-            if e.component >= len(value):
-                raise Pvs0Error(
-                    f"component {e.component} out of range for value {value}"
-                )
-            return value[e.component]
-        if isinstance(e, GAdd):
-            return scalar(e.left) + scalar(e.right)
-        if isinstance(e, GMonus):
-            return max(scalar(e.left) - scalar(e.right), 0)
-        raise Pvs0Error(f"not a scalar guard expression: {e!r}")
-
-    def value(e: GValue) -> Value:
-        if isinstance(e, GTuple):
-            return tuple(scalar(item) for item in e.items)
-        if isinstance(e, GIf):
-            l, r = scalar(e.left), scalar(e.right)
-            if e.cmp == "lt":
-                taken = l < r
-            elif e.cmp == "le":
-                taken = l <= r
-            else:
-                taken = l == r
-            return value(e.then if taken else e.orelse)
-        raise Pvs0Error(f"not a value guard expression: {e!r}")
-
-    return value(defn.body)
+    try:
+        return defn._run(args)
+    except IndexError:  # a component past the end of a value too short
+        raise Pvs0Error(f"operator reading {defn._reads} components applied to {args}") from None
 
 
 def _evaluate(
@@ -327,7 +324,7 @@ def _evaluate(
             construct, value, fuel, left = stack.pop()
             cls = construct.__class__
             if cls is Op1:
-                result = guard_eval(o1[construct.index], (result,))
+                result = o1[construct.index]._run((result,))
             elif cls is Ite:
                 expr = construct.then if result != false_val else construct.orelse
                 break
@@ -344,7 +341,7 @@ def _evaluate(
                 expr = construct.right
                 break
             else:
-                result = guard_eval(o2[construct.index], (left, result))
+                result = o2[construct.index]._run((left, result))
         else:
             return result, lowest
 

@@ -34,7 +34,6 @@ from rdp import (
     check_certificate,
     check_chained,
     chi_eval,
-    guard_eval,
     detect_innermost_loop,
     dp_and_sub_from_nrnf,
     find_mint_subterm,
@@ -46,7 +45,7 @@ from rdp import (
     verify_chain_prefix,
 )
 from rdp.dependency_pairs import VERIFIED
-from rdp.pvs0 import CallingContext, Pvs0Error, Pvs0Expr, Value
+from rdp.pvs0 import CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value
 from rdp.rewriting import (
     DEFAULT_FUEL,
     TRS,
@@ -296,13 +295,16 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 #
 # The original definitions of the successor core, of step replay, of the
 # breadth-first searches (the loop search over oracle successors), of the
-# PVS0 evaluator, least-fuel search and calling contexts, of the minimal
-# looping subterm and of chain growth, kept verbatim (renamed ``oracle_*``)
-# as the obviously correct reference for the differential tests.  They
-# rescan the term for every position and try every rule everywhere; step
-# replay re-derives the step from the rule the step names; the evaluator,
-# the contexts and the looping-subterm search recurse once per construct or
-# argument; the fuel search probes fuels 1, 2, 4, ... and then bisects;
+# PVS0 operator check and guard interpreter, evaluator, least-fuel search
+# and calling contexts, of the minimal looping subterm and of chain growth,
+# kept verbatim (renamed ``oracle_*``) as the obviously correct reference
+# for the differential tests.  They rescan the term for every position and
+# try every rule everywhere; step replay re-derives the step from the rule
+# the step names; the guard check walks an operator once without and once
+# with the program's width, and the guard interpreter walks it again on
+# every application; the evaluator, the contexts and the looping-subterm
+# search recurse once per construct or argument; the fuel search probes
+# fuels 1, 2, 4, ... and then bisects;
 # chain growth searches each entry's loop again and re-checks every link at
 # the end.
 
@@ -545,6 +547,77 @@ def oracle_detect_innermost_loop(
     return None
 
 
+def oracle_check_guard(expr: GValue | GScalar, arity: int, width: int | None) -> None:
+    """Check a guard's shape; a ``width`` of None checks only what the arity can."""
+    if isinstance(expr, GConst):
+        if expr.value < 0:
+            raise Pvs0Error("guard constants are naturals")
+    elif isinstance(expr, GComp):
+        if not 0 <= expr.arg < arity:
+            raise Pvs0Error(f"argument index {expr.arg} out of range for arity {arity}")
+        if expr.component < 0:
+            raise Pvs0Error(f"component index {expr.component} is negative")
+        if width is not None and expr.component >= width:
+            raise Pvs0Error(
+                f"component index {expr.component} out of range for width {width}"
+            )
+    elif isinstance(expr, (GAdd, GMonus)):
+        oracle_check_guard(expr.left, arity, width)
+        oracle_check_guard(expr.right, arity, width)
+    elif isinstance(expr, GTuple):
+        if width is not None and len(expr.items) != width:
+            raise Pvs0Error(
+                f"tuple of {len(expr.items)} components in a width-{width} program"
+            )
+        for item in expr.items:
+            oracle_check_guard(item, arity, width)
+    elif isinstance(expr, GIf):
+        oracle_check_guard(expr.left, arity, width)
+        oracle_check_guard(expr.right, arity, width)
+        oracle_check_guard(expr.then, arity, width)
+        oracle_check_guard(expr.orelse, arity, width)
+    else:
+        raise Pvs0Error(f"not a guard expression: {expr!r}")
+
+
+def oracle_guard_eval(defn: OperatorDef, args: tuple[Value, ...]) -> Value:
+    """Evaluate an operator body; total on well-formed inputs."""
+    if len(args) != defn.arity:
+        raise Pvs0Error(f"operator of arity {defn.arity} applied to {len(args)} values")
+
+    def scalar(e: GScalar) -> int:
+        if isinstance(e, GConst):
+            return e.value
+        if isinstance(e, GComp):
+            value = args[e.arg]
+            if e.component >= len(value):
+                raise Pvs0Error(
+                    f"component {e.component} out of range for value {value}"
+                )
+            return value[e.component]
+        if isinstance(e, GAdd):
+            return scalar(e.left) + scalar(e.right)
+        if isinstance(e, GMonus):
+            return max(scalar(e.left) - scalar(e.right), 0)
+        raise Pvs0Error(f"not a scalar guard expression: {e!r}")
+
+    def value(e: GValue) -> Value:
+        if isinstance(e, GTuple):
+            return tuple(scalar(item) for item in e.items)
+        if isinstance(e, GIf):
+            l, r = scalar(e.left), scalar(e.right)
+            if e.cmp == "lt":
+                taken = l < r
+            elif e.cmp == "le":
+                taken = l <= r
+            else:
+                taken = l == r
+            return value(e.then if taken else e.orelse)
+        raise Pvs0Error(f"not a value guard expression: {e!r}")
+
+    return value(defn.body)
+
+
 def oracle_evaluate(
     program: Pvs0Program, expr: Pvs0Expr, value: Value, fuel: int
 ) -> tuple[Value | None, int]:
@@ -568,7 +641,7 @@ def oracle_evaluate(
                 if not 0 <= index < len(o1):
                     return None
                 v1 = ev(arg, value, fuel)
-                return None if v1 is None else guard_eval(o1[index], (v1,))
+                return None if v1 is None else oracle_guard_eval(o1[index], (v1,))
             case Op2(index, left, right):
                 if not 0 <= index < len(o2):
                     return None
@@ -578,7 +651,7 @@ def oracle_evaluate(
                 v2 = ev(right, value, fuel)
                 if v2 is None:
                     return None
-                return guard_eval(o2[index], (v1, v2))
+                return oracle_guard_eval(o2[index], (v1, v2))
             case Rec(arg):
                 v1 = ev(arg, value, fuel)
                 if v1 is None:

@@ -1,3 +1,4 @@
+import pickle
 import sys
 
 import pytest
@@ -89,6 +90,23 @@ def test_guard_eval_arity_mismatch():
     op = OperatorDef(1, GTuple((GConst(0),)))
     with pytest.raises(Pvs0Error):
         guard_eval(op, ((1,), (2,)))
+    # An operator in no program, applied to a value too short for the
+    # component it reads: a Pvs0Error, not an IndexError.
+    reads_third = OperatorDef(1, GTuple((GConst(0), GComp(0, 2))))
+    with pytest.raises(Pvs0Error):
+        guard_eval(reads_third, ((1, 2),))
+
+
+def test_operator_rejects_ill_sorted_guards():
+    """A scalar where a value belongs, or a value where a scalar belongs, is
+    refused when the operator is built, not when evaluation reaches it."""
+    zero = GTuple((GConst(0),))
+    with pytest.raises(Pvs0Error, match="not a value guard expression: GConst"):
+        OperatorDef(1, GConst(3))
+    with pytest.raises(Pvs0Error, match="not a value guard expression: GConst"):
+        OperatorDef(1, GIf("eq", GComp(0, 0), GConst(0), GConst(1), zero))
+    with pytest.raises(Pvs0Error, match="not a scalar guard expression: GTuple"):
+        OperatorDef(1, GTuple((zero,)))
 
 
 def test_operator_rejects_out_of_range_components():
@@ -124,6 +142,16 @@ def test_program_validation():
         width1(Vr(), o1=(OperatorDef(1, GTuple((GComp(0, 3),))),))
     with pytest.raises(Pvs0Error):
         width1(Vr(), o1=(OperatorDef(1, GTuple((GConst(0), GConst(0)))),))
+    c, one = GConst(0), GTuple((GConst(0),))
+    nested = GIf("lt", c, c, one, GIf("eq", c, c, one, GTuple((c, c))))
+    with pytest.raises(Pvs0Error, match="tuple of 2 components in a width-1 program"):
+        width1(Vr(), o1=(OperatorDef(1, nested),))
+    compared = GIf("le", c, GComp(1, 1), one, one)
+    with pytest.raises(Pvs0Error, match="component index 1 out of range for width 1"):
+        width1(Vr(), o2=(OperatorDef(2, compared),))
+    clamped = GTuple((GMonus(GConst(1), GComp(0, 2)),))
+    with pytest.raises(Pvs0Error, match="component index 2 out of range for width 1"):
+        width1(Vr(), o1=(OperatorDef(1, clamped),))
     with pytest.raises(Pvs0Error):
         width1(Cnst((1, 2)))
 
@@ -182,6 +210,12 @@ def test_chi_ackermann_anchor_values(ack_program):
     assert chi_eval(ack_program, body, (1, 1), 20) == (3, 0)
     assert chi_eval(ack_program, body, (2, 3), 10) == (9, 0)
     assert chi_eval(ack_program, body, (2, 3), 9) is None
+
+
+def test_a_program_pickles_and_evaluates_the_same(ack_program):
+    copy = pickle.loads(pickle.dumps(ack_program))
+    assert copy == ack_program and hash(copy) == hash(ack_program)
+    assert chi_eval(copy, copy.body, (2, 3), 10) == (9, 0)
 
 
 def test_chi_monotone_and_deterministic(ack_program):

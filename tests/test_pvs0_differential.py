@@ -1,8 +1,11 @@
-"""The explicit-stack evaluator against the recursive one it replaced
-(``oracle_evaluate``), the one-pass least fuel of ``terminates_on`` and
-``epsilon_check`` against the probe-and-bisect search it replaced
-(``oracle_minimal_fuel``), and calling contexts read off the one body walk
-against the recursive walk they replaced (``oracle_calling_contexts``).
+"""Operators compiled when they are built against the guard interpreter
+and the two-walk guard check they replaced (``oracle_guard_eval``,
+``oracle_check_guard``), the explicit-stack evaluator against the
+recursive one it replaced (``oracle_evaluate``), the one-pass least fuel
+of ``terminates_on`` and ``epsilon_check`` against the probe-and-bisect
+search it replaced (``oracle_minimal_fuel``), and calling contexts read
+off the one body walk against the recursive walk they replaced
+(``oracle_calling_contexts``).
 """
 
 import random
@@ -13,26 +16,108 @@ from hypothesis import strategies as st
 
 from rdp import (
     EpsilonResult,
+    GAdd,
+    GComp,
+    GConst,
+    GIf,
+    GMonus,
+    GTuple,
     Op1,
     Op2,
+    OperatorDef,
+    Pvs0Error,
     Pvs0Program,
     Rec,
     Vr,
     calling_contexts,
     chi_eval,
     epsilon_check,
+    guard_eval,
     terminates_on,
 )
 from rdp.pvs0 import _evaluate
 
 from helpers import (
     oracle_calling_contexts,
+    oracle_check_guard,
     oracle_evaluate,
+    oracle_guard_eval,
     oracle_minimal_fuel,
     random_pvs0_program,
 )
 
 FUELS = range(41)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_compiled_operators_agree_with_the_guard_interpreter(seed):
+    """Every operator of a random program, on every argument tuple over
+    {0,1,2,3}^width."""
+    program = random_pvs0_program(random.Random(seed))
+    for defn in program.o1 + program.o2:
+        values = list(product(range(4), repeat=program.width))
+        for args in product(values, repeat=defn.arity):
+            assert guard_eval(defn, args) == oracle_guard_eval(defn, args)
+
+
+def random_guard(rng: random.Random, arity: int, width: int):
+    """A well-sorted operator body whose constants, argument and component
+    indices and tuple widths are now and then out of range."""
+
+    def pick(good, bad):
+        return rng.choice(bad) if rng.random() < 0.05 else rng.choice(good)
+
+    def scalar(depth):
+        if depth == 0 or rng.random() < 0.4:
+            if rng.random() < 0.3:
+                return GConst(pick(range(4), [-1]))
+            arg = pick(range(arity), [-1, arity])
+            return GComp(arg, pick(range(width), [-1, width, width + 1]))
+        return rng.choice((GAdd, GMonus))(scalar(depth - 1), scalar(depth - 1))
+
+    def value(depth):
+        if depth > 0 and rng.random() < 0.5:
+            return GIf(
+                rng.choice(("lt", "le", "eq")),
+                scalar(depth - 1),
+                scalar(depth - 1),
+                value(depth - 1),
+                value(depth - 1),
+            )
+        items = pick([width], [width - 1, width + 1])
+        return GTuple(tuple(scalar(depth) for _ in range(items)))
+
+    return value(3)
+
+
+def raises_pvs0_error(build) -> bool:
+    try:
+        build()
+    except Pvs0Error:
+        return True
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_building_rejects_what_the_two_walk_check_rejects(seed):
+    """On well-sorted bodies, an operator fails to build exactly when the old
+    check without a width raises, and a program over a built operator exactly
+    when the old check with the program's width raises."""
+    rng = random.Random(seed)
+    arity, width = rng.randint(1, 2), rng.randint(1, 3)
+    body = random_guard(rng, arity, width)
+    rejected = raises_pvs0_error(lambda: OperatorDef(arity, body))
+    assert rejected == raises_pvs0_error(lambda: oracle_check_guard(body, arity, None))
+    if rejected:
+        return
+    bank = (OperatorDef(arity, body),)
+    o1, o2 = (bank, ()) if arity == 1 else ((), bank)
+    zero, one = (0,) * width, (1,) + (0,) * (width - 1)
+    assert raises_pvs0_error(lambda: Pvs0Program(width, zero, one, o1, o2, Vr())) == (
+        raises_pvs0_error(lambda: oracle_check_guard(body, arity, width))
+    )
 
 
 @settings(max_examples=300, deadline=None)
