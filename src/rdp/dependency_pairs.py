@@ -50,10 +50,10 @@ from .terms import (
     Position,
     Term,
     Var,
+    _walk,
     format_position,
     replace_at,
     subterm_at,
-    subterms_of,
     term_to_str,
     vars_in_order,
     vars_of,
@@ -181,9 +181,9 @@ def dep_pairs_alt(trs: TRS) -> list[DepPairAlt]:
     defined = defined_symbols(trs)
     out: list[DepPairAlt] = []
     for rule in trs.rules:
-        for pos, sub in subterms_of(rule.rhs):
+        for sub, path in _walk(rule.rhs):
             if isinstance(sub, App) and sub.sym in defined:
-                out.append(DepPairAlt(rule.index, pos))
+                out.append(DepPairAlt(rule.index, tuple(path)))
     return out
 
 

@@ -1,9 +1,10 @@
 """Parsers and serializers for the on-disk formats.
 
 TRS files use a TPDB-flavored syntax: a ``(VAR x y)`` section declaring
-variables, then ``(RULES l -> r ...)``.  The signature is inferred from
-use, with a consistent-arity check.  Chain witnesses, programs, and traces
-travel as JSON.  Every parse(print(x)) round-trips to an equal value.
+variables and a ``(RULES l -> r ...)`` section, in either order.  The
+signature is inferred from use, with a consistent-arity check.  Terms are
+read at any depth, in one pass with an explicit stack.  Chain witnesses,
+programs, and traces travel as JSON.  Every parse(print(x)) round-trips.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class ParseError(ValueError):
 
 
 def _depth_is_bad_input(parse: Callable) -> Callable:
-    """Report input nested deeper than the recursive reader reaches as a ParseError."""
+    """Report JSON nested deeper than the recursive reader reaches as a ParseError."""
     @functools.wraps(parse)
     def guarded(*args: Any) -> Any:
         try:
@@ -141,91 +142,82 @@ def _tokenize(text: str) -> list[_Token]:
 class _TokenStream:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
-        self._pos = 0
+        self.pos = 0
 
     @property
     def head(self) -> _Token:
-        return self._tokens[self._pos]
+        return self._tokens[self.pos]
 
     def take(self, kind: str) -> _Token:
         tok = self.head
         if tok.kind != kind:
             raise ParseError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.line)
-        self._pos += 1
+        self.pos += 1
         return tok
 
 
-# --- untyped term trees, shared by the term and TRS parsers ----------------
+# --- terms and TRS files ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RawTerm:
-    name: str
-    children: tuple["_RawTerm", ...]
-    line: int
-
-
-def _parse_raw_term(ts: _TokenStream) -> _RawTerm:
-    name = ts.take("ident")
-    if ts.head.kind != "lparen":
-        return _RawTerm(name.text, (), name.line)
-    ts.take("lparen")
-    children = [_parse_raw_term(ts)]
-    while ts.head.kind == "comma":
-        ts.take("comma")
-        children.append(_parse_raw_term(ts))
-    ts.take("rparen")
-    return _RawTerm(name.text, tuple(children), name.line)
-
-
-def _resolve(
-    raw: _RawTerm, symbol: Callable[[_RawTerm], Symbol], variables: frozenset[Var]
+def _read_term(
+    ts: _TokenStream, symbol: Callable[[str, int, int], Symbol], variables: frozenset[Var]
 ) -> Term:
-    """Build the term in one pre-order walk; ``symbol`` names each application's root."""
-    if Var(raw.name) in variables:
-        if raw.children:
-            raise ParseError(f"variable {raw.name!r} used with arguments", raw.line)
-        return Var(raw.name)
-    sym = symbol(raw)
-    return App(sym, tuple(_resolve(c, symbol, variables) for c in raw.children))
+    """Read one term, building a leaf when its name is read and an application
+    when its closing parenthesis is; ``symbol(name, arity, line)`` names each
+    application's root.  An explicit stack holds the applications open."""
+    # Applications still open: (the name token, the arguments read so far).
+    open_apps: list[tuple[_Token, list[Term]]] = []
+    while True:
+        name = ts.take("ident")
+        var = Var(name.text)
+        if ts.head.kind == "lparen":
+            if var in variables:
+                raise ParseError(f"variable {name.text!r} used with arguments", name.line)
+            ts.take("lparen")
+            open_apps.append((name, []))
+            continue
+        term = var if var in variables else App(symbol(name.text, 0, name.line))
+        while open_apps:
+            open_apps[-1][1].append(term)
+            if ts.head.kind == "comma":
+                ts.take("comma")
+                break
+            ts.take("rparen")
+            name, args = open_apps.pop()
+            term = App(symbol(name.text, len(args), name.line), tuple(args))
+        else:  # no application left open: the term is complete
+            return term
 
 
-@_depth_is_bad_input
 def parse_term(text: str, trs: TRS) -> Term:
     """Parse a term against the TRS's signature and declared variables."""
     ts = _TokenStream(_tokenize(text))
-    raw = _parse_raw_term(ts)
-    ts.take("eof")
 
-    def declared(node: _RawTerm) -> Symbol:
-        sym = trs.signature.get(node.name)
+    def declared(name: str, arity: int, line: int) -> Symbol:
+        sym = trs.signature.get(name)
         if sym is None:
-            raise ParseError(f"unknown identifier {node.name!r}", node.line)
-        if sym.arity != len(node.children):
-            raise ParseError(
-                f"symbol {node.name!r} has arity {sym.arity}, applied to {len(node.children)}",
-                node.line,
-            )
+            raise ParseError(f"unknown identifier {name!r}", line)
+        if sym.arity != arity:
+            raise ParseError(f"symbol {name!r} has arity {sym.arity}, applied to {arity}", line)
         return sym
 
-    return _resolve(raw, declared, trs.variables)
+    term = _read_term(ts, declared, trs.variables)
+    ts.take("eof")
+    return term
 
 
-# --- TRS files -------------------------------------------------------------
-
-
-@_depth_is_bad_input
 def parse_trs(text: str) -> TRS:
     """Parse a ``(VAR ...)`` / ``(RULES ...)`` system.
 
     The signature is inferred: every applied identifier gets the arity of
     its use, bare non-variable identifiers become constants, and
     inconsistent arities, variables used with arguments, or unknown
-    sections are reported with their line.
+    sections are reported with their line.  The rules are read after the
+    last section, once the variables are known.
     """
     ts = _TokenStream(_tokenize(text))
     var_names: dict[str, int] | None = None
-    raw_rules: list[tuple[_RawTerm, _RawTerm, int]] | None = None
+    rules_at: int | None = None  # where the rules start
     while ts.head.kind != "eof":
         ts.take("lparen")
         section = ts.take("ident")
@@ -236,45 +228,44 @@ def parse_trs(text: str) -> TRS:
             while ts.head.kind == "ident":
                 tok = ts.take("ident")
                 var_names.setdefault(tok.text, tok.line)
-            ts.take("rparen")
         elif section.text == "RULES":
-            if raw_rules is not None:
+            if rules_at is not None:
                 raise ParseError("duplicate (RULES ...) section", section.line)
-            raw_rules = []
-            while ts.head.kind != "rparen":
-                lhs = _parse_raw_term(ts)
-                ts.take("arrow")
-                rhs = _parse_raw_term(ts)
-                raw_rules.append((lhs, rhs, lhs.line))
-            ts.take("rparen")
+            # Skip to the closing parenthesis; the rules are read below.
+            rules_at, depth = ts.pos, 0
+            while ts.head.kind != "eof" and (depth or ts.head.kind != "rparen"):
+                depth += {"lparen": 1, "rparen": -1}.get(ts.head.kind, 0)
+                ts.pos += 1
         else:
             raise ParseError(f"unknown section {section.text!r}", section.line)
-    if raw_rules is None:
+        ts.take("rparen")
+    if rules_at is None:
         raise ParseError("missing (RULES ...) section")
     variables = frozenset(Var(n) for n in var_names or {})
 
     inferred: dict[str, tuple[Symbol, int]] = {}  # name -> (symbol, first line)
 
-    def infer(node: _RawTerm) -> Symbol:
-        seen = inferred.get(node.name)
+    def infer(name: str, arity: int, line: int) -> Symbol:
+        seen = inferred.get(name)
         if seen is None:
-            seen = inferred[node.name] = (Symbol(node.name, len(node.children)), node.line)
-        elif seen[0].arity != len(node.children):
+            seen = inferred[name] = (Symbol(name, arity), line)
+        elif seen[0].arity != arity:
             raise ParseError(
-                f"symbol {node.name!r} used with arity {len(node.children)} "
+                f"symbol {name!r} used with arity {arity} "
                 f"but with arity {seen[0].arity} on line {seen[1]}",
-                node.line,
+                line,
             )
         return seen[0]
 
-    sides = [
-        (_resolve(lhs, infer, variables), _resolve(rhs, infer, variables), line)
-        for lhs, rhs, line in raw_rules
-    ]
-    rules = []
-    for index, (lhs, rhs, line) in enumerate(sides):
+    ts.pos = rules_at
+    rules: list[Rule] = []
+    while ts.head.kind != "rparen":
+        line = ts.head.line
+        lhs = _read_term(ts, infer, variables)
+        ts.take("arrow")
+        rhs = _read_term(ts, infer, variables)
         try:
-            rules.append(Rule(lhs, rhs, index))
+            rules.append(Rule(lhs, rhs, len(rules)))
         except RuleRestrictionError as err:
             raise RuleRestrictionError(f"line {line}: {err}") from None
     signature = Signature(tuple(sym for sym, _ in inferred.values()))

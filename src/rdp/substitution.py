@@ -23,9 +23,26 @@ class Substitution:
         }
 
     def apply(self, term: Term) -> Term:
-        if isinstance(term, Var):
-            return self._map.get(term, term)
-        return App(term.sym, tuple(self.apply(a) for a in term.args))
+        """``term`` with each variable replaced by its binding, at any depth."""
+        get = self._map.get
+        if term.__class__ is not App:
+            return get(term, term)
+        # Applications being rebuilt, innermost last: (node, arguments built so far).
+        stack: list[tuple[App, list[Term]]] = [(term, [])]
+        while True:
+            node, built = stack[-1]
+            if len(built) < len(node.args):
+                arg = node.args[len(built)]
+                if arg.__class__ is App and arg.args:
+                    stack.append((arg, []))
+                else:
+                    built.append(get(arg, arg) if arg.__class__ is Var else arg)
+                continue
+            stack.pop()
+            result = App(node.sym, tuple(built))
+            if not stack:
+                return result
+            stack[-1][1].append(result)
 
     def get(self, var: Var) -> Term:
         return self._map.get(var, var)

@@ -7,8 +7,8 @@ argument indices with ``()`` denoting the root.
 An application node computes its hash once and keeps it, and hashing and
 equality walk the term with an explicit stack, so both work at any depth
 and a set or dict lookup of a term already hashed costs constant time.
-Every walk to a position goes through one descent, ``_split_at``, and every
-rebuild around one through ``_plug``; neither recurses.
+A walk to a position is one descent, ``_split_at``, a rebuild around one is
+``_plug``, and a walk over all subterms is ``_walk``; none recurses.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ def replace_at(term: Term, pos: Position, replacement: Term) -> Term:
 
 def iter_vars(term: Term) -> Iterator[Var]:
     """Variable occurrences of ``term`` in pre-order (with repetitions)."""
-    return (t for _, t in subterms_of(term) if isinstance(t, Var))
+    return (t for t, _ in _walk(term) if isinstance(t, Var))
 
 
 def vars_of(term: Term) -> frozenset[Var]:
@@ -218,15 +218,26 @@ def vars_in_order(term: Term) -> tuple[Var, ...]:
     return tuple(dict.fromkeys(iter_vars(term)))
 
 
+def _walk(term: Term) -> Iterator[tuple[Term, list[int]]]:
+    """Each subterm of ``term`` in pre-order, with its path (1-based argument
+    indices) kept in one list, valid only until the walk resumes."""
+    path: list[int] = []
+    # Subterms still to visit: (subterm, the parent's depth, the step to it).
+    stack: list[tuple[Term, int, int]] = [(term, 0, 0)]
+    while stack:
+        t, depth, i = stack.pop()
+        del path[depth:]
+        if i:
+            path.append(i)
+        yield t, path
+        if isinstance(t, App):
+            depth = len(path)
+            stack += [(t.args[j - 1], depth, j) for j in range(len(t.args), 0, -1)]
+
+
 def subterms_of(term: Term) -> Iterator[tuple[Position, Term]]:
     """(position, subterm) pairs in pre-order."""
-    stack: list[tuple[Position, Term]] = [(ROOT, term)]
-    while stack:
-        pos, t = stack.pop()
-        yield pos, t
-        if isinstance(t, App):
-            for i in range(len(t.args), 0, -1):
-                stack.append((pos + (i,), t.args[i - 1]))
+    return ((tuple(path), t) for t, path in _walk(term))
 
 
 def term_to_str(term: Term) -> str:
@@ -258,4 +269,4 @@ def parse_position(text: str) -> Position:
 
 
 def symbols_of(term: Term) -> frozenset[Symbol]:
-    return frozenset(t.sym for _, t in subterms_of(term) if isinstance(t, App))
+    return frozenset(t.sym for t, _ in _walk(term) if isinstance(t, App))

@@ -2,7 +2,8 @@
 
 import random
 from collections import deque
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from hypothesis import strategies as st
 
@@ -45,6 +46,7 @@ from rdp import (
     verify_chain_prefix,
 )
 from rdp.dependency_pairs import VERIFIED
+from rdp.formats import ParseError, _depth_is_bad_input, _tokenize, _TokenStream
 from rdp.pvs0 import CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value
 from rdp.rewriting import (
     DEFAULT_FUEL,
@@ -52,6 +54,8 @@ from rdp.rewriting import (
     DerivationTrace,
     FuelExhausted,
     RelationMode,
+    Rule,
+    RuleRestrictionError,
     Step,
     _may_fire,
 )
@@ -59,6 +63,7 @@ from rdp.substitution import match
 from rdp.terms import (
     InvalidPositionError,
     Position,
+    Signature,
     _plug,
     _split_at,
     format_position,
@@ -296,8 +301,9 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # The original definitions of the successor core, of step replay, of the
 # breadth-first searches (the loop search over oracle successors), of the
 # PVS0 operator check and guard interpreter, evaluator, least-fuel search
-# and calling contexts, of the minimal looping subterm and of chain growth,
-# kept verbatim (renamed ``oracle_*``) as the obviously correct reference
+# and calling contexts, of the minimal looping subterm, of chain growth, of
+# substitution application and of the term and TRS reader, kept verbatim
+# (renamed ``oracle_*``) as the obviously correct reference
 # for the differential tests.  They rescan the term for every position and
 # try every rule everywhere; step replay re-derives the step from the rule
 # the step names; the guard check walks an operator once without and once
@@ -306,7 +312,8 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # search recurse once per construct or argument; the fuel search probes
 # fuels 1, 2, 4, ... and then bisects;
 # chain growth searches each entry's loop again and re-checks every link at
-# the end.
+# the end; application recurses once per level of the pattern; the reader
+# builds a raw tree by recursion and then resolves it into terms.
 
 
 def oracle_has_redex(trs: TRS, term: Term) -> bool:
@@ -836,3 +843,129 @@ def oracle_chain_from_loop(
             f"chain-verification-failed-at-link-{verdict.failed_index}"
         )
     return witness
+
+
+def oracle_apply(sigma: Substitution, term: Term) -> Term:
+    if isinstance(term, Var):
+        return sigma.get(term)
+    return App(term.sym, tuple(oracle_apply(sigma, a) for a in term.args))
+
+
+@dataclass(frozen=True)
+class _RawTerm:
+    name: str
+    children: tuple["_RawTerm", ...]
+    line: int
+
+
+def _parse_raw_term(ts: _TokenStream) -> _RawTerm:
+    name = ts.take("ident")
+    if ts.head.kind != "lparen":
+        return _RawTerm(name.text, (), name.line)
+    ts.take("lparen")
+    children = [_parse_raw_term(ts)]
+    while ts.head.kind == "comma":
+        ts.take("comma")
+        children.append(_parse_raw_term(ts))
+    ts.take("rparen")
+    return _RawTerm(name.text, tuple(children), name.line)
+
+
+def _resolve(
+    raw: _RawTerm, symbol: Callable[[_RawTerm], Symbol], variables: frozenset[Var]
+) -> Term:
+    """Build the term in one pre-order walk; ``symbol`` names each application's root."""
+    if Var(raw.name) in variables:
+        if raw.children:
+            raise ParseError(f"variable {raw.name!r} used with arguments", raw.line)
+        return Var(raw.name)
+    sym = symbol(raw)
+    return App(sym, tuple(_resolve(c, symbol, variables) for c in raw.children))
+
+
+@_depth_is_bad_input
+def oracle_parse_term(text: str, trs: TRS) -> Term:
+    """Parse a term against the TRS's signature and declared variables."""
+    ts = _TokenStream(_tokenize(text))
+    raw = _parse_raw_term(ts)
+    ts.take("eof")
+
+    def declared(node: _RawTerm) -> Symbol:
+        sym = trs.signature.get(node.name)
+        if sym is None:
+            raise ParseError(f"unknown identifier {node.name!r}", node.line)
+        if sym.arity != len(node.children):
+            raise ParseError(
+                f"symbol {node.name!r} has arity {sym.arity}, applied to {len(node.children)}",
+                node.line,
+            )
+        return sym
+
+    return _resolve(raw, declared, trs.variables)
+
+
+@_depth_is_bad_input
+def oracle_parse_trs(text: str) -> TRS:
+    """Parse a ``(VAR ...)`` / ``(RULES ...)`` system.
+
+    The signature is inferred: every applied identifier gets the arity of
+    its use, bare non-variable identifiers become constants, and
+    inconsistent arities, variables used with arguments, or unknown
+    sections are reported with their line.
+    """
+    ts = _TokenStream(_tokenize(text))
+    var_names: dict[str, int] | None = None
+    raw_rules: list[tuple[_RawTerm, _RawTerm, int]] | None = None
+    while ts.head.kind != "eof":
+        ts.take("lparen")
+        section = ts.take("ident")
+        if section.text == "VAR":
+            if var_names is not None:
+                raise ParseError("duplicate (VAR ...) section", section.line)
+            var_names = {}
+            while ts.head.kind == "ident":
+                tok = ts.take("ident")
+                var_names.setdefault(tok.text, tok.line)
+            ts.take("rparen")
+        elif section.text == "RULES":
+            if raw_rules is not None:
+                raise ParseError("duplicate (RULES ...) section", section.line)
+            raw_rules = []
+            while ts.head.kind != "rparen":
+                lhs = _parse_raw_term(ts)
+                ts.take("arrow")
+                rhs = _parse_raw_term(ts)
+                raw_rules.append((lhs, rhs, lhs.line))
+            ts.take("rparen")
+        else:
+            raise ParseError(f"unknown section {section.text!r}", section.line)
+    if raw_rules is None:
+        raise ParseError("missing (RULES ...) section")
+    variables = frozenset(Var(n) for n in var_names or {})
+
+    inferred: dict[str, tuple[Symbol, int]] = {}  # name -> (symbol, first line)
+
+    def infer(node: _RawTerm) -> Symbol:
+        seen = inferred.get(node.name)
+        if seen is None:
+            seen = inferred[node.name] = (Symbol(node.name, len(node.children)), node.line)
+        elif seen[0].arity != len(node.children):
+            raise ParseError(
+                f"symbol {node.name!r} used with arity {len(node.children)} "
+                f"but with arity {seen[0].arity} on line {seen[1]}",
+                node.line,
+            )
+        return seen[0]
+
+    sides = [
+        (_resolve(lhs, infer, variables), _resolve(rhs, infer, variables), line)
+        for lhs, rhs, line in raw_rules
+    ]
+    rules = []
+    for index, (lhs, rhs, line) in enumerate(sides):
+        try:
+            rules.append(Rule(lhs, rhs, index))
+        except RuleRestrictionError as err:
+            raise RuleRestrictionError(f"line {line}: {err}") from None
+    signature = Signature(tuple(sym for sym, _ in inferred.values()))
+    return TRS(signature, variables, tuple(rules))

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdp import (
+    App,
     ChainWitness,
     DepPairAlt,
     InvalidDepPairError,
@@ -10,8 +13,14 @@ from rdp import (
     Pvs0Error,
     RelationMode,
     RuleRestrictionError,
+    Signature,
     Substitution,
+    Symbol,
+    Term,
+    Var,
+    dep_pairs_alt,
     format_trs,
+    match,
     normalize,
     parse_chain_witness,
     parse_pvs0_program,
@@ -20,12 +29,39 @@ from rdp import (
     parse_trs,
     parse_value,
     program_to_json,
+    term_to_str,
     trace_to_json,
+    vars_of,
     witness_to_json,
 )
-from rdp.formats import parse_substitution, pvs0_expr_to_str, substitution_to_json
+from rdp.formats import _tokenize, parse_substitution, pvs0_expr_to_str, substitution_to_json
+from rdp.rewriting import TRS
 
-from helpers import S1, X, Y, Z0, ack, ack_system, ap, hg_system, nat
+from helpers import (
+    A2,
+    C0,
+    F1,
+    G2,
+    S1,
+    X,
+    Y,
+    Z0,
+    ack,
+    ack_system,
+    ap,
+    detour_system,
+    eq_system,
+    grow_system,
+    growing_wrap_system,
+    hg_system,
+    loop_system,
+    nat,
+    nest_system,
+    oracle_apply,
+    oracle_parse_term,
+    oracle_parse_trs,
+    terms_over,
+)
 
 
 # --- TRS files -------------------------------------------------------------
@@ -118,18 +154,184 @@ def test_parse_term_errors():
 
 
 def test_input_too_deep_to_read_is_a_parse_error():
+    """JSON nested deeper than its reader reaches is a ParseError; terms and
+    systems are read at any depth."""
     deep = "s(" * 2000 + "0" + ")" * 2000
-    with pytest.raises(ParseError, match="nested too deeply to read"):
-        parse_term(deep, ack_system())
-    with pytest.raises(ParseError, match="nested too deeply to read"):
-        parse_trs(f"(RULES f -> {deep})")
+    assert parse_term(deep, ack_system()) == nat(2000)
+    assert parse_trs(f"(RULES f -> {deep})").rules[0].rhs == nat(2000)
     deep_body = '["rec", ' * 3000 + '["vr"]' + "]" * 3000
     with pytest.raises(ParseError, match="nested too deeply to read"):
         parse_pvs0_program(
             f'{{"width": 1, "false_val": [0], "top_val": [1], "body": {deep_body}}}'
         )
+    # Deeper than json.loads reads on every supported Python, 3.13 included.
     with pytest.raises(ParseError, match="nested too deeply to read"):
-        parse_chain_witness('{"entries": ' + "[" * 5000 + "]" * 5000 + "}", ack_system())
+        parse_chain_witness('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}", ack_system())
+
+
+def test_terms_and_systems_of_any_depth_read_and_work():
+    """A term and a right-hand side 100,000 levels deep are read, and then
+    hashed, compared, matched, instantiated and searched for pairs."""
+    n = 100_000
+    term = parse_term("s(" * n + "0" + ")" * n, ack_system())
+    trs = parse_trs("(VAR x)\n(RULES\n  f(x) -> " + "s(" * n + "f(x)" + ")" * n + "\n)")
+    rhs = trs.rules[0].rhs
+    assert hash(term) == hash(nat(n)) and term == nat(n)
+    built = ap(Symbol("f", 1), nat(2))
+    for _ in range(n):
+        built = ap(S1, built)
+    sigma = Substitution({X: nat(2)})
+    assert sigma.apply(rhs) == built and hash(sigma.apply(rhs)) == hash(built)
+    assert match(rhs, built) == sigma
+    assert match(rhs, term) is None
+    assert vars_of(rhs) == {X} and vars_of(term) == frozenset()
+    assert dep_pairs_alt(trs) == [DepPairAlt(0, (1,) * n)]
+
+
+def test_var_section_may_follow_the_rules():
+    assert parse_trs("(RULES\n  f(x) -> x\n)\n(VAR x)") == parse_trs("(VAR x)\n(RULES f(x) -> x)")
+
+
+# --- the one-pass reader against the two-pass oracle -----------------------
+
+# Names that the signatures below also use as symbols: declaring one of them
+# a variable makes its applications variables used with arguments.
+VAR_NAMES = ("x", "y", "f", "s")
+READ_SIGNATURE = Signature((A2, S1, Z0, F1, G2, C0))
+READ_TERMS = terms_over([A2, S1, Z0, F1, G2], max_leaves=12)
+
+
+def _tower(term: Term, depth: int) -> str:
+    """``s^depth(term)`` as text, printed without the recursive printer."""
+    return "s(" * depth + term_to_str(term) + ")" * depth
+
+
+@st.composite
+def term_inputs(draw):
+    """A term's text (up to about 320 levels) and a system declaring some of
+    ``VAR_NAMES`` as variables."""
+    text = _tower(draw(READ_TERMS), draw(st.integers(0, 300)))
+    names = draw(st.sets(st.sampled_from(VAR_NAMES)))
+    return text, TRS(READ_SIGNATURE, frozenset(Var(n) for n in names), ())
+
+
+@st.composite
+def trs_texts(draw):
+    """A system's text: random rules, mostly well formed, the first as deep as
+    about 320 levels, with a ``(VAR ...)`` section before, after or absent."""
+    rules = []
+    depth = draw(st.integers(0, 300))
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = draw(READ_TERMS.filter(lambda t: isinstance(t, App)))
+        rhs = draw(READ_TERMS)
+        invented = vars_of(rhs) - vars_of(lhs)
+        if draw(st.booleans()):
+            rhs = oracle_apply(Substitution({v: ap(C0) for v in invented}), rhs)
+        rules.append(f"{term_to_str(lhs)} -> {_tower(rhs, depth)}")
+        depth = 0
+    section = "(RULES\n" + "\n".join(rules) + "\n)"
+    names = draw(st.lists(st.sampled_from(VAR_NAMES), max_size=3))
+    var = "(VAR " + " ".join(names) + ")"
+    where = draw(st.sampled_from(("before", "after", "absent")))
+    text = {"before": f"{var}\n{section}", "after": f"{section}\n{var}", "absent": section}
+    return text[where]
+
+
+def _read(read, *args):
+    """What ``read`` returns, or None if it rejects the input.  Which of two
+    faults is reported first may differ between the readers, so the class
+    of the error is not compared."""
+    try:
+        return read(*args)
+    except (ParseError, RuleRestrictionError):
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=term_inputs())
+def test_reader_agrees_with_the_two_pass_reader_on_terms(case):
+    text, trs = case
+    assert _read(parse_term, text, trs) == _read(oracle_parse_term, text, trs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=trs_texts())
+def test_reader_agrees_with_the_two_pass_reader_on_systems(text):
+    assert _read(parse_trs, text) == _read(oracle_parse_trs, text)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [ack_system, loop_system, hg_system, grow_system, nest_system, growing_wrap_system,
+     detour_system, eq_system],
+)
+def test_reader_agrees_with_the_two_pass_reader_on_the_hand_built_systems(system):
+    text = format_trs(system())
+    assert parse_trs(text) == oracle_parse_trs(text) == system()
+
+
+def _broken(text: str, draw) -> str:
+    """``text`` with one token dropped, duplicated or swapped with the next."""
+    tokens = [tok.text for tok in _tokenize(text)[:-1]]
+    i = draw(st.integers(0, len(tokens) - 1))
+    edit = draw(st.sampled_from(("drop", "duplicate", "swap")))
+    if edit == "drop":
+        del tokens[i]
+    elif edit == "duplicate":
+        tokens.insert(i, tokens[i])
+    elif i + 1 < len(tokens):
+        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    return " ".join(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=term_inputs(), data=st.data())
+def test_reader_rejects_broken_terms_exactly_when_the_two_pass_reader_does(case, data):
+    text, trs = case
+    text = _broken(text, data.draw)
+    assert _read(parse_term, text, trs) == _read(oracle_parse_term, text, trs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=trs_texts(), data=st.data())
+def test_reader_rejects_broken_systems_exactly_when_the_two_pass_reader_does(text, data):
+    text = _broken(text, data.draw)
+    assert _read(parse_trs, text) == _read(oracle_parse_trs, text)
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        ("term", "b"),
+        ("term", "s(0, 0)"),
+        ("term", "x(0)"),
+        ("term", "a(0, 0) a"),
+        ("term", "a(0,\n s(0)"),
+        ("trs", "(VAR x)\n(RULES\n  f(x) -> x\n  f(x, x) -> x\n)"),
+        ("trs", "(VAR x)\n(RULES x(x) -> x)"),
+        ("trs", "(VAR x)\n(RULES x -> x)"),
+        ("trs", "(VAR x y)\n(RULES f(x) -> y)"),
+        ("trs", "(RULES\n  f(x) -> y\n)\n(VAR x y)"),
+        ("trs", "(FOO x)\n(RULES a -> a)"),
+        ("trs", "(VAR x)\n(VAR y)\n(RULES f(x) -> x)"),
+        ("trs", "(RULES a -> a)\n(RULES b -> b)"),
+        ("trs", "(VAR x)"),
+        ("trs", "(VAR x)\n(RULES f(x) -> x #)"),
+        ("trs", "(VAR x)\n(RULES f(x) -> \n)"),
+    ],
+)
+def test_reader_reports_a_single_fault_as_the_two_pass_reader_does(read, text):
+    """One fault: the same error class, message and line."""
+    new, oracle = {
+        "term": (lambda t: parse_term(t, ack_system()), lambda t: oracle_parse_term(t, ack_system())),
+        "trs": (parse_trs, oracle_parse_trs),
+    }[read]
+    with pytest.raises((ParseError, RuleRestrictionError)) as expected:
+        oracle(text)
+    with pytest.raises(type(expected.value)) as found:
+        new(text)
+    assert str(found.value) == str(expected.value)
+    assert getattr(found.value, "line", None) == getattr(expected.value, "line", None)
 
 
 # --- substitutions ---------------------------------------------------------

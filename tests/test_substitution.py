@@ -1,9 +1,28 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdp import EMPTY_SUBSTITUTION, Substitution, Var, is_normal_substitution, match
 
-from helpers import X, Y, Z0, ack, ack_system, ack_terms, ap, ground_ack_terms, nat
+from helpers import (
+    A2,
+    F1,
+    G2,
+    S1,
+    X,
+    Y,
+    Z0,
+    ack,
+    ack_system,
+    ack_terms,
+    ap,
+    ground_ack_terms,
+    nat,
+    oracle_apply,
+    terms_over,
+)
+
+TERMS = terms_over([A2, S1, Z0, F1, G2], max_leaves=12)
 
 
 def test_identity_bindings_are_dropped():
@@ -18,6 +37,19 @@ def test_apply():
     assert sigma.apply(Var("z")) == Var("z")
     assert sigma.get(X) == nat(1)
     assert sigma.get(Var("z")) == Var("z")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    term=TERMS,
+    depth=st.integers(0, 300),
+    bindings=st.dictionaries(st.sampled_from([X, Y, Var("z")]), TERMS, max_size=3),
+)
+def test_apply_agrees_with_the_recursive_definition(term, depth, bindings):
+    for _ in range(depth):
+        term = ap(S1, term)
+    sigma = Substitution(bindings)
+    assert sigma.apply(term) == oracle_apply(sigma, term)
 
 
 def test_restrict():

@@ -16,7 +16,7 @@ from rdp import (
     term_to_str,
     vars_of,
 )
-from rdp.terms import subterms_of, symbols_of, vars_in_order
+from rdp.terms import iter_vars, subterms_of, symbols_of, vars_in_order
 
 from helpers import (
     A2,
@@ -205,6 +205,19 @@ def test_subterms_of_matches_positions():
         ((1, 1), X),
         ((2,), ap(Z0)),
     ]
+
+
+@given(TERMS)
+def test_the_walk_lists_every_subterm_once_in_pre_order(t):
+    pairs = list(subterms_of(t))
+    positions = [pos for pos, _ in pairs]
+    assert positions == sorted(set(positions))
+    for pos, sub in pairs:
+        assert subterm_at(t, pos) == sub
+        if isinstance(sub, App):
+            assert all(pos + (i,) in positions for i in range(1, len(sub.args) + 1))
+    assert list(iter_vars(t)) == [sub for _, sub in pairs if isinstance(sub, Var)]
+    assert symbols_of(t) == {sub.sym for _, sub in pairs if isinstance(sub, App)}
 
 
 def test_symbols_of():
