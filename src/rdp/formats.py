@@ -2,17 +2,17 @@
 
 TRS files use a TPDB-flavored syntax: a ``(VAR x y)`` section declaring
 variables and a ``(RULES l -> r ...)`` section, in either order.  The
-signature is inferred from use, with a consistent-arity check.  Terms are
-read at any depth, in one pass with an explicit stack.  Chain witnesses,
-programs, and traces travel as JSON.  Every parse(print(x)) round-trips.
+signature is inferred from use, with a consistent-arity check.  Terms and
+programs are read at any depth, with explicit stacks.  Chain witnesses,
+programs, and traces travel as JSON; the depth limit of the one
+``json.loads`` call is the only one.  Every parse(print(x)) round-trips.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-from dataclasses import dataclass
-from typing import Any, Callable
+import reprlib
+from typing import Any, Callable, NamedTuple
 
 from .dependency_pairs import ChainWitness, DepPairAlt, require_dep_pair
 from .pvs0 import (
@@ -22,7 +22,6 @@ from .pvs0 import (
     GConst,
     GIf,
     GMonus,
-    GScalar,
     GTuple,
     GValue,
     Ite,
@@ -33,6 +32,10 @@ from .pvs0 import (
     Pvs0Program,
     Rec,
     Vr,
+    _KID_SORTS,
+    _LEAVES,
+    _SORT,
+    _fold,
 )
 from .rewriting import (
     DerivationTrace,
@@ -64,15 +67,14 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _depth_is_bad_input(parse: Callable) -> Callable:
-    """Report JSON nested deeper than the recursive reader reaches as a ParseError."""
-    @functools.wraps(parse)
-    def guarded(*args: Any) -> Any:
-        try:
-            return parse(*args)
-        except RecursionError:
-            raise ParseError("nested too deeply to read") from None
-    return guarded
+def _load_json(text: str, what: str) -> Any:
+    """The one JSON read; the decoder's own depth limit is the only one."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"malformed {what} JSON: {err}") from None
+    except RecursionError:
+        raise ParseError("nested too deeply to read") from None
 
 
 def _is_int(value: Any) -> bool:
@@ -102,8 +104,7 @@ def _position_field(data: Any) -> Position:
 _PUNCT = {"(": "lparen", ")": "rparen", ",": "comma"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # lparen rparen comma arrow ident eof
     text: str
     line: int
@@ -350,14 +351,10 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
 # --- chain witnesses -------------------------------------------------------
 
 
-@_depth_is_bad_input
 def parse_chain_witness(text: str, trs: TRS) -> ChainWitness:
     """Parse and validate a witness: each entry must name a dependency pair
     of ``trs`` and bind only declared variables to well-formed terms."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"malformed witness JSON: {err}") from None
+    data = _load_json(text, "witness")
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ParseError('witness must be an object with an "entries" list')
     entries = []
@@ -392,77 +389,72 @@ def witness_to_json(witness: ChainWitness) -> dict:
 # --- programs --------------------------------------------------------------
 
 
-def _node(data: Any, what: str) -> list:
-    if not isinstance(data, list) or not data or not isinstance(data[0], str):
-        raise ParseError(f"malformed {what} node: {data!r}")
-    return data
+# A node is [tag, *its other fields, *its subtrees], except that a constant's
+# value is one list, a tuple's items follow its tag, and a conditional's
+# comparison and its operands are one list, [cmp, left, right].
+_TAGS = {
+    Cnst: "cnst", Vr: "vr", Op1: "op1", Op2: "op2", Rec: "rec", Ite: "ite",
+    GConst: "const", GComp: "comp", GAdd: "add", GMonus: "monus", GTuple: "tuple", GIf: "if",
+}
+_WHAT = {"expression": "expression", "scalar": "guard scalar", "value": "guard value"}
+# (tag, sort) -> the class, its number of other fields and its subtrees' sorts.
+_LAYOUT = {
+    (tag, _SORT[cls]): (cls, len(_LEAVES[cls]), _KID_SORTS[cls]) for cls, tag in _TAGS.items()
+}
+_SPECIAL = {None, Cnst, GTuple, GIf}  # laid out otherwise, or no node at all
 
 
-def _parse_gscalar(data: Any) -> GScalar:
-    node = _node(data, "guard scalar")
-    tag, *rest = node
-    if tag == "const" and len(rest) == 1 and _is_int(rest[0]):
-        return GConst(rest[0])
-    if tag == "comp" and len(rest) == 2 and all(_is_int(x) for x in rest):
-        return GComp(rest[0], rest[1])
-    if tag == "add" and len(rest) == 2:
-        return GAdd(_parse_gscalar(rest[0]), _parse_gscalar(rest[1]))
-    if tag == "monus" and len(rest) == 2:
-        return GMonus(_parse_gscalar(rest[0]), _parse_gscalar(rest[1]))
-    raise ParseError(f"malformed guard scalar node: {data!r}")
+def _read_tree(data: Any, sort: str, false_val: tuple = (), top_val: tuple = ()) -> Any:
+    """Read a program expression (``sort`` "expression") or an operator body
+    ("value") on one explicit stack; ``["bottom"]`` and ``["top"]`` are the
+    tuples of ``false_val`` and ``top_val``.  Each node is checked when it is
+    reached, in pre-order, and built once its subtrees are."""
+    built: list = []
+    # JSON to read, with the sort wanted there, and (class, fields, count) to build, with None.
+    todo, wants = [data], [sort]
+    while todo:
+        data, sort = todo.pop(), wants.pop()
+        if sort is None:
+            cls, leaves, count = data
+            cut = len(built) - count
+            kids = built[cut:]
+            built[cut:] = [cls(*leaves, tuple(kids)) if cls is GTuple else cls(*leaves, *kids)]
+            continue
+        tag = data[0] if isinstance(data, list) and data and isinstance(data[0], str) else None
+        if sort == "value" and tag in ("bottom", "top") and len(data) == 1:
+            built.append(GTuple(tuple(map(GConst, false_val if tag == "bottom" else top_val))))
+            continue
+        cls, n, sorts = _LAYOUT.get((tag, sort), (None, 0, ()))
+        leaves = data[1 : n + 1] if cls is not None else ()
+        if cls not in _SPECIAL and len(data) == 1 + n + len(sorts) and (
+            not n or all(map(_is_int, leaves))
+        ):
+            kids = data[n + 1 :]
+        elif cls is GTuple:
+            leaves, kids, sorts = (), data[1:], sorts * (len(data) - 1)
+        elif cls is GIf and len(data) == 4:
+            cmp = data[1]
+            if not isinstance(cmp, list) or len(cmp) != 3 or not isinstance(cmp[0], str):
+                raise ParseError(f"malformed comparison node: {reprlib.repr(cmp)}")
+            leaves, kids = cmp[:1], [cmp[1], cmp[2], data[2], data[3]]
+        elif cls is Cnst and len(data) == 2 and isinstance(data[1], list):
+            if not all(_is_int(c) and c >= 0 for c in data[1]):
+                raise ParseError(f"constant must be a list of naturals: {reprlib.repr(data[1])}")
+            leaves, kids = (tuple(data[1]),), ()
+        else:
+            raise ParseError(f"malformed {_WHAT[sort]} node: {reprlib.repr(data)}")
+        if kids or cls is GTuple:
+            todo += [(cls, leaves, len(kids)), *reversed(kids)]
+            wants += [None, *reversed(sorts)]
+        else:
+            built.append(cls(*leaves))
+    return built[0]
 
 
-def _parse_gvalue(data: Any, false_val: tuple, top_val: tuple) -> GValue:
-    node = _node(data, "guard value")
-    tag, *rest = node
-    if tag == "tuple":
-        return GTuple(tuple(_parse_gscalar(item) for item in rest))
-    if tag == "bottom" and not rest:
-        return GTuple(tuple(GConst(c) for c in false_val))
-    if tag == "top" and not rest:
-        return GTuple(tuple(GConst(c) for c in top_val))
-    if tag == "if" and len(rest) == 3:
-        cmp_node = _node(rest[0], "comparison")
-        if len(cmp_node) != 3:
-            raise ParseError(f"malformed comparison node: {rest[0]!r}")
-        return GIf(
-            cmp_node[0],
-            _parse_gscalar(cmp_node[1]),
-            _parse_gscalar(cmp_node[2]),
-            _parse_gvalue(rest[1], false_val, top_val),
-            _parse_gvalue(rest[2], false_val, top_val),
-        )
-    raise ParseError(f"malformed guard value node: {data!r}")
-
-
-def _parse_pexpr(data: Any) -> Pvs0Expr:
-    node = _node(data, "expression")
-    tag, *rest = node
-    if tag == "cnst" and len(rest) == 1 and isinstance(rest[0], list):
-        if not all(_is_int(c) and c >= 0 for c in rest[0]):
-            raise ParseError(f"constant must be a list of naturals: {rest[0]!r}")
-        return Cnst(tuple(rest[0]))
-    if tag == "vr" and not rest:
-        return Vr()
-    if tag == "op1" and len(rest) == 2 and _is_int(rest[0]):
-        return Op1(rest[0], _parse_pexpr(rest[1]))
-    if tag == "op2" and len(rest) == 3 and _is_int(rest[0]):
-        return Op2(rest[0], _parse_pexpr(rest[1]), _parse_pexpr(rest[2]))
-    if tag == "rec" and len(rest) == 1:
-        return Rec(_parse_pexpr(rest[0]))
-    if tag == "ite" and len(rest) == 3:
-        return Ite(*(_parse_pexpr(r) for r in rest))
-    raise ParseError(f"malformed expression node: {data!r}")
-
-
-@_depth_is_bad_input
 def parse_pvs0_program(text: str) -> Pvs0Program:
     """Parse a program file.  Shape errors raise ParseError; width and
     guard-bound violations surface as the evaluator's own error type."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"malformed program JSON: {err}") from None
+    data = _load_json(text, "program")
     if not isinstance(data, dict):
         raise ParseError("program must be a JSON object")
     try:
@@ -480,76 +472,38 @@ def parse_pvs0_program(text: str) -> Pvs0Program:
     for name, bank in (("o1", raw_o1), ("o2", raw_o2)):
         if not isinstance(bank, list):
             raise ParseError(f"malformed program: {name} must be a list, got {bank!r}")
-    o1 = tuple(
-        OperatorDef(1, _parse_gvalue(raw, false_val, top_val)) for raw in raw_o1
-    )
-    o2 = tuple(
-        OperatorDef(2, _parse_gvalue(raw, false_val, top_val)) for raw in raw_o2
-    )
-    return Pvs0Program(width, false_val, top_val, o1, o2, _parse_pexpr(raw_body))
+    o1 = tuple(OperatorDef(1, _read_tree(raw, "value", false_val, top_val)) for raw in raw_o1)
+    o2 = tuple(OperatorDef(2, _read_tree(raw, "value", false_val, top_val)) for raw in raw_o2)
+    return Pvs0Program(width, false_val, top_val, o1, o2, _read_tree(raw_body, "expression"))
 
 
-def _gscalar_to_json(e: GScalar) -> list:
-    if isinstance(e, GConst):
-        return ["const", e.value]
-    if isinstance(e, GComp):
-        return ["comp", e.arg, e.component]
-    if isinstance(e, GAdd):
-        return ["add", _gscalar_to_json(e.left), _gscalar_to_json(e.right)]
-    return ["monus", _gscalar_to_json(e.left), _gscalar_to_json(e.right)]
+def pvs0_expr_to_json(e: Pvs0Expr | GValue) -> list:
+    """A program expression or an operator body as JSON."""
 
+    def encode(node: Any, kids: list) -> list:
+        cls = node.__class__
+        if cls is Cnst:
+            return ["cnst", list(node.value)]
+        if cls is GIf:
+            return ["if", [node.cmp, kids[0], kids[1]], kids[2], kids[3]]
+        if cls not in _TAGS:
+            raise ValueError(f"not a program expression: {node!r}")
+        return [_TAGS[cls], *[getattr(node, name) for name in _LEAVES[cls]], *kids]
 
-def _gvalue_to_json(e: GValue) -> list:
-    if isinstance(e, GTuple):
-        return ["tuple", *(_gscalar_to_json(item) for item in e.items)]
-    return [
-        "if",
-        [e.cmp, _gscalar_to_json(e.left), _gscalar_to_json(e.right)],
-        _gvalue_to_json(e.then),
-        _gvalue_to_json(e.orelse),
-    ]
-
-
-def pvs0_expr_to_json(e: Pvs0Expr) -> list:
-    match e:
-        case Cnst(value):
-            return ["cnst", list(value)]
-        case Vr():
-            return ["vr"]
-        case Op1(index, arg):
-            return ["op1", index, pvs0_expr_to_json(arg)]
-        case Op2(index, left, right):
-            return ["op2", index, pvs0_expr_to_json(left), pvs0_expr_to_json(right)]
-        case Rec(arg):
-            return ["rec", pvs0_expr_to_json(arg)]
-        case Ite(cond, then, orelse):
-            return [
-                "ite",
-                pvs0_expr_to_json(cond),
-                pvs0_expr_to_json(then),
-                pvs0_expr_to_json(orelse),
-            ]
-    raise ValueError(f"not a program expression: {e!r}")
+    return _fold(e, encode)
 
 
 def pvs0_expr_to_str(e: Pvs0Expr) -> str:
-    match e:
-        case Cnst(value):
-            return "(" + ",".join(str(c) for c in value) + ")"
-        case Vr():
-            return "vr"
-        case Op1(index, arg):
-            return f"op1({index}, {pvs0_expr_to_str(arg)})"
-        case Op2(index, left, right):
-            return f"op2({index}, {pvs0_expr_to_str(left)}, {pvs0_expr_to_str(right)})"
-        case Rec(arg):
-            return f"rec({pvs0_expr_to_str(arg)})"
-        case Ite(cond, then, orelse):
-            return (
-                f"ite({pvs0_expr_to_str(cond)}, {pvs0_expr_to_str(then)}, "
-                f"{pvs0_expr_to_str(orelse)})"
-            )
-    raise ValueError(f"not a program expression: {e!r}")
+    def show(node: Any, kids: list[str]) -> str:
+        cls = node.__class__
+        if cls is Cnst:
+            return "(" + ",".join(str(c) for c in node.value) + ")"
+        if _SORT.get(cls) != "expression":
+            raise ValueError(f"not a program expression: {node!r}")
+        parts = [*[str(getattr(node, name)) for name in _LEAVES[cls]], *kids]
+        return f"{_TAGS[cls]}({', '.join(parts)})" if parts else _TAGS[cls]
+
+    return _fold(e, show)
 
 
 def program_to_json(program: Pvs0Program) -> dict:
@@ -557,8 +511,8 @@ def program_to_json(program: Pvs0Program) -> dict:
         "width": program.width,
         "false_val": list(program.false_val),
         "top_val": list(program.top_val),
-        "o1": [_gvalue_to_json(d.body) for d in program.o1],
-        "o2": [_gvalue_to_json(d.body) for d in program.o2],
+        "o1": [pvs0_expr_to_json(d.body) for d in program.o1],
+        "o2": [pvs0_expr_to_json(d.body) for d in program.o2],
         "body": pvs0_expr_to_json(program.body),
     }
 

@@ -19,13 +19,16 @@ Operator bodies live in a separate guard language (component accessors,
 natural constants, addition, truncated subtraction, comparisons,
 tuple construction) that always terminates and cannot recurse.  Each
 operator is checked, sorts included, and compiled once, when it is built.
+Trees of both languages are folded, walked, compared and hashed on
+explicit stacks, from one table of each class's subtrees, so any depth
+works; only evaluating a guard calls one closure per nesting level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import eq, le, lt
+from operator import attrgetter, eq, le, lt
 from typing import Callable, Iterator, Union
 
 from .dependency_pairs import DepPairAlt, to_standard
@@ -44,36 +47,63 @@ class Pvs0Error(ValueError):
 # --- program expressions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cnst:
+class _Node:
+    """The base of the node classes of both languages.  Equality and hash read
+    the whole tree's pre-order key off one explicit stack, so they work at any
+    depth and mean what field-by-field comparison means."""
+
+    def _key(self) -> tuple:
+        key, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            cls = node.__class__
+            if cls not in _LEAVES:  # not a node: compared as a value
+                key.append(node)
+                continue
+            kids = _KIDS[cls](node) if cls in _KIDS else ()
+            key.append((cls, len(kids), *[getattr(node, name) for name in _LEAVES[cls]]))
+            stack += reversed(kids)
+        return tuple(key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Cnst(_Node):
     value: Value
 
 
-@dataclass(frozen=True)
-class Vr:
+@dataclass(frozen=True, eq=False)
+class Vr(_Node):
     """The input variable of the program body."""
 
 
-@dataclass(frozen=True)
-class Op1:
+@dataclass(frozen=True, eq=False)
+class Op1(_Node):
     index: int
     arg: "Pvs0Expr"
 
 
-@dataclass(frozen=True)
-class Op2:
+@dataclass(frozen=True, eq=False)
+class Op2(_Node):
     index: int
     left: "Pvs0Expr"
     right: "Pvs0Expr"
 
 
-@dataclass(frozen=True)
-class Rec:
+@dataclass(frozen=True, eq=False)
+class Rec(_Node):
     arg: "Pvs0Expr"
 
 
-@dataclass(frozen=True)
-class Ite:
+@dataclass(frozen=True, eq=False)
+class Ite(_Node):
     cond: "Pvs0Expr"
     then: "Pvs0Expr"
     orelse: "Pvs0Expr"
@@ -85,27 +115,27 @@ Pvs0Expr = Union[Cnst, Vr, Op1, Op2, Rec, Ite]
 # --- guard language for operator bodies ------------------------------------
 
 
-@dataclass(frozen=True)
-class GConst:
+@dataclass(frozen=True, eq=False)
+class GConst(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class GComp:
+@dataclass(frozen=True, eq=False)
+class GComp(_Node):
     """Component ``component`` (0-based) of argument ``arg`` (0-based)."""
 
     arg: int
     component: int
 
 
-@dataclass(frozen=True)
-class GAdd:
+@dataclass(frozen=True, eq=False)
+class GAdd(_Node):
     left: "GScalar"
     right: "GScalar"
 
 
-@dataclass(frozen=True)
-class GMonus:
+@dataclass(frozen=True, eq=False)
+class GMonus(_Node):
     """Truncated subtraction: clamps at 0."""
 
     left: "GScalar"
@@ -115,13 +145,13 @@ class GMonus:
 GScalar = Union[GConst, GComp, GAdd, GMonus]
 
 
-@dataclass(frozen=True)
-class GTuple:
+@dataclass(frozen=True, eq=False)
+class GTuple(_Node):
     items: tuple[GScalar, ...]
 
 
-@dataclass(frozen=True)
-class GIf:
+@dataclass(frozen=True, eq=False)
+class GIf(_Node):
     """Branch on a scalar comparison; ``cmp`` is one of lt, le, eq."""
 
     cmp: str
@@ -137,17 +167,71 @@ class GIf:
 
 GValue = Union[GTuple, GIf]
 
+# Each node class's subtrees, in order: the field that holds each and the sort
+# it must have.  A GTuple's one field holds a tuple of them.
+_E, _S, _V = "expression", "scalar", "value"
+_SUBTREES: dict[type, tuple[tuple[str, str], ...]] = {
+    Cnst: (), Vr: (), Op1: (("arg", _E),), Rec: (("arg", _E),),
+    Op2: (("left", _E), ("right", _E)), Ite: (("cond", _E), ("then", _E), ("orelse", _E)),
+    GConst: (), GComp: (), GAdd: (("left", _S), ("right", _S)),
+    GMonus: (("left", _S), ("right", _S)), GTuple: (("items", _S),),
+    GIf: (("left", _S), ("right", _S), ("then", _V), ("orelse", _V)),
+}
+
+
+def _getter(cls: type) -> Callable[[_Node], tuple]:
+    names = [name for name, _ in _SUBTREES[cls]]
+    get = attrgetter(*names)
+    return get if len(names) > 1 or cls is GTuple else lambda node: (get(node),)
+
+
+# Derived per class: its subtrees' reader (if it has any) and sorts, its other fields, its sort.
+_KIDS = {cls: _getter(cls) for cls, subtrees in _SUBTREES.items() if subtrees}
+_KID_SORTS = {cls: tuple(sort for _, sort in subtrees) for cls, subtrees in _SUBTREES.items()}
+_LEAVES = {
+    cls: tuple(f.name for f in fields(cls) if f.name not in dict(subtrees))
+    for cls, subtrees in _SUBTREES.items()
+}
+_SORT = dict.fromkeys(Pvs0Expr.__args__, _E) | dict.fromkeys(GScalar.__args__, _S)
+_SORT |= dict.fromkeys(GValue.__args__, _V)
+
+
+def _fold(root: object, combine: Callable, sort: str | None = None):
+    """Fold a tree bottom-up on one explicit stack: ``combine(node, values)``
+    gets the values of the node's subtrees, in order, and a leaf is combined
+    as soon as it is reached (so in pre-order).  Given the root's ``sort``,
+    each node is checked on the way down to have the sort its place wants."""
+    values: list = []
+    # Nodes to reach, with the sort wanted there, and to combine, with their subtree count.
+    nodes, wants = [root], [sort]
+    while nodes:
+        node, want = nodes.pop(), wants.pop()
+        if want.__class__ is int:
+            cut = len(values) - want
+            values[cut:] = [combine(node, values[cut:])]
+            continue
+        cls = node.__class__
+        if sort is not None and _SORT.get(cls) != want:
+            raise Pvs0Error(f"not a {want} guard expression: {node!r}")
+        kids = _KIDS[cls](node) if cls in _KIDS else ()
+        if kids:
+            nodes += [node, *reversed(kids)]
+            wants += [len(kids), *reversed(_KID_SORTS[cls] * (len(kids) if cls is GTuple else 1))]
+        else:
+            values.append(combine(node, []))
+    return values[0]
+
 
 @dataclass(frozen=True)
 class OperatorDef:
     """An operator body, checked (sorts included) and compiled once, here.
 
-    One pass over the body checks that constants are naturals, argument
-    indices are below the arity, component indices are not negative, and
-    each node is a scalar or a value where one belongs.  It leaves ``_run``,
-    the body as a closure over the argument tuple, and two facts for the
-    program's width check: ``_widths``, the tuple widths the body can
-    return, and ``_reads``, one more than the largest component it reads.
+    One fold over the body checks, in pre-order, that each node is a scalar
+    or a value where one belongs, constants are naturals, argument indices
+    are below the arity and component indices are not negative.  It leaves
+    ``_run``, the body as a closure over the argument tuple, and two facts
+    for the program's width check: ``_widths``, the tuple widths the body
+    can return, and ``_reads``, one more than the largest component it reads.
     """
 
     arity: int
@@ -159,11 +243,10 @@ class OperatorDef:
     def __post_init__(self) -> None:
         arity, widths, reads = self.arity, set(), 0
 
-        def build(node: GValue | GScalar, want: str) -> Callable:
+        def build(node: GValue | GScalar, kids: list[Callable]) -> Callable:
+            """The node as a closure over the arguments; each call binds its own operands."""
             nonlocal reads
             cls = node.__class__
-            if _SORT.get(cls) != want:
-                raise Pvs0Error(f"not a {want} guard expression: {node!r}")
             if cls is GConst:
                 k = node.value
                 if k < 0:
@@ -178,27 +261,22 @@ class OperatorDef:
                 reads = max(reads, c + 1)
                 return lambda args: args[a][c]
             if cls is GTuple:
-                items = [build(item, "scalar") for item in node.items]
-                widths.add(len(items))
-                return lambda args: tuple([f(args) for f in items])
-            left, right = build(node.left, "scalar"), build(node.right, "scalar")
+                widths.add(len(kids))
+                return lambda args: tuple([f(args) for f in kids])
+            left, right = kids[0], kids[1]
             if cls is GAdd:
                 return lambda args: left(args) + right(args)
             if cls is GMonus:
                 return lambda args: max(left(args) - right(args), 0)
-            test = _COMPARE[node.cmp]
-            then, orelse = build(node.then, "value"), build(node.orelse, "value")
+            test, then, orelse = _COMPARE[node.cmp], kids[2], kids[3]
             return lambda args: then(args) if test(left(args), right(args)) else orelse(args)
 
-        run = build(self.body, "value")
+        run = _fold(self.body, build, _V)
         for name, fact in (("_run", run), ("_widths", frozenset(widths)), ("_reads", reads)):
             object.__setattr__(self, name, fact)
 
     def __reduce__(self):  # closures do not pickle: rebuild from the body
         return OperatorDef, (self.arity, self.body)
-
-
-_SORT = dict.fromkeys(GScalar.__args__, "scalar") | dict.fromkeys(GValue.__args__, "value")
 
 
 def _walk(body: Pvs0Expr) -> Iterator[tuple[Pvs0Expr, list[tuple]]]:
@@ -216,26 +294,23 @@ def _walk(body: Pvs0Expr) -> Iterator[tuple[Pvs0Expr, list[tuple]]]:
         if step is not None:
             path.append(step)
         yield expr, path
-        depth = len(path)
-        if isinstance(expr, (Op1, Rec)):
-            stack.append((expr.arg, depth, (1, None)))
-        elif isinstance(expr, Op2):
-            stack += [(expr.right, depth, (2, None)), (expr.left, depth, (1, None))]
-        elif isinstance(expr, Ite):
-            stack += [
-                (expr.orelse, depth, (3, (expr.cond, False))),
-                (expr.then, depth, (2, (expr.cond, True))),
-                (expr.cond, depth, (1, None)),
-            ]
+        cls, depth = expr.__class__, len(path)
+        kids = _KIDS[cls](expr) if cls in _KIDS else ()
+        for i in range(len(kids) - 1, -1, -1):
+            guard = (expr.cond, i == 1) if i and cls is Ite else None
+            stack.append((kids[i], depth, (i + 1, guard)))
 
 
 def _check_expr(body: Pvs0Expr, width: int) -> None:
-    for expr, _ in _walk(body):
-        if isinstance(expr, Cnst):
-            if len(expr.value) != width or any(c < 0 for c in expr.value):
-                raise Pvs0Error(f"constant {expr.value} in a width-{width} program")
-        elif not isinstance(expr, (Vr, Op1, Op2, Rec, Ite)):
+    stack = [body]
+    while stack:
+        expr = stack.pop()
+        cls = expr.__class__
+        if cls is Cnst and (len(expr.value) != width or any(c < 0 for c in expr.value)):
+            raise Pvs0Error(f"constant {expr.value} in a width-{width} program")
+        if _SORT.get(cls) != _E:
             raise Pvs0Error(f"not a program expression: {expr!r}")
+        stack += reversed(_KIDS[cls](expr)) if cls in _KIDS else ()
 
 
 @dataclass(frozen=True)

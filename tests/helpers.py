@@ -1,9 +1,11 @@
 """Hand-built systems, term builders and test oracles shared across the test modules."""
 
+import functools
+import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from hypothesis import strategies as st
 
@@ -46,8 +48,8 @@ from rdp import (
     verify_chain_prefix,
 )
 from rdp.dependency_pairs import VERIFIED
-from rdp.formats import ParseError, _depth_is_bad_input, _tokenize, _TokenStream
-from rdp.pvs0 import CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value
+from rdp.formats import ParseError, _int_field, _is_int, _tokenize, _TokenStream
+from rdp.pvs0 import _COMPARE, CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value
 from rdp.rewriting import (
     DEFAULT_FUEL,
     TRS,
@@ -302,7 +304,8 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # breadth-first searches (the loop search over oracle successors), of the
 # PVS0 operator check and guard interpreter, evaluator, least-fuel search
 # and calling contexts, of the minimal looping subterm, of chain growth, of
-# substitution application and of the term and TRS reader, kept verbatim
+# substitution application, of the term and TRS reader, and of the PVS0
+# operator compile, program reader and writers, kept verbatim
 # (renamed ``oracle_*``) as the obviously correct reference
 # for the differential tests.  They rescan the term for every position and
 # try every rule everywhere; step replay re-derives the step from the rule
@@ -313,7 +316,21 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # fuels 1, 2, 4, ... and then bisects;
 # chain growth searches each entry's loop again and re-checks every link at
 # the end; application recurses once per level of the pattern; the reader
-# builds a raw tree by recursion and then resolves it into terms.
+# builds a raw tree by recursion and then resolves it into terms; the
+# operator compile, the program reader and its writers recurse once per
+# node.  ``_depth_is_bad_input`` turns the recursive readers' RecursionError
+# into the ParseError the readers they were replaced by raise.
+
+
+def _depth_is_bad_input(parse: Callable) -> Callable:
+    """Report JSON nested deeper than the recursive reader reaches as a ParseError."""
+    @functools.wraps(parse)
+    def guarded(*args: Any) -> Any:
+        try:
+            return parse(*args)
+        except RecursionError:
+            raise ParseError("nested too deeply to read") from None
+    return guarded
 
 
 def oracle_has_redex(trs: TRS, term: Term) -> bool:
@@ -969,3 +986,216 @@ def oracle_parse_trs(text: str) -> TRS:
             raise RuleRestrictionError(f"line {line}: {err}") from None
     signature = Signature(tuple(sym for sym, _ in inferred.values()))
     return TRS(signature, variables, tuple(rules))
+
+
+_ORACLE_SORT = dict.fromkeys(GScalar.__args__, "scalar") | dict.fromkeys(GValue.__args__, "value")
+
+
+def oracle_compile_guard(arity: int, body: GValue) -> tuple[Callable, frozenset[int], int]:
+    """The operator's closure, tuple widths and components read, or a Pvs0Error."""
+    widths, reads = set(), 0
+
+    def build(node: GValue | GScalar, want: str) -> Callable:
+        nonlocal reads
+        cls = node.__class__
+        if _ORACLE_SORT.get(cls) != want:
+            raise Pvs0Error(f"not a {want} guard expression: {node!r}")
+        if cls is GConst:
+            k = node.value
+            if k < 0:
+                raise Pvs0Error("guard constants are naturals")
+            return lambda args: k
+        if cls is GComp:
+            a, c = node.arg, node.component
+            if not 0 <= a < arity:
+                raise Pvs0Error(f"argument index {a} out of range for arity {arity}")
+            if c < 0:
+                raise Pvs0Error(f"component index {c} is negative")
+            reads = max(reads, c + 1)
+            return lambda args: args[a][c]
+        if cls is GTuple:
+            items = [build(item, "scalar") for item in node.items]
+            widths.add(len(items))
+            return lambda args: tuple([f(args) for f in items])
+        left, right = build(node.left, "scalar"), build(node.right, "scalar")
+        if cls is GAdd:
+            return lambda args: left(args) + right(args)
+        if cls is GMonus:
+            return lambda args: max(left(args) - right(args), 0)
+        test = _COMPARE[node.cmp]
+        then, orelse = build(node.then, "value"), build(node.orelse, "value")
+        return lambda args: then(args) if test(left(args), right(args)) else orelse(args)
+
+    run = build(body, "value")
+    return run, frozenset(widths), reads
+
+
+def oracle_node(data: Any, what: str) -> list:
+    if not isinstance(data, list) or not data or not isinstance(data[0], str):
+        raise ParseError(f"malformed {what} node: {data!r}")
+    return data
+
+
+def oracle_parse_gscalar(data: Any) -> GScalar:
+    node = oracle_node(data, "guard scalar")
+    tag, *rest = node
+    if tag == "const" and len(rest) == 1 and _is_int(rest[0]):
+        return GConst(rest[0])
+    if tag == "comp" and len(rest) == 2 and all(_is_int(x) for x in rest):
+        return GComp(rest[0], rest[1])
+    if tag == "add" and len(rest) == 2:
+        return GAdd(oracle_parse_gscalar(rest[0]), oracle_parse_gscalar(rest[1]))
+    if tag == "monus" and len(rest) == 2:
+        return GMonus(oracle_parse_gscalar(rest[0]), oracle_parse_gscalar(rest[1]))
+    raise ParseError(f"malformed guard scalar node: {data!r}")
+
+
+def oracle_parse_gvalue(data: Any, false_val: tuple, top_val: tuple) -> GValue:
+    node = oracle_node(data, "guard value")
+    tag, *rest = node
+    if tag == "tuple":
+        return GTuple(tuple(oracle_parse_gscalar(item) for item in rest))
+    if tag == "bottom" and not rest:
+        return GTuple(tuple(GConst(c) for c in false_val))
+    if tag == "top" and not rest:
+        return GTuple(tuple(GConst(c) for c in top_val))
+    if tag == "if" and len(rest) == 3:
+        cmp_node = oracle_node(rest[0], "comparison")
+        if len(cmp_node) != 3:
+            raise ParseError(f"malformed comparison node: {rest[0]!r}")
+        return GIf(
+            cmp_node[0],
+            oracle_parse_gscalar(cmp_node[1]),
+            oracle_parse_gscalar(cmp_node[2]),
+            oracle_parse_gvalue(rest[1], false_val, top_val),
+            oracle_parse_gvalue(rest[2], false_val, top_val),
+        )
+    raise ParseError(f"malformed guard value node: {data!r}")
+
+
+def oracle_parse_pexpr(data: Any) -> Pvs0Expr:
+    node = oracle_node(data, "expression")
+    tag, *rest = node
+    if tag == "cnst" and len(rest) == 1 and isinstance(rest[0], list):
+        if not all(_is_int(c) and c >= 0 for c in rest[0]):
+            raise ParseError(f"constant must be a list of naturals: {rest[0]!r}")
+        return Cnst(tuple(rest[0]))
+    if tag == "vr" and not rest:
+        return Vr()
+    if tag == "op1" and len(rest) == 2 and _is_int(rest[0]):
+        return Op1(rest[0], oracle_parse_pexpr(rest[1]))
+    if tag == "op2" and len(rest) == 3 and _is_int(rest[0]):
+        return Op2(rest[0], oracle_parse_pexpr(rest[1]), oracle_parse_pexpr(rest[2]))
+    if tag == "rec" and len(rest) == 1:
+        return Rec(oracle_parse_pexpr(rest[0]))
+    if tag == "ite" and len(rest) == 3:
+        return Ite(*(oracle_parse_pexpr(r) for r in rest))
+    raise ParseError(f"malformed expression node: {data!r}")
+
+
+@_depth_is_bad_input
+def oracle_parse_pvs0_program(text: str) -> Pvs0Program:
+    """Parse a program file.  Shape errors raise ParseError; width and
+    guard-bound violations surface as the evaluator's own error type."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"malformed program JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise ParseError("program must be a JSON object")
+    try:
+        width = _int_field(data, "width")
+        false_val = tuple(data["false_val"])
+        top_val = tuple(data["top_val"])
+        raw_o1 = data.get("o1", [])
+        raw_o2 = data.get("o2", [])
+        raw_body = data["body"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ParseError(f"malformed program: {err}") from None
+    for name, value in (("false_val", false_val), ("top_val", top_val)):
+        if not all(_is_int(c) and c >= 0 for c in value):
+            raise ParseError(f"{name} must be a list of naturals: {value!r}")
+    for name, bank in (("o1", raw_o1), ("o2", raw_o2)):
+        if not isinstance(bank, list):
+            raise ParseError(f"malformed program: {name} must be a list, got {bank!r}")
+    o1 = tuple(
+        OperatorDef(1, oracle_parse_gvalue(raw, false_val, top_val)) for raw in raw_o1
+    )
+    o2 = tuple(
+        OperatorDef(2, oracle_parse_gvalue(raw, false_val, top_val)) for raw in raw_o2
+    )
+    return Pvs0Program(width, false_val, top_val, o1, o2, oracle_parse_pexpr(raw_body))
+
+
+def oracle_gscalar_to_json(e: GScalar) -> list:
+    if isinstance(e, GConst):
+        return ["const", e.value]
+    if isinstance(e, GComp):
+        return ["comp", e.arg, e.component]
+    if isinstance(e, GAdd):
+        return ["add", oracle_gscalar_to_json(e.left), oracle_gscalar_to_json(e.right)]
+    return ["monus", oracle_gscalar_to_json(e.left), oracle_gscalar_to_json(e.right)]
+
+
+def oracle_gvalue_to_json(e: GValue) -> list:
+    if isinstance(e, GTuple):
+        return ["tuple", *(oracle_gscalar_to_json(item) for item in e.items)]
+    return [
+        "if",
+        [e.cmp, oracle_gscalar_to_json(e.left), oracle_gscalar_to_json(e.right)],
+        oracle_gvalue_to_json(e.then),
+        oracle_gvalue_to_json(e.orelse),
+    ]
+
+
+def oracle_pvs0_expr_to_json(e: Pvs0Expr) -> list:
+    match e:
+        case Cnst(value):
+            return ["cnst", list(value)]
+        case Vr():
+            return ["vr"]
+        case Op1(index, arg):
+            return ["op1", index, oracle_pvs0_expr_to_json(arg)]
+        case Op2(index, left, right):
+            return ["op2", index, oracle_pvs0_expr_to_json(left), oracle_pvs0_expr_to_json(right)]
+        case Rec(arg):
+            return ["rec", oracle_pvs0_expr_to_json(arg)]
+        case Ite(cond, then, orelse):
+            return [
+                "ite",
+                oracle_pvs0_expr_to_json(cond),
+                oracle_pvs0_expr_to_json(then),
+                oracle_pvs0_expr_to_json(orelse),
+            ]
+    raise ValueError(f"not a program expression: {e!r}")
+
+
+def oracle_pvs0_expr_to_str(e: Pvs0Expr) -> str:
+    match e:
+        case Cnst(value):
+            return "(" + ",".join(str(c) for c in value) + ")"
+        case Vr():
+            return "vr"
+        case Op1(index, arg):
+            return f"op1({index}, {oracle_pvs0_expr_to_str(arg)})"
+        case Op2(index, left, right):
+            return f"op2({index}, {oracle_pvs0_expr_to_str(left)}, {oracle_pvs0_expr_to_str(right)})"
+        case Rec(arg):
+            return f"rec({oracle_pvs0_expr_to_str(arg)})"
+        case Ite(cond, then, orelse):
+            return (
+                f"ite({oracle_pvs0_expr_to_str(cond)}, {oracle_pvs0_expr_to_str(then)}, "
+                f"{oracle_pvs0_expr_to_str(orelse)})"
+            )
+    raise ValueError(f"not a program expression: {e!r}")
+
+
+def oracle_program_to_json(program: Pvs0Program) -> dict:
+    return {
+        "width": program.width,
+        "false_val": list(program.false_val),
+        "top_val": list(program.top_val),
+        "o1": [oracle_gvalue_to_json(d.body) for d in program.o1],
+        "o2": [oracle_gvalue_to_json(d.body) for d in program.o2],
+        "body": oracle_pvs0_expr_to_json(program.body),
+    }

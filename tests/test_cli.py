@@ -14,11 +14,10 @@ HG_TRS = (
 )
 DEEP_TERM = "s(" * 2000 + "x" + ")" * 2000  # deeper than the term printer reaches
 DEEP_TRS = f"(VAR x)\n(RULES g(x) -> {DEEP_TERM})\n"
-# JSON deeper than the reader reaches: the program's walkers recurse, and the
-# witness is deeper than json.loads reads on every supported Python.
+# JSON deeper than json.loads reads on every supported Python, 3.13 included.
 DEEP_PROGRAM = (
     '{"width": 1, "false_val": [0], "top_val": [1], "body": '
-    + '["rec", ' * 3000 + '["vr"]' + "]" * 3000 + "}"
+    + '["rec", ' * 100_000 + '["vr"]' + "]" * 100_000 + "}"
 )
 DEEP_WITNESS = '{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}"
 LOOP_PROGRAM = '{"width": 1, "false_val": [0], "top_val": [1], "body": ["rec", ["vr"]]}'

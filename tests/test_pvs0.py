@@ -32,6 +32,8 @@ from rdp import (
     unary_encoder,
 )
 
+from rdp.formats import program_to_json, pvs0_expr_to_str
+
 from helpers import ack, ack_system, hg_system, nat
 
 
@@ -312,6 +314,41 @@ def test_a_deep_body_builds_lists_its_contexts_and_evaluates():
         (1, 1, 3) * 999 + (1, 1, 2), ((never, False),) * 999 + ((never, True),), Vr()
     )
     assert chi_eval(program, body, (0,), 1) == (2000,)
+
+
+def test_a_body_and_a_guard_of_any_depth_work():
+    """A 20,000-deep body hashes, compares, prints, encodes and lists its
+    contexts, and a guard of 5,000 nested additions builds: each is one
+    walk over an explicit stack."""
+
+    def body(bottom):
+        expr = Rec(bottom)
+        for i in range(20_000):
+            expr = Op1(0, expr) if i % 2 else Op2(0, Cnst((i % 3,)), expr)
+        return Rec(expr)
+
+    deep, twin, other = body(Vr()), body(Vr()), body(Cnst((1,)))
+    assert hash(deep) == hash(twin)
+    assert deep == twin and not deep != twin
+    assert deep != other and not deep == other
+    text = pvs0_expr_to_str(deep)
+    assert text.startswith("rec(op1(0, op2(0, (0), op1(0, op2(0, (1), ")
+    assert text.endswith("op2(0, (0), rec(vr)" + ")" * 20_001)
+    succ = OperatorDef(1, GTuple((GAdd(GComp(0, 0), GConst(1)),)))
+    plus = OperatorDef(2, GTuple((GAdd(GComp(0, 0), GComp(1, 0)),)))
+    program = width1(deep, o1=[succ], o2=[plus])
+    encoded = program_to_json(program)
+    for _ in range(20_003):
+        encoded = encoded["body"] if isinstance(encoded, dict) else encoded[-1]
+    assert encoded == ["vr"]
+    contexts = calling_contexts(program)
+    assert [len(ctx.path) for ctx in contexts] == [0, 20_001]
+    assert contexts[1].actual == Vr()
+    scalar = GComp(0, 1)
+    for _ in range(5_000):
+        scalar = GAdd(scalar, GConst(1))
+    guard = OperatorDef(1, GTuple((scalar,)))
+    assert (guard._reads, guard._widths) == (2, frozenset({1}))
 
 
 # --- encoding and the correspondence check ---------------------------------

@@ -5,10 +5,17 @@ recursive one it replaced (``oracle_evaluate``), the one-pass least fuel
 of ``terminates_on`` and ``epsilon_check`` against the probe-and-bisect
 search it replaced (``oracle_minimal_fuel``), and calling contexts read
 off the one body walk against the recursive walk they replaced
-(``oracle_calling_contexts``).
+(``oracle_calling_contexts``).  The explicit-stack operator compile, program
+reader and writers, equality and hash are checked against the recursive
+definitions they replaced (``oracle_compile_guard``,
+``oracle_parse_pvs0_program``, ``oracle_program_to_json``,
+``oracle_pvs0_expr_to_str``), the reader also on broken programs.
 """
 
+import copy
+import json
 import random
+from importlib import resources
 from itertools import product
 
 from hypothesis import given, settings
@@ -33,18 +40,30 @@ from rdp import (
     chi_eval,
     epsilon_check,
     guard_eval,
+    parse_pvs0_program,
+    program_to_json,
     terminates_on,
 )
-from rdp.pvs0 import _evaluate
+from rdp.formats import pvs0_expr_to_json, pvs0_expr_to_str
+from rdp.pvs0 import _evaluate, _walk
 
 from helpers import (
     oracle_calling_contexts,
     oracle_check_guard,
+    oracle_compile_guard,
     oracle_evaluate,
+    oracle_gscalar_to_json,
     oracle_guard_eval,
+    oracle_gvalue_to_json,
     oracle_minimal_fuel,
+    oracle_parse_pvs0_program,
+    oracle_program_to_json,
+    oracle_pvs0_expr_to_json,
+    oracle_pvs0_expr_to_str,
     random_pvs0_program,
 )
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 FUELS = range(41)
 
@@ -61,14 +80,18 @@ def test_compiled_operators_agree_with_the_guard_interpreter(seed):
             assert guard_eval(defn, args) == oracle_guard_eval(defn, args)
 
 
-def random_guard(rng: random.Random, arity: int, width: int):
-    """A well-sorted operator body whose constants, argument and component
-    indices and tuple widths are now and then out of range."""
+def random_guard(rng: random.Random, arity: int, width: int, misplace: float = 0.0):
+    """An operator body whose constants, argument and component indices and
+    tuple widths are now and then out of range; with ``misplace``, now and
+    then a node of the wrong sort too (a value, an expression or no node at
+    all where a scalar belongs, or a scalar where a value belongs)."""
 
     def pick(good, bad):
         return rng.choice(bad) if rng.random() < 0.05 else rng.choice(good)
 
     def scalar(depth):
+        if misplace and rng.random() < misplace:
+            return rng.choice([Vr(), Op1(0, Vr()), 3, None, GTuple((GConst(0),) * width)])
         if depth == 0 or rng.random() < 0.4:
             if rng.random() < 0.3:
                 return GConst(pick(range(4), [-1]))
@@ -77,6 +100,8 @@ def random_guard(rng: random.Random, arity: int, width: int):
         return rng.choice((GAdd, GMonus))(scalar(depth - 1), scalar(depth - 1))
 
     def value(depth):
+        if misplace and rng.random() < misplace:
+            return rng.choice([GConst(1), GComp(0, 0), Vr(), None])
         if depth > 0 and rng.random() < 0.5:
             return GIf(
                 rng.choice(("lt", "le", "eq")),
@@ -202,3 +227,180 @@ def test_dangling_operators_and_divergence_agree_with_search():
     for max_fuel in FUELS:
         check_against_oracle(divergent, divergent.body, (0,), max_fuel)
         assert terminates_on(divergent, (0,), max_fuel) is None
+
+
+# --- the operator compile ----------------------------------------------------
+
+
+def build_outcome(build):
+    try:
+        return build()
+    except Pvs0Error as err:
+        return str(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(SEEDS)
+def test_compile_agrees_with_the_recursive_compile(seed):
+    """Building an operator raises the recursive compile's first error, or
+    records the same widths and reads and computes the same values."""
+    rng = random.Random(seed)
+    arity, width = rng.randint(1, 2), rng.randint(1, 2)
+    body = random_guard(rng, arity, width, misplace=0.03)
+    expected = build_outcome(lambda: oracle_compile_guard(arity, body))
+    defn = build_outcome(lambda: OperatorDef(arity, body))
+    if isinstance(expected, str):
+        assert defn == expected
+        return
+    run, widths, reads = expected
+    assert (defn._widths, defn._reads) == (widths, reads)
+    values = list(product(range(3), repeat=max(width, reads)))
+    for args in product(values, repeat=arity):
+        assert defn._run(args) == run(args)
+
+
+# --- the program reader and writers ------------------------------------------
+
+
+def outcome(read, text):
+    """What reading ``text`` gives: the program as the recursive writer puts
+    it, or the error's class and its message up to the node it shows."""
+    try:
+        return "read", oracle_program_to_json(read(text))
+    except Exception as err:  # the two readers must fail alike, whatever the error
+        message = str(err)
+        for cut in (" node: ", " naturals: "):
+            if cut in message:
+                message = message[: message.index(cut) + len(cut)]
+        return type(err), message
+
+
+TAGS = ["cnst", "vr", "op1", "op2", "rec", "ite", "const", "comp", "add", "monus", "tuple",
+        "if", "bottom", "top", "lt", "le", "eq", "bogus"]
+
+
+def lists_in(data) -> list[list]:
+    found, stack = [], [data]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack += item.values()
+        elif isinstance(item, list):
+            found.append(item)
+            stack += item
+    return found
+
+
+def break_once(data, rng: random.Random) -> None:
+    """Drop, duplicate or swap one item of one list of ``data``, give a node a
+    wrong tag, or put a bool or a float where an integer is."""
+    target = rng.choice(lists_in(data))
+    if not target:
+        target.append(rng.choice([0, "vr", ["vr"]]))
+        return
+    i = rng.randrange(len(target))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del target[i]
+    elif kind == 1:
+        target.insert(i, copy.deepcopy(target[i]))
+    elif kind == 2 and len(target) > 1:
+        j = (i + 1) % len(target)
+        target[i], target[j] = target[j], target[i]
+    elif kind == 3 and isinstance(target[0], str):
+        target[0] = rng.choice(TAGS)
+    else:
+        ints = [j for j, x in enumerate(target) if type(x) is int] or [i]
+        j = rng.choice(ints)
+        target[j] = rng.choice([True, False, float(target[j]) if type(target[j]) is int else 1.5])
+
+
+def fixture_text() -> str:
+    return resources.files("rdp").joinpath("fixtures/ackermann.pvs0.json").read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_reader_agrees_with_the_recursive_reader(seed):
+    program = random_pvs0_program(random.Random(seed))
+    text = json.dumps(oracle_program_to_json(program))
+    read = parse_pvs0_program(text)
+    assert read == oracle_parse_pvs0_program(text) == program
+    assert oracle_program_to_json(read) == oracle_program_to_json(program)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(SEEDS)
+def test_reader_rejects_what_the_recursive_reader_rejects(seed):
+    """One fault in a program's JSON: both readers fail alike, or both read
+    the same program."""
+    rng = random.Random(seed)
+    if rng.random() < 0.2:
+        data = json.loads(fixture_text())
+    else:
+        data = oracle_program_to_json(random_pvs0_program(rng))
+    break_once(data, rng)
+    text = json.dumps(data)
+    assert outcome(parse_pvs0_program, text) == outcome(oracle_parse_pvs0_program, text)
+
+
+def test_reader_agrees_on_the_fixture():
+    text = fixture_text()
+    assert outcome(parse_pvs0_program, text) == outcome(oracle_parse_pvs0_program, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_writers_agree_with_the_recursive_writers(seed):
+    program = random_pvs0_program(random.Random(seed))
+    assert program_to_json(program) == oracle_program_to_json(program)
+    for defn in program.o1 + program.o2:
+        assert pvs0_expr_to_json(defn.body) == oracle_gvalue_to_json(defn.body)
+    for expr, _ in _walk(program.body):
+        assert pvs0_expr_to_json(expr) == oracle_pvs0_expr_to_json(expr)
+        assert pvs0_expr_to_str(expr) == oracle_pvs0_expr_to_str(expr)
+
+
+def oracle_json(node):
+    if isinstance(node, (GTuple, GIf)):
+        return oracle_gvalue_to_json(node)
+    if isinstance(node, (GConst, GComp, GAdd, GMonus)):
+        return oracle_gscalar_to_json(node)
+    return oracle_pvs0_expr_to_json(node)
+
+
+def nodes_of(program: Pvs0Program) -> list:
+    """Every subexpression of the body and every node of every operator."""
+    found = [expr for expr, _ in _walk(program.body)]
+    stack = [defn.body for defn in program.o1 + program.o2]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        if isinstance(node, GTuple):
+            stack += node.items
+        elif isinstance(node, GIf):
+            stack += [node.left, node.right, node.then, node.orelse]
+        elif isinstance(node, (GAdd, GMonus)):
+            stack += [node.left, node.right]
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
+def test_equality_and_hash_agree_with_the_json(seed, other_seed):
+    """Two nodes are equal exactly when their JSON is, and equal nodes hash
+    alike; so are two programs."""
+    first = random_pvs0_program(random.Random(seed))
+    second = random_pvs0_program(random.Random(other_seed))
+    nodes = nodes_of(first) + nodes_of(second)
+    texts = [json.dumps(oracle_json(node)) for node in nodes]
+    for node, text in zip(nodes, texts):
+        for other, other_text in zip(nodes, texts):
+            assert (node == other) == (text == other_text)
+            assert (node != other) == (text != other_text)
+            if node == other:
+                assert hash(node) == hash(other)
+    same = oracle_program_to_json(first) == oracle_program_to_json(second)
+    assert (first == second) == same
+    if same:
+        assert hash(first) == hash(second)
