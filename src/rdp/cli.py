@@ -235,6 +235,8 @@ def _cmd_chain_derive(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_loop_chain(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.length < 1:
+        raise ValueError("chain length must be at least 1")
     trs = _load_trs(args.trs)
     term = formats.parse_term(args.term, trs)
     cert = detect_innermost_loop(trs, term, args.fuel)

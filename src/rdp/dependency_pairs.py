@@ -22,7 +22,7 @@ length can be extracted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 from .rewriting import (
@@ -183,7 +183,7 @@ def dep_pairs_alt(trs: TRS) -> list[DepPairAlt]:
     for rule in trs.rules:
         for sub, path in _walk(rule.rhs):
             if isinstance(sub, App) and sub.sym in defined:
-                out.append(DepPairAlt(rule.index, tuple(path)))
+                out.append(DepPairAlt(rule.index, tuple(i for _, i in path)))
     return out
 
 
@@ -377,30 +377,19 @@ def find_mint_subterm(
 ) -> tuple[Position, LoopCertificate] | None:
     """Deepest-leftmost subterm carrying a loop certificate, with its position.
 
-    Arguments are searched before the term itself, so no proper subterm of
-    the reported one carries a certificate within the same fuel.
+    Each subterm is searched when the walk leaves it, after its arguments, so
+    no proper subterm of the reported one carries one within the same fuel.
     """
-    # Ancestors of ``node`` as [node, 1-based index of the child being searched].
-    frames: list[list] = []
-    node = term
-    while True:
-        while isinstance(node, App) and node.args:
-            frames.append([node, 1])
-            node = node.args[0]
-        while True:
-            cert = detect_innermost_loop(trs, node, fuel)
+    # The subterms the walk is inside, each with the step to it (0 at the root).
+    inside: list[tuple[Term, int]] = []
+    for node, path in chain(_walk(term), [(None, ())]):  # at depth 0: leave all
+        while len(inside) > len(path):
+            cert = detect_innermost_loop(trs, inside[-1][0], fuel)
             if cert is not None:
-                return tuple(frame[1] for frame in frames), cert
-            if not frames:
-                return None
-            frame = frames[-1]
-            parent, i = frame
-            if i < len(parent.args):
-                frame[1] = i + 1
-                node = parent.args[i]
-                break
-            frames.pop()
-            node = parent
+                return tuple(i for _, i in inside[1:]), cert
+            inside.pop()
+        inside.append((node, path[-1][1] if path else 0))
+    return None
 
 
 def dp_and_sub_from_nrnf(

@@ -3,8 +3,9 @@
 TRS files use a TPDB-flavored syntax: a ``(VAR x y)`` section declaring
 variables and a ``(RULES l -> r ...)`` section, in either order.  The
 signature is inferred from use, with a consistent-arity check.  Terms and
-programs are read at any depth, with explicit stacks.  Chain witnesses,
-programs, and traces travel as JSON; the depth limit of the one
+programs are read at any depth, with explicit stacks, and programs are
+written on the walk of ``terms``, as text in one linear pass.  Chain
+witnesses, programs, and traces travel as JSON; the depth limit of the one
 ``json.loads`` call is the only one.  Every parse(print(x)) round-trips.
 """
 
@@ -36,6 +37,7 @@ from .pvs0 import (
     _LEAVES,
     _SORT,
     _fold,
+    _kids,
 )
 from .rewriting import (
     DerivationTrace,
@@ -55,6 +57,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _walk,
     format_position,
     parse_position,
     term_to_str,
@@ -494,16 +497,23 @@ def pvs0_expr_to_json(e: Pvs0Expr | GValue) -> list:
 
 
 def pvs0_expr_to_str(e: Pvs0Expr) -> str:
-    def show(node: Any, kids: list[str]) -> str:
+    """A program expression as text, written in one pass over the walk."""
+    out: list[str] = []
+    opened = 0  # one parenthesis per node the walk is inside, closed as the depth falls
+    for node, path in _walk(e, _kids):
         cls = node.__class__
-        if cls is Cnst:
-            return "(" + ",".join(str(c) for c in node.value) + ")"
         if _SORT.get(cls) != "expression":
             raise ValueError(f"not a program expression: {node!r}")
-        parts = [*[str(getattr(node, name)) for name in _LEAVES[cls]], *kids]
-        return f"{_TAGS[cls]}({', '.join(parts)})" if parts else _TAGS[cls]
-
-    return _fold(e, show)
+        out.append(")" * (opened - len(path)) + (", " if path and path[-1][1] > 1 else ""))
+        opened = len(path)
+        if cls is Cnst:
+            out.append("(" + ",".join(str(c) for c in node.value) + ")")
+        elif _kids(node):
+            out.append(f"{_TAGS[cls]}(" + "".join(f"{getattr(node, n)}, " for n in _LEAVES[cls]))
+            opened += 1
+        else:
+            out.append(_TAGS[cls])
+    return "".join(out) + ")" * opened
 
 
 def program_to_json(program: Pvs0Program) -> dict:

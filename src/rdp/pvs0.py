@@ -19,8 +19,8 @@ Operator bodies live in a separate guard language (component accessors,
 natural constants, addition, truncated subtraction, comparisons,
 tuple construction) that always terminates and cannot recurse.  Each
 operator is checked, sorts included, and compiled once, when it is built.
-Trees of both languages are folded, walked, compared and hashed on
-explicit stacks, from one table of each class's subtrees, so any depth
+Trees of both languages are folded, checked, compared and hashed on the
+walk of ``terms``, from one table of each class's subtrees, so any depth
 works; only evaluating a guard calls one closure per nesting level.
 """
 
@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, eq, le, lt
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .dependency_pairs import DepPairAlt, to_standard
 from .rewriting import DEFAULT_FUEL, TRS, defined_symbols
 from .substitution import match
-from .terms import App, Term, format_position
+from .terms import App, Term, _walk, format_position
 
 Value = tuple[int, ...]
 _COMPARE = {"lt": lt, "le": le, "eq": eq}
@@ -49,21 +49,16 @@ class Pvs0Error(ValueError):
 
 class _Node:
     """The base of the node classes of both languages.  Equality and hash read
-    the whole tree's pre-order key off one explicit stack, so they work at any
-    depth and mean what field-by-field comparison means."""
+    the whole tree's pre-order key off the walk, so they work at any depth and
+    mean what field-by-field comparison means."""
 
     def _key(self) -> tuple:
-        key, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            cls = node.__class__
-            if cls not in _LEAVES:  # not a node: compared as a value
-                key.append(node)
-                continue
-            kids = _KIDS[cls](node) if cls in _KIDS else ()
-            key.append((cls, len(kids), *[getattr(node, name) for name in _LEAVES[cls]]))
-            stack += reversed(kids)
-        return tuple(key)
+        return tuple(
+            (cls, len(_kids(node)), *[getattr(node, name) for name in _LEAVES[cls]])
+            if (cls := node.__class__) in _LEAVES
+            else node  # not a node: compared as a value
+            for node, _ in _walk(self, _kids)
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -196,29 +191,33 @@ _SORT = dict.fromkeys(Pvs0Expr.__args__, _E) | dict.fromkeys(GScalar.__args__, _
 _SORT |= dict.fromkeys(GValue.__args__, _V)
 
 
+def _kids(node: object) -> tuple:
+    """A node's subtrees, in order; none for a leaf or a value that is no node."""
+    get = _KIDS.get(node.__class__)
+    return get(node) if get else ()
+
+
 def _fold(root: object, combine: Callable, sort: str | None = None):
-    """Fold a tree bottom-up on one explicit stack: ``combine(node, values)``
-    gets the values of the node's subtrees, in order, and a leaf is combined
-    as soon as it is reached (so in pre-order).  Given the root's ``sort``,
-    each node is checked on the way down to have the sort its place wants."""
+    """Fold a tree bottom-up over the walk: ``combine(node, values)`` gets the node's
+    subtrees' values, in order, when the walk leaves it.  Given the root's ``sort``,
+    each node is checked when the walk reaches it to have the sort its place wants."""
     values: list = []
-    # Nodes to reach, with the sort wanted there, and to combine, with their subtree count.
-    nodes, wants = [root], [sort]
-    while nodes:
-        node, want = nodes.pop(), wants.pop()
-        if want.__class__ is int:
-            cut = len(values) - want
-            values[cut:] = [combine(node, values[cut:])]
-            continue
-        cls = node.__class__
-        if sort is not None and _SORT.get(cls) != want:
-            raise Pvs0Error(f"not a {want} guard expression: {node!r}")
-        kids = _KIDS[cls](node) if cls in _KIDS else ()
-        if kids:
-            nodes += [node, *reversed(kids)]
-            wants += [len(kids), *reversed(_KID_SORTS[cls] * (len(kids) if cls is GTuple else 1))]
-        else:
-            values.append(combine(node, []))
+    # The nodes the walk is inside, each with where its subtrees' values start.
+    inside: list[tuple[object, int]] = []
+    for node, path in _walk(root, _kids):
+        while len(inside) > len(path):
+            done, cut = inside.pop()
+            values[cut:] = [combine(done, values[cut:])]
+        if sort is not None:
+            want = sort
+            if path:
+                parent, i = path[-1]
+                want = _S if parent.__class__ is GTuple else _KID_SORTS[parent.__class__][i - 1]
+            if _SORT.get(node.__class__) != want:
+                raise Pvs0Error(f"not a {want} guard expression: {node!r}")
+        inside.append((node, len(values)))
+    for done, cut in reversed(inside):  # the walk is over: it has left every node
+        values[cut:] = [combine(done, values[cut:])]
     return values[0]
 
 
@@ -279,38 +278,13 @@ class OperatorDef:
         return OperatorDef, (self.arity, self.body)
 
 
-def _walk(body: Pvs0Expr) -> Iterator[tuple[Pvs0Expr, list[tuple]]]:
-    """Each subexpression of ``body`` in pre-order, with its path: one
-    ``(index, guard)`` per step down, the guard ``(cond, True)`` into a
-    conditional's then branch, ``(cond, False)`` into its else branch and
-    None elsewhere.  One explicit stack, so a body of any depth can be
-    walked; the path is valid only until the walk resumes."""
-    path: list[tuple] = []
-    # Subexpressions still to visit: (expr, the parent's depth, the step to it).
-    stack: list[tuple] = [(body, 0, None)]
-    while stack:
-        expr, depth, step = stack.pop()
-        del path[depth:]
-        if step is not None:
-            path.append(step)
-        yield expr, path
-        cls, depth = expr.__class__, len(path)
-        kids = _KIDS[cls](expr) if cls in _KIDS else ()
-        for i in range(len(kids) - 1, -1, -1):
-            guard = (expr.cond, i == 1) if i and cls is Ite else None
-            stack.append((kids[i], depth, (i + 1, guard)))
-
-
 def _check_expr(body: Pvs0Expr, width: int) -> None:
-    stack = [body]
-    while stack:
-        expr = stack.pop()
+    for expr, _ in _walk(body, _kids):
         cls = expr.__class__
         if cls is Cnst and (len(expr.value) != width or any(c < 0 for c in expr.value)):
             raise Pvs0Error(f"constant {expr.value} in a width-{width} program")
         if _SORT.get(cls) != _E:
             raise Pvs0Error(f"not a program expression: {expr!r}")
-        stack += reversed(_KIDS[cls](expr)) if cls in _KIDS else ()
 
 
 @dataclass(frozen=True)
@@ -495,11 +469,12 @@ def calling_contexts(program: Pvs0Program) -> list[CallingContext]:
     context, after the enclosing one.  Guards are collected only when the
     path passes through a branch of a conditional, not through its test.
     """
-    return [
-        CallingContext(tuple(i for i, _ in path), tuple(g for _, g in path if g), expr.arg)
-        for expr, path in _walk(program.body)
-        if isinstance(expr, Rec)
-    ]
+    contexts = []
+    for expr, path in _walk(program.body, _kids):
+        if isinstance(expr, Rec):
+            guards = tuple((p.cond, i == 2) for p, i in path if i > 1 and p.__class__ is Ite)
+            contexts.append(CallingContext(tuple(i for _, i in path), guards, expr.arg))
+    return contexts
 
 
 def _condition_holds(

@@ -8,13 +8,13 @@ An application node computes its hash once and keeps it, and hashing and
 equality walk the term with an explicit stack, so both work at any depth
 and a set or dict lookup of a term already hashed costs constant time.
 A walk to a position is one descent, ``_split_at``, a rebuild around one is
-``_plug``, and a walk over all subterms is ``_walk``; none recurses.
+``_plug``, and ``_walk`` walks any tree, PVS0 trees too; none recurses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 
 class InvalidPositionError(ValueError):
@@ -218,26 +218,31 @@ def vars_in_order(term: Term) -> tuple[Var, ...]:
     return tuple(dict.fromkeys(iter_vars(term)))
 
 
-def _walk(term: Term) -> Iterator[tuple[Term, list[int]]]:
-    """Each subterm of ``term`` in pre-order, with its path (1-based argument
-    indices) kept in one list, valid only until the walk resumes."""
-    path: list[int] = []
-    # Subterms still to visit: (subterm, the parent's depth, the step to it).
-    stack: list[tuple[Term, int, int]] = [(term, 0, 0)]
-    while stack:
-        t, depth, i = stack.pop()
-        del path[depth:]
-        if i:
-            path.append(i)
-        yield t, path
-        if isinstance(t, App):
-            depth = len(path)
-            stack += [(t.args[j - 1], depth, j) for j in range(len(t.args), 0, -1)]
+def _args(term: Term) -> tuple[Term, ...]:
+    return term.args if term.__class__ is App else ()
+
+
+def _walk(root: object, kids: Callable[[object], tuple] = _args) -> Iterator[tuple]:
+    """Each node under ``root`` in pre-order with its path, one ``(parent, i)`` per step
+    down (``i`` 1-based) in a list valid until the walk resumes.  ``kids`` lists a node's
+    subtrees.  The walk has left a node when it yields one no deeper, or when it ends."""
+    path: list[tuple] = []
+    node = root
+    while True:
+        yield node, path
+        subtrees, i = kids(node), 0
+        while i == len(subtrees):  # climb past the nodes whose subtrees are all walked
+            if not path:
+                return
+            node, i = path.pop()
+            subtrees = kids(node)
+        path.append((node, i + 1))
+        node = subtrees[i]
 
 
 def subterms_of(term: Term) -> Iterator[tuple[Position, Term]]:
     """(position, subterm) pairs in pre-order."""
-    return ((tuple(path), t) for t, path in _walk(term))
+    return ((tuple(i for _, i in path), t) for t, path in _walk(term))
 
 
 def term_to_str(term: Term) -> str:

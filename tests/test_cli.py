@@ -210,6 +210,20 @@ def test_loop_chain(capsys, loop_trs_path, grow_trs_path):
     assert report["detail"] == "no-loop-certificate"
 
 
+@pytest.mark.parametrize("length", ["0", "-1"])
+@pytest.mark.parametrize("system, term", [("ack", "a(0,0)"), ("loop", "f(c)"), ("missing", "f(c)")])
+def test_loop_chain_length_below_one_is_bad_input(
+    capsys, tmp_path, ack_trs_path, loop_trs_path, system, term, length
+):
+    """A length below 1 is unusable input whether or not the term loops, and
+    it is rejected before the system is read."""
+    path = {"ack": ack_trs_path, "loop": loop_trs_path, "missing": str(tmp_path / "no.trs")}
+    code = run_command(["loop-chain", path[system], "--term", term, "--length", length])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: chain length must be at least 1\n"
+
+
 @pytest.mark.parametrize(
     "argv, fuel",
     [

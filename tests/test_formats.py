@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from rdp import (
     App,
     ChainWitness,
+    Op1,
     DepPairAlt,
     InvalidDepPairError,
     ParseError,
@@ -18,6 +20,7 @@ from rdp import (
     Symbol,
     Term,
     Var,
+    Vr,
     dep_pairs_alt,
     format_trs,
     match,
@@ -449,6 +452,25 @@ def test_program_body_rendering(ack_program):
         "ite(op1(0, vr), op1(2, vr), "
         "ite(op1(1, vr), rec(op1(3, vr)), rec(op2(0, vr, rec(op1(4, vr))))))"
     )
+
+
+def test_program_printing_time_grows_linearly_with_depth():
+    """Four times the depth takes about four times as long to print, not the
+    sixteen or more of a printer that copies its subtrees' text per level."""
+
+    def best_time(depth):
+        expr = Vr()
+        for _ in range(depth):
+            expr = Op1(0, expr)
+        times = []
+        for _ in range(3):
+            start = perf_counter()
+            text = pvs0_expr_to_str(expr)
+            times.append(perf_counter() - start)
+        assert len(text) == 8 * depth + 2
+        return min(times)
+
+    assert best_time(40_000) / best_time(10_000) < 8
 
 
 def test_parse_program_errors():

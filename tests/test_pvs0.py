@@ -351,6 +351,16 @@ def test_a_body_and_a_guard_of_any_depth_work():
     assert (guard._reads, guard._widths) == (2, frozenset({1}))
 
 
+def test_equality_tells_apart_trees_that_differ_only_in_shape():
+    """Equality is field by field also on trees no reader builds: two nested
+    tuples with the same leaves in the same order, split differently, differ."""
+    one, two = GConst(1), GConst(2)
+    split = GTuple((GTuple((one,)), two))
+    whole = GTuple((GTuple((one, two)),))
+    assert whole != split and not whole == split
+    assert whole == GTuple((GTuple((GConst(1), GConst(2))),))
+
+
 # --- encoding and the correspondence check ---------------------------------
 
 

@@ -45,7 +45,8 @@ from rdp import (
     terminates_on,
 )
 from rdp.formats import pvs0_expr_to_json, pvs0_expr_to_str
-from rdp.pvs0 import _evaluate, _walk
+from rdp.pvs0 import _evaluate, _kids
+from rdp.terms import _walk
 
 from helpers import (
     oracle_calling_contexts,
@@ -356,7 +357,7 @@ def test_writers_agree_with_the_recursive_writers(seed):
     assert program_to_json(program) == oracle_program_to_json(program)
     for defn in program.o1 + program.o2:
         assert pvs0_expr_to_json(defn.body) == oracle_gvalue_to_json(defn.body)
-    for expr, _ in _walk(program.body):
+    for expr, _ in _walk(program.body, _kids):
         assert pvs0_expr_to_json(expr) == oracle_pvs0_expr_to_json(expr)
         assert pvs0_expr_to_str(expr) == oracle_pvs0_expr_to_str(expr)
 
@@ -371,7 +372,7 @@ def oracle_json(node):
 
 def nodes_of(program: Pvs0Program) -> list:
     """Every subexpression of the body and every node of every operator."""
-    found = [expr for expr, _ in _walk(program.body)]
+    found = [expr for expr, _ in _walk(program.body, _kids)]
     stack = [defn.body for defn in program.o1 + program.o2]
     while stack:
         node = stack.pop()
