@@ -19,9 +19,9 @@ Operator bodies live in a separate guard language (component accessors,
 natural constants, addition, truncated subtraction, comparisons,
 tuple construction) that always terminates and cannot recurse.  Each
 operator is checked, sorts included, and compiled once, when it is built.
-Trees of both languages are folded, checked, compared and hashed on the
-walk of ``terms``, from one table of each class's subtrees, so any depth
-works; only evaluating a guard calls one closure per nesting level.
+Trees of both languages are folded, checked, compared, hashed and printed
+on the walk of ``terms``, from one table of each class's subtrees, so any
+depth works; only evaluating a guard calls one closure per nesting level.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class Pvs0Error(ValueError):
 
 class _Node:
     """The base of the node classes of both languages.  Equality and hash read
-    the whole tree's pre-order key off the walk, so they work at any depth and
-    mean what field-by-field comparison means."""
+    the whole tree's pre-order key off the walk, and ``repr`` writes the
+    dataclass format front to back over it, so all three work at any depth and
+    mean what the dataclass-generated methods mean."""
 
     def _key(self) -> tuple:
         return tuple(
@@ -68,36 +69,63 @@ class _Node:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def __repr__(self) -> str:
+        out: list[str] = []
+        ends: list[str] = []  # what closes each node the walk is inside, innermost last
+        for node, path in _walk(self, _kids):
+            while len(ends) > len(path):
+                out.append(ends.pop())
+            if path:
+                parent, i = path[-1]
+                cls = parent.__class__
+                if cls is not GTuple:
+                    sep = ", " if i > 1 or _LEAVES[cls] else ""
+                    out.append(f"{sep}{_SUBTREES[cls][i - 1][0]}=")
+                elif i > 1:
+                    out.append(", ")
+            cls = node.__class__
+            if cls not in _LEAVES:  # not a node: printed as a value
+                out.append(repr(node))
+                ends.append("")
+            elif cls is GTuple:
+                out.append("GTuple(items=(")
+                ends.append(",))" if len(node.items) == 1 else "))")
+            else:
+                leaves = ", ".join(f"{name}={getattr(node, name)!r}" for name in _LEAVES[cls])
+                out.append(f"{cls.__qualname__}({leaves}")
+                ends.append(")")
+        return "".join(out + ends[::-1])
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Cnst(_Node):
     value: Value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Vr(_Node):
     """The input variable of the program body."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Op1(_Node):
     index: int
     arg: "Pvs0Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Op2(_Node):
     index: int
     left: "Pvs0Expr"
     right: "Pvs0Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Rec(_Node):
     arg: "Pvs0Expr"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Ite(_Node):
     cond: "Pvs0Expr"
     then: "Pvs0Expr"
@@ -110,12 +138,12 @@ Pvs0Expr = Union[Cnst, Vr, Op1, Op2, Rec, Ite]
 # --- guard language for operator bodies ------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GConst(_Node):
     value: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GComp(_Node):
     """Component ``component`` (0-based) of argument ``arg`` (0-based)."""
 
@@ -123,13 +151,13 @@ class GComp(_Node):
     component: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GAdd(_Node):
     left: "GScalar"
     right: "GScalar"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GMonus(_Node):
     """Truncated subtraction: clamps at 0."""
 
@@ -140,12 +168,12 @@ class GMonus(_Node):
 GScalar = Union[GConst, GComp, GAdd, GMonus]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GTuple(_Node):
     items: tuple[GScalar, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GIf(_Node):
     """Branch on a scalar comparison; ``cmp`` is one of lt, le, eq."""
 

@@ -7,19 +7,19 @@ candidate steps are ordered by position in pre-order with ties broken by
 rule index, and breadth-first exploration visits terms in that order.
 
 One successor core answers every question about redexes.  Rules are
-indexed by the root symbol of their lhs; a pre-order walk over the term
-yields the positions that may fire, and under the innermost modes one
-bottom-up pass first records, per node, the matching rules and whether a
-redex lies below.  Every walk asks one rule, ``_may_fire``, whether a
-position may fire under a mode.  A breadth-first search keeps one such
-table for all the terms it expands, under every mode, so each expansion
+indexed by the root symbol of their lhs; ``_fireable`` rides the walk of
+``terms`` to yield the positions that may fire, and under the innermost
+modes one bottom-up pass first records, per node, the matching rules and
+whether a redex lies below.  Every walk asks one rule, ``_may_fire``,
+whether a position may fire under a mode.  A breadth-first search keeps one
+such table for all the terms it expands, under every mode, so each expansion
 matches only the nodes it has not seen and skips every subterm without a
 redex; on a term that grows by a node per step, fuel buys work linearly.
 ``normalize`` always takes the first of those steps: leftmost-outermost
 under ``full`` and ``non-root``, leftmost-innermost under the innermost
-modes, where it is computed call by value (arguments left to right, then
-the root).  Its traces are the ones the original definitions, which
-rescanned the whole term for every step, produced.
+modes, computed call by value (arguments left to right, then the root; a
+parent is rebuilt only when an argument changed).  Its traces are the ones
+the original definitions, which rescanned the whole term per step, produced.
 
 Fuel bounds work, never correctness: a positive answer always carries a
 replayable trace, a negative answer only says nothing was found within fuel.
@@ -41,8 +41,10 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _args,
     _plug,
     _split_at,
+    _walk,
     format_position,
     symbols_of,
     term_to_str,
@@ -181,8 +183,9 @@ class DerivationTrace:
 
 # --- the successor core ------------------------------------------------------
 #
-# The walks below keep a path as ``terms`` frames (see ``_split_at``), made
-# lists so that a walk can advance ``i`` in place, and rebuild with ``_plug``.
+# Paths are those of ``terms``, one ``(parent, i)`` per step down, and ``_plug``
+# rebuilds a term around a contractum from one.  ``_fireable`` rides ``_walk``;
+# call by value keeps each parent rebuilt with the arguments normalized so far.
 
 
 def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
@@ -242,7 +245,7 @@ def _fireable(
     term: Term,
     mode: RelationMode,
     table: dict[int, tuple] | None = None,
-) -> Iterator[tuple[list[list], list[tuple[Rule, Substitution]]]]:
+) -> Iterator[tuple[list[tuple[App, int]], list[tuple[Rule, Substitution]]]]:
     """Each position of ``term`` that may fire under ``mode``, in pre-order,
     as its path and its matching rules.
 
@@ -250,37 +253,23 @@ def _fireable(
     (see ``_redex_table``), the walk first adds the nodes of ``term`` it
     lacks, then reads matches from it under every mode and skips every
     subterm without a redex.  Without one, innermost modes build a table for
-    ``term`` alone, and the other modes match lazily during the walk, so
-    that a caller asking for the first position stops early.
+    ``term`` alone and the others match lazily, so a first position comes early.
     """
-    if isinstance(term, Var):
-        return
     if table is not None:
         _redex_table(trs, term, table)
     elif mode.innermost:
         table = _redex_table(trs, term, {})
-    frames: list[list] = []
-    node: Term = term
-    while True:
-        if isinstance(node, App):
-            if table is None:
-                # Not known without the pass; only innermost modes need it.
+    kids = _args if table is None else (  # a node's arguments, if a redex lies there
+        lambda node: node.args if node.__class__ is App and table[id(node)][1] else ()
+    )
+    for node, path in _walk(term, kids):
+        if node.__class__ is App:
+            if table is None:  # ``below`` is unknown without the pass; only innermost asks
                 matches, below = _matches(trs, node), True
             else:
                 matches, below, _ = table[id(node)]
-            if matches and _may_fire(mode, not frames, lambda: below):
-                yield frames, matches
-            if node.args and below:
-                frames.append([node.sym, node.args, 0])
-        while frames:
-            frame = frames[-1]
-            if frame[2] < len(frame[1]):
-                node = frame[1][frame[2]]
-                frame[2] += 1
-                break
-            frames.pop()
-        else:
-            return
+            if matches and _may_fire(mode, not path, lambda: below):
+                yield path, matches
 
 
 def has_redex(trs: TRS, term: Term) -> bool:
@@ -306,10 +295,10 @@ def iter_successors(
     the terms it expands (see ``_redex_table``); without one the call
     stands alone.
     """
-    for frames, matches in _fireable(trs, term, mode, table):
-        pos = tuple(frame[2] for frame in frames)
+    for path, matches in _fireable(trs, term, mode, table):
+        pos = tuple(i for _, i in path)
         for rule, sigma in matches:
-            yield Step(pos, rule.index, sigma, _plug(frames, sigma.apply(rule.rhs)))
+            yield Step(pos, rule.index, sigma, _plug(path, sigma.apply(rule.rhs)))
 
 
 def successors(trs: TRS, term: Term, mode: RelationMode) -> list[Step]:
@@ -319,12 +308,12 @@ def successors(trs: TRS, term: Term, mode: RelationMode) -> list[Step]:
 def _steps_at(trs: TRS, term: Term, pos: Position, mode: RelationMode) -> Iterator[Step]:
     """Every step ``mode`` allows at ``pos`` in ``term``, by rule index; an
     invalid ``pos`` raises InvalidPositionError when the first is asked for."""
-    frames, sub = _split_at(term, pos)
+    path, sub = _split_at(term, pos)
     if isinstance(sub, Var):
         return
     if _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub)):
         for rule, sigma in _matches(trs, sub):
-            yield Step(pos, rule.index, sigma, _plug(frames, sigma.apply(rule.rhs)))
+            yield Step(pos, rule.index, sigma, _plug(path, sigma.apply(rule.rhs)))
 
 
 def reduce_at(
@@ -351,39 +340,42 @@ def _call_by_value(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
     redex in pre-order, exactly as ``iter_successors`` orders them; a node
     is tried only once its arguments are normal, so never with a redex
     below.  After a step only the contractum's rule-built part is examined:
-    its variable parts are subterms of normal forms, hence normal.  The walk
-    keeps a frame per ancestor, with the hints (the rhs pattern under the
-    node) and the ancestor's arguments normalized so far.
+    its variable parts are subterms of normal forms, hence normal.  Each
+    parent on the path is rebuilt only when an argument comes back changed.
+    ``hints`` holds the arguments of the pattern each parent instantiates (the
+    rule's rhs in a contractum, else the term itself): a variable is normal.
     """
-    frames: list[list] = []
-    node, hint = term, None
+    path: list[list] = []
+    hints: list[tuple[Term, ...]] = []
+    node, hint = term, term
     while True:
-        while isinstance(node, App) and node.args and not isinstance(hint, Var):
-            hints = hint.args if hint is not None else None
-            frames.append([node.sym, list(node.args), 1, hints])
-            node, hint = node.args[0], hints[0] if hints is not None else None
-        normal = isinstance(node, Var) or isinstance(hint, Var)
+        while node.__class__ is App and node.args and hint.__class__ is not Var:
+            path.append([node, 1])
+            hints.append(hint.args)
+            node, hint = node.args[0], hint.args[0]
+        normal = hint.__class__ is Var
         while True:
-            if not normal and _may_fire(mode, not frames, lambda: False):
+            if not normal and _may_fire(mode, not path, lambda: False):
                 fired = _matches(trs, node)
                 if fired:
                     rule, sigma = fired[0]
                     contractum = sigma.apply(rule.rhs)
-                    pos = tuple(frame[2] for frame in frames)
-                    yield Step(pos, rule.index, sigma, _plug(frames, contractum))
+                    pos = tuple(i for _, i in path)
+                    yield Step(pos, rule.index, sigma, _plug(path, contractum))
                     node, hint = contractum, rule.rhs
                     break
-            if not frames:
+            if not path:
                 return
-            frame = frames[-1]
-            sym, args, i, hints = frame
-            args[i - 1] = node
-            if i < len(args):
-                frame[2] = i + 1
-                node, hint = args[i], hints[i] if hints is not None else None
+            parent, i = top = path[-1]
+            if node is not parent.args[i - 1]:
+                args = parent.args
+                parent = top[0] = App(parent.sym, (*args[: i - 1], node, *args[i:]))
+            if i < len(parent.args):
+                top[1] = i + 1
+                node, hint = parent.args[i], hints[-1][i]
                 break
-            frames.pop()
-            node, normal = App(sym, tuple(args)), False
+            del path[-1], hints[-1]
+            node, normal = parent, False
 
 
 def _leftmost_outermost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
@@ -526,9 +518,9 @@ def embed_trace(context: Term, pos: Position, trace: DerivationTrace) -> Derivat
     the innermost side condition only look at the redex subterm, which the
     embedding does not change.
     """
-    frames, _ = _split_at(context, pos)
+    path, _ = _split_at(context, pos)
     steps = tuple(
-        Step(pos + s.position, s.rule_index, s.substitution, _plug(frames, s.result))
+        Step(pos + s.position, s.rule_index, s.substitution, _plug(path, s.result))
         for s in trace.steps
     )
-    return DerivationTrace(_plug(frames, trace.start), steps, trace.mode)
+    return DerivationTrace(_plug(path, trace.start), steps, trace.mode)

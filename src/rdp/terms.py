@@ -7,8 +7,9 @@ argument indices with ``()`` denoting the root.
 An application node computes its hash once and keeps it, and hashing and
 equality walk the term with an explicit stack, so both work at any depth
 and a set or dict lookup of a term already hashed costs constant time.
-A walk to a position is one descent, ``_split_at``, a rebuild around one is
-``_plug``, and ``_walk`` walks any tree, PVS0 trees too; none recurses.
+A path is a list of ``(parent, i)`` pairs from the root: ``_walk`` yields any
+tree's nodes (PVS0 trees too) with theirs, ``_split_at`` descends to one
+position and returns its path, ``_plug`` rebuilds around one; none recurses.
 """
 
 from __future__ import annotations
@@ -164,12 +165,11 @@ def positions_of(term: Term) -> list[Position]:
     return [pos for pos, _ in subterms_of(term)]
 
 
-# A frame is ``(symbol, arguments, i, ...)``: one ancestor on the path to a
-# subterm, the path going on through its i-th argument (1-based).  Extra
-# items are private to the walk that built the frame.
-def _split_at(term: Term, pos: Position) -> tuple[list[tuple], Term]:
-    """The path to ``pos`` in ``term``, one frame per ancestor, and the subterm there."""
-    frames: list[tuple] = []
+# A path is a list of ``(parent, i)`` pairs, root first: each ancestor of a
+# subterm and the 1-based index of the argument the path goes on through.
+def _split_at(term: Term, pos: Position) -> tuple[list[tuple[App, int]], Term]:
+    """The path to ``pos`` in ``term`` and the subterm there."""
+    path: list[tuple[App, int]] = []
     current = term
     for depth, i in enumerate(pos):
         if not isinstance(current, App) or not 1 <= i <= len(current.args):
@@ -181,16 +181,16 @@ def _split_at(term: Term, pos: Position) -> tuple[list[tuple], Term]:
             raise InvalidPositionError(
                 f"position {format_position(pos)} invalid at depth {depth}: {stop}"
             )
-        frames.append((current.sym, current.args, i))
+        path.append((current, i))
         current = current.args[i - 1]
-    return frames, current
+    return path, current
 
 
-def _plug(frames: list, term: Term) -> Term:
-    """Rebuild the whole term around ``term`` from the path ``frames``."""
-    for frame in reversed(frames):
-        sym, args, i = frame[0], frame[1], frame[2]
-        term = App(sym, (*args[: i - 1], term, *args[i:]))
+def _plug(path: list, term: Term) -> Term:
+    """Rebuild the whole term around ``term`` from the path to its place."""
+    for parent, i in reversed(path):
+        args = parent.args
+        term = App(parent.sym, (*args[: i - 1], term, *args[i:]))
     return term
 
 

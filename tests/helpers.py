@@ -4,7 +4,7 @@ import functools
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator
 
 from hypothesis import strategies as st
@@ -49,7 +49,7 @@ from rdp import (
 )
 from rdp.dependency_pairs import VERIFIED
 from rdp.formats import ParseError, _int_field, _is_int, _tokenize, _TokenStream
-from rdp.pvs0 import _COMPARE, CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value
+from rdp.pvs0 import _COMPARE, CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value, _Node
 from rdp.rewriting import (
     DEFAULT_FUEL,
     TRS,
@@ -320,6 +320,8 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # operator compile, the program reader and its writers recurse once per
 # node.  ``_depth_is_bad_input`` turns the recursive readers' RecursionError
 # into the ParseError the readers they were replaced by raise.
+# ``oracle_node_repr`` restates the dataclass-generated ``repr`` of PVS0
+# nodes, which recursed once per level.
 
 
 def _depth_is_bad_input(parse: Callable) -> Callable:
@@ -1199,3 +1201,15 @@ def oracle_program_to_json(program: Pvs0Program) -> dict:
         "o2": [oracle_gvalue_to_json(d.body) for d in program.o2],
         "body": oracle_pvs0_expr_to_json(program.body),
     }
+
+
+def oracle_node_repr(node: Any) -> str:
+    """The dataclass-generated ``repr`` of a PVS0 node: each field's ``repr`` in
+    turn, recursing once per level (a GTuple's items print as a tuple)."""
+    if isinstance(node, tuple):
+        items = ", ".join(oracle_node_repr(item) for item in node)
+        return f"({items},)" if len(node) == 1 else f"({items})"
+    if not isinstance(node, _Node):
+        return repr(node)
+    parts = ", ".join(f"{f.name}={oracle_node_repr(getattr(node, f.name))}" for f in fields(node))
+    return f"{node.__class__.__qualname__}({parts})"

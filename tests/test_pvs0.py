@@ -351,6 +351,19 @@ def test_a_body_and_a_guard_of_any_depth_work():
     assert (guard._reads, guard._widths) == (2, frozenset({1}))
 
 
+def test_a_deep_ill_sorted_tree_is_refused_with_a_pvs0_error():
+    """A node in a message prints in one pass over the walk, so a misplaced
+    tree 2,000 levels deep is refused as ill-sorted, not with RecursionError."""
+    scalar = GConst(1)
+    for _ in range(2_000):
+        scalar = GAdd(scalar, GConst(1))
+    with pytest.raises(Pvs0Error, match=r"^not a value guard expression: GAdd\(left=GAdd\("):
+        OperatorDef(1, scalar)
+    with pytest.raises(Pvs0Error, match=r"^not a program expression: GAdd\(left=GAdd\("):
+        Pvs0Program(1, (0,), (1,), (), (), Op1(0, scalar))
+    assert repr(scalar).endswith(", right=GConst(value=1))" * 2_000)
+
+
 def test_equality_tells_apart_trees_that_differ_only_in_shape():
     """Equality is field by field also on trees no reader builds: two nested
     tuples with the same leaves in the same order, split differently, differ."""

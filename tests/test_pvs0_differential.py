@@ -9,7 +9,9 @@ off the one body walk against the recursive walk they replaced
 reader and writers, equality and hash are checked against the recursive
 definitions they replaced (``oracle_compile_guard``,
 ``oracle_parse_pvs0_program``, ``oracle_program_to_json``,
-``oracle_pvs0_expr_to_str``), the reader also on broken programs.
+``oracle_pvs0_expr_to_str``), the reader also on broken programs, and the
+one-pass ``repr`` of nodes against the dataclass-generated one
+(``oracle_node_repr``).
 """
 
 import copy
@@ -57,6 +59,7 @@ from helpers import (
     oracle_guard_eval,
     oracle_gvalue_to_json,
     oracle_minimal_fuel,
+    oracle_node_repr,
     oracle_parse_pvs0_program,
     oracle_program_to_json,
     oracle_pvs0_expr_to_json,
@@ -405,3 +408,12 @@ def test_equality_and_hash_agree_with_the_json(seed, other_seed):
     assert (first == second) == same
     if same:
         assert hash(first) == hash(second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS)
+def test_repr_agrees_with_the_recursive_repr(seed):
+    """Every node of a random program prints as the dataclass-generated repr."""
+    program = random_pvs0_program(random.Random(seed))
+    for node in nodes_of(program):
+        assert repr(node) == oracle_node_repr(node)

@@ -176,6 +176,18 @@ def test_normalize_innermost_ackermann():
     assert check_trace(trs, trace)
 
 
+def test_call_by_value_keeps_arguments_already_normal():
+    """A parent is rebuilt only around an argument that changed, so the
+    first step's result shares the normal first argument with the start."""
+    trs = ack_system()
+    t = ack(nat(2), ack(ap(Z0), ap(Z0)))
+    trace = normalize(trs, t, INN)
+    assert trace.steps[0].position == (2,)
+    assert trace.steps[0].result.args[0] is t.args[0]
+    assert trace.end == nat(5)
+    assert check_trace(trs, trace)
+
+
 def test_normalize_already_normal():
     trs = ack_system()
     trace = normalize(trs, nat(1), FULL, 10)
