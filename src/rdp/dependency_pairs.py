@@ -346,29 +346,26 @@ def detect_innermost_loop(
         for u, tagged in explore(trs, term, RelationMode.INNERMOST, fuel)
     }
 
-    # Depth-first, one path of (node, steps not yet tried, step into node).
+    # Depth-first from ``term``, one path of (node, steps not yet tried, step into node).
     done: set[Term] = set()
-    for root in edges:
-        if root in done:
+    path: list[tuple] = [(term, iter(edges[term]), None)]
+    on_path: dict[Term, int] = {term: 0}
+    while path:
+        node, remaining, _ = path[-1]
+        step = next(remaining, None)
+        if step is None:
+            path.pop()
+            del on_path[node]
+            done.add(node)
             continue
-        path: list[tuple] = [(root, iter(edges[root]), None)]
-        on_path: dict[Term, int] = {root: 0}
-        while path:
-            node, remaining, _ = path[-1]
-            step = next(remaining, None)
-            if step is None:
-                path.pop()
-                del on_path[node]
-                done.add(node)
-                continue
-            v = step.result
-            if v not in edges or v in done:
-                continue
-            if v in on_path:
-                steps = tuple(s for _, _, s in path[on_path[v] + 1 :]) + (step,)
-                return LoopCertificate(DerivationTrace(v, steps, RelationMode.INNERMOST))
-            on_path[v] = len(path)
-            path.append((v, iter(edges[v]), step))
+        v = step.result
+        if v not in edges or v in done:
+            continue
+        if v in on_path:
+            steps = tuple(s for _, _, s in path[on_path[v] + 1 :]) + (step,)
+            return LoopCertificate(DerivationTrace(v, steps, RelationMode.INNERMOST))
+        on_path[v] = len(path)
+        path.append((v, iter(edges[v]), step))
     return None
 
 

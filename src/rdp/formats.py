@@ -35,6 +35,8 @@ from .pvs0 import (
     Vr,
     _KID_SORTS,
     _LEAVES,
+    _NOUN,
+    _SHOW,
     _SORT,
     _fold,
     _kids,
@@ -89,7 +91,7 @@ def _int_field(data: Any, key: str) -> int:
     """``data[key]`` if it is a JSON integer; else KeyError or TypeError."""
     value = data[key]
     if not _is_int(value):
-        raise TypeError(f"{key!r} must be an integer, found {value!r}")
+        raise TypeError(f"{key!r} must be an integer, found {reprlib.repr(value)}")
     return value
 
 
@@ -98,7 +100,7 @@ def _position_field(data: Any) -> Position:
     TypeError or InvalidPositionError."""
     value = data["position"]
     if not isinstance(value, str):
-        raise TypeError(f"'position' must be a string, found {value!r}")
+        raise TypeError(f"'position' must be a string, found {reprlib.repr(value)}")
     return parse_position(value)
 
 
@@ -334,7 +336,7 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"malformed trace: {err}") from None
     if not isinstance(raw_steps, list):
-        raise ParseError(f"malformed trace: steps must be a list, got {raw_steps!r}")
+        raise ParseError(f"malformed trace: steps must be a list, got {reprlib.repr(raw_steps)}")
     steps = []
     for raw in raw_steps:
         try:
@@ -471,10 +473,10 @@ def parse_pvs0_program(text: str) -> Pvs0Program:
         raise ParseError(f"malformed program: {err}") from None
     for name, value in (("false_val", false_val), ("top_val", top_val)):
         if not all(_is_int(c) and c >= 0 for c in value):
-            raise ParseError(f"{name} must be a list of naturals: {value!r}")
+            raise ParseError(f"{name} must be a list of naturals: {reprlib.repr(value)}")
     for name, bank in (("o1", raw_o1), ("o2", raw_o2)):
         if not isinstance(bank, list):
-            raise ParseError(f"malformed program: {name} must be a list, got {bank!r}")
+            raise ParseError(f"malformed program: {name} must be a list, got {reprlib.repr(bank)}")
     o1 = tuple(OperatorDef(1, _read_tree(raw, "value", false_val, top_val)) for raw in raw_o1)
     o2 = tuple(OperatorDef(2, _read_tree(raw, "value", false_val, top_val)) for raw in raw_o2)
     return Pvs0Program(width, false_val, top_val, o1, o2, _read_tree(raw_body, "expression"))
@@ -490,7 +492,7 @@ def pvs0_expr_to_json(e: Pvs0Expr | GValue) -> list:
         if cls is GIf:
             return ["if", [node.cmp, kids[0], kids[1]], kids[2], kids[3]]
         if cls not in _TAGS:
-            raise ValueError(f"not a program expression: {node!r}")
+            raise ValueError(f"not a {_NOUN['expression']}: {_SHOW.repr(node)}")
         return [_TAGS[cls], *[getattr(node, name) for name in _LEAVES[cls]], *kids]
 
     return _fold(e, encode)
@@ -503,7 +505,7 @@ def pvs0_expr_to_str(e: Pvs0Expr) -> str:
     for node, path in _walk(e, _kids):
         cls = node.__class__
         if _SORT.get(cls) != "expression":
-            raise ValueError(f"not a program expression: {node!r}")
+            raise ValueError(f"not a {_NOUN['expression']}: {_SHOW.repr(node)}")
         out.append(")" * (opened - len(path)) + (", " if path and path[-1][1] > 1 else ""))
         opened = len(path)
         if cls is Cnst:

@@ -26,6 +26,7 @@ depth works; only evaluating a guard calls one closure per nesting level.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, eq, le, lt
@@ -193,6 +194,7 @@ GValue = Union[GTuple, GIf]
 # Each node class's subtrees, in order: the field that holds each and the sort
 # it must have.  A GTuple's one field holds a tuple of them.
 _E, _S, _V = "expression", "scalar", "value"
+_NOUN = {_E: "program expression", _S: "scalar guard expression", _V: "value guard expression"}
 _SUBTREES: dict[type, tuple[tuple[str, str], ...]] = {
     Cnst: (), Vr: (), Op1: (("arg", _E),), Rec: (("arg", _E),),
     Op2: (("left", _E), ("right", _E)), Ite: (("cond", _E), ("then", _E), ("orelse", _E)),
@@ -217,6 +219,8 @@ _LEAVES = {
 }
 _SORT = dict.fromkeys(Pvs0Expr.__args__, _E) | dict.fromkeys(GScalar.__args__, _S)
 _SORT |= dict.fromkeys(GValue.__args__, _V)
+_SHOW = reprlib.Repr()  # how a message shows a node or a value: a node's text is cut to 200
+_SHOW.maxother = 200
 
 
 def _kids(node: object) -> tuple:
@@ -242,7 +246,7 @@ def _fold(root: object, combine: Callable, sort: str | None = None):
                 parent, i = path[-1]
                 want = _S if parent.__class__ is GTuple else _KID_SORTS[parent.__class__][i - 1]
             if _SORT.get(node.__class__) != want:
-                raise Pvs0Error(f"not a {want} guard expression: {node!r}")
+                raise Pvs0Error(f"not a {_NOUN[want]}: {_SHOW.repr(node)}")
         inside.append((node, len(values)))
     for done, cut in reversed(inside):  # the walk is over: it has left every node
         values[cut:] = [combine(done, values[cut:])]
@@ -306,15 +310,6 @@ class OperatorDef:
         return OperatorDef, (self.arity, self.body)
 
 
-def _check_expr(body: Pvs0Expr, width: int) -> None:
-    for expr, _ in _walk(body, _kids):
-        cls = expr.__class__
-        if cls is Cnst and (len(expr.value) != width or any(c < 0 for c in expr.value)):
-            raise Pvs0Error(f"constant {expr.value} in a width-{width} program")
-        if _SORT.get(cls) != _E:
-            raise Pvs0Error(f"not a program expression: {expr!r}")
-
-
 @dataclass(frozen=True)
 class Pvs0Program:
     """One recursive definition over width-``width`` tuples of naturals.
@@ -336,7 +331,7 @@ class Pvs0Program:
             raise Pvs0Error("width must be positive")
         for name, value in (("false_val", self.false_val), ("top_val", self.top_val)):
             if len(value) != width or any(c < 0 for c in value):
-                raise Pvs0Error(f"{name} {value} does not fit width {width}")
+                raise Pvs0Error(f"{name} {_SHOW.repr(value)} does not fit width {width}")
         for bank, expected_arity in ((self.o1, 1), (self.o2, 2)):
             for defn in bank:
                 if defn.arity != expected_arity:
@@ -346,7 +341,12 @@ class Pvs0Program:
                     raise Pvs0Error(f"tuple of {min(extra)} components in a width-{width} program")
                 if defn._reads > width:
                     raise Pvs0Error(f"component index {defn._reads - 1} out of range for width {width}")
-        _check_expr(self.body, width)
+
+        def check(node: Pvs0Expr, kids: list) -> None:
+            if node.__class__ is Cnst and (len(node.value) != width or any(c < 0 for c in node.value)):
+                raise Pvs0Error(f"constant {_SHOW.repr(node.value)} in a width-{width} program")
+
+        _fold(self.body, check, _E)
 
 
 # --- evaluation ------------------------------------------------------------
@@ -395,7 +395,7 @@ def _evaluate(
             expr = expr.arg if cls is Op1 else expr.left
             continue
         else:
-            raise Pvs0Error(f"not a program expression: {expr!r}")
+            raise Pvs0Error(f"not a {_NOUN[_E]}: {_SHOW.repr(expr)}")
         # Hand ``result`` up until a construct has another operand to run.
         while stack:
             construct, value, fuel, left = stack.pop()

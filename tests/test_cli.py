@@ -364,6 +364,30 @@ def test_pvs0_eval_rejects_bad_input(capsys, ack_program_path, tmp_path):
     assert captured.err == "error: malformed program: o1 must be a list, got 5\n"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("o1", {str(i): i for i in range(100_000)}),
+        ("width", list(range(100_000))),
+        ("false_val", list(range(100_000))),
+        ("false_val", ["0"] * 100_000),
+    ],
+    ids=["o1-object", "width-list", "false_val-naturals", "false_val-strings"],
+)
+def test_pvs0_eval_error_abbreviates_an_oversized_field(capsys, tmp_path, field, value):
+    """An error line echoes a program's field abbreviated, not whole."""
+    program = {"width": 1, "false_val": [0], "top_val": [1], "body": ["vr"], field: value}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(program))
+    code = run_command(["pvs0-eval", str(path), "--input", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "..." in captured.err
+    assert len(captured.err.encode()) < 1024
+
+
 def test_pvs0_terminates(capsys, ack_program_path):
     code, report = run_json(
         capsys, ["pvs0-terminates", ack_program_path, "--input", "(2,3)"]

@@ -364,6 +364,53 @@ def test_a_deep_ill_sorted_tree_is_refused_with_a_pvs0_error():
     assert repr(scalar).endswith(", right=GConst(value=1))" * 2_000)
 
 
+def test_a_message_shows_a_deep_misplaced_tree_cut_short():
+    """Every check of a node's sort shows the node cut to 200 characters, its
+    head and tail kept, so a message stays short however deep the tree is."""
+    scalar = GConst(1)
+    for _ in range(10_000):
+        scalar = GAdd(scalar, GConst(1))
+    expr = Vr()
+    for _ in range(10_000):
+        expr = Op1(0, expr)
+    program = width1(Vr())
+    refusals = (
+        (lambda: OperatorDef(1, GTuple((expr,))), Pvs0Error),  # a program expression in a guard
+        (lambda: OperatorDef(1, scalar), Pvs0Error),
+        (lambda: width1(Op1(0, scalar)), Pvs0Error),  # a guard in a body
+        (lambda: width1(scalar), Pvs0Error),
+        (lambda: chi_eval(program, scalar, (1,), 5), Pvs0Error),
+        (lambda: pvs0_expr_to_str(Rec(scalar)), ValueError),
+    )
+    for refuse, error in refusals:
+        with pytest.raises(error) as err:
+            refuse()
+        message = str(err.value)
+        assert len(message) < 300
+        assert "..." in message
+        assert message.startswith(("not a scalar guard expression: Op1(index=0, arg=Op1(",
+                                   "not a value guard expression: GAdd(left=GAdd(",
+                                   "not a program expression: GAdd(left=GAdd("))
+        assert message.endswith((")" * 99, ", right=GConst(value=1))" * 4))
+
+
+def test_a_body_fails_with_its_first_error_in_pre_order():
+    """A body's constants and sorts are checked on one walk: a constant of the
+    wrong width fails before any node after it, and after any node before it."""
+    wide, misplaced = Cnst((1, 2)), GConst(0)
+    constant = r"^constant \(1, 2\) in a width-1 program$"
+    sort = r"^not a program expression: GConst\(value=0\)$"
+    for body, message in (
+        (Op2(0, wide, misplaced), constant),
+        (Op2(0, Op1(0, wide), Op1(0, misplaced)), constant),
+        (Ite(Rec(Vr()), wide, misplaced), constant),
+        (Op2(0, misplaced, wide), sort),
+        (Ite(Op1(0, misplaced), Rec(wide), Vr()), sort),
+    ):
+        with pytest.raises(Pvs0Error, match=message):
+            width1(body)
+
+
 def test_equality_tells_apart_trees_that_differ_only_in_shape():
     """Equality is field by field also on trees no reader builds: two nested
     tuples with the same leaves in the same order, split differently, differ."""
