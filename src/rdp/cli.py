@@ -51,7 +51,7 @@ from .rewriting import (
     derives,
     normalize,
 )
-from .terms import format_position, parse_position, subterm_at, term_to_str
+from .terms import _SHOW, format_position, parse_position, subterm_at, term_to_str
 
 _MODES = {mode.value: mode for mode in RelationMode}
 
@@ -67,9 +67,9 @@ def _fuel(args: argparse.Namespace) -> int:
         try:
             fuel, source = int(env), "RDP_FUEL"
         except ValueError:
-            raise formats.ParseError(f"RDP_FUEL must be an integer, got {env!r}") from None
+            raise formats.ParseError(f"RDP_FUEL must be an integer, got {_SHOW.repr(env)}") from None
     if fuel < 0:
-        raise formats.ParseError(f"{source} must not be negative, got {fuel}")
+        raise formats.ParseError(f"{source} must not be negative, got {_SHOW.repr(fuel)}")
     return fuel
 
 
@@ -293,15 +293,15 @@ def _cmd_pvs0_contexts(args: argparse.Namespace) -> tuple[dict, int]:
 def _parse_pair_flag(text: str) -> tuple[int, DepPairAlt]:
     head, sep, pos_text = text.partition("@")
     if not sep:
-        raise formats.ParseError(f"pair must look like CTX:RULE@POS, got {text!r}")
+        raise formats.ParseError(f"pair must look like CTX:RULE@POS, got {_SHOW.repr(text)}")
     ctx_text, sep, rule_text = head.partition(":")
     if not sep:
-        raise formats.ParseError(f"pair must look like CTX:RULE@POS, got {text!r}")
+        raise formats.ParseError(f"pair must look like CTX:RULE@POS, got {_SHOW.repr(text)}")
     try:
         ctx_index = int(ctx_text)
         rule_index = int(rule_text)
     except ValueError:
-        raise formats.ParseError(f"malformed pair {text!r}") from None
+        raise formats.ParseError(f"malformed pair {_SHOW.repr(text)}") from None
     return ctx_index, DepPairAlt(rule_index, parse_position(pos_text))
 
 

@@ -45,6 +45,7 @@ from .rewriting import (
 from .substitution import Substitution
 from .terms import (
     ROOT,
+    _SHOW,
     App,
     InvalidPositionError,
     Position,
@@ -173,7 +174,7 @@ def require_dep_pair(trs: TRS, dp: DepPairAlt, entry: int | None = None) -> None
     """Reject ``dp`` unless it is a pair of ``trs``; ``entry`` is its witness entry."""
     if not is_dep_pair_alt(trs, dp):
         which = "not" if entry is None else f"entry {entry} is not"
-        raise InvalidDepPairError(f"{which} a dependency pair of this TRS: {dp!r}", entry)
+        raise InvalidDepPairError(f"{which} a dependency pair of this TRS: {_SHOW.repr(dp)}", entry)
 
 
 def dep_pairs_alt(trs: TRS) -> list[DepPairAlt]:

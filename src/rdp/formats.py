@@ -12,7 +12,6 @@ witnesses, programs, and traces travel as JSON; the depth limit of the one
 from __future__ import annotations
 
 import json
-import reprlib
 from typing import Any, Callable, NamedTuple
 
 from .dependency_pairs import ChainWitness, DepPairAlt, require_dep_pair
@@ -36,7 +35,6 @@ from .pvs0 import (
     _KID_SORTS,
     _LEAVES,
     _NOUN,
-    _SHOW,
     _SORT,
     _fold,
     _kids,
@@ -52,6 +50,7 @@ from .rewriting import (
 from .substitution import Substitution
 from .terms import (
     ROOT,
+    _SHOW,
     App,
     InvalidPositionError,
     Position,
@@ -91,7 +90,7 @@ def _int_field(data: Any, key: str) -> int:
     """``data[key]`` if it is a JSON integer; else KeyError or TypeError."""
     value = data[key]
     if not _is_int(value):
-        raise TypeError(f"{key!r} must be an integer, found {reprlib.repr(value)}")
+        raise TypeError(f"{key!r} must be an integer, found {_SHOW.repr(value)}")
     return value
 
 
@@ -100,7 +99,7 @@ def _position_field(data: Any) -> Position:
     TypeError or InvalidPositionError."""
     value = data["position"]
     if not isinstance(value, str):
-        raise TypeError(f"'position' must be a string, found {reprlib.repr(value)}")
+        raise TypeError(f"'position' must be a string, found {_SHOW.repr(value)}")
     return parse_position(value)
 
 
@@ -140,7 +139,7 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("ident", text[i:j], line))
             i = j
         else:
-            raise ParseError(f"unexpected character {c!r}", line)
+            raise ParseError(f"unexpected character {_SHOW.repr(c)}", line)
     tokens.append(_Token("eof", "", line))
     return tokens
 
@@ -157,7 +156,8 @@ class _TokenStream:
     def take(self, kind: str) -> _Token:
         tok = self.head
         if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.line)
+            found = _SHOW.repr(tok.text or "end of input")
+            raise ParseError(f"expected {kind}, found {found}", tok.line)
         self.pos += 1
         return tok
 
@@ -178,7 +178,7 @@ def _read_term(
         var = Var(name.text)
         if ts.head.kind == "lparen":
             if var in variables:
-                raise ParseError(f"variable {name.text!r} used with arguments", name.line)
+                raise ParseError(f"variable {_SHOW.repr(name.text)} used with arguments", name.line)
             ts.take("lparen")
             open_apps.append((name, []))
             continue
@@ -202,9 +202,11 @@ def parse_term(text: str, trs: TRS) -> Term:
     def declared(name: str, arity: int, line: int) -> Symbol:
         sym = trs.signature.get(name)
         if sym is None:
-            raise ParseError(f"unknown identifier {name!r}", line)
+            raise ParseError(f"unknown identifier {_SHOW.repr(name)}", line)
         if sym.arity != arity:
-            raise ParseError(f"symbol {name!r} has arity {sym.arity}, applied to {arity}", line)
+            raise ParseError(
+                f"symbol {_SHOW.repr(name)} has arity {sym.arity}, applied to {arity}", line
+            )
         return sym
 
     term = _read_term(ts, declared, trs.variables)
@@ -243,7 +245,7 @@ def parse_trs(text: str) -> TRS:
                 depth += {"lparen": 1, "rparen": -1}.get(ts.head.kind, 0)
                 ts.pos += 1
         else:
-            raise ParseError(f"unknown section {section.text!r}", section.line)
+            raise ParseError(f"unknown section {_SHOW.repr(section.text)}", section.line)
         ts.take("rparen")
     if rules_at is None:
         raise ParseError("missing (RULES ...) section")
@@ -257,7 +259,7 @@ def parse_trs(text: str) -> TRS:
             seen = inferred[name] = (Symbol(name, arity), line)
         elif seen[0].arity != arity:
             raise ParseError(
-                f"symbol {name!r} used with arity {arity} "
+                f"symbol {_SHOW.repr(name)} used with arity {arity} "
                 f"but with arity {seen[0].arity} on line {seen[1]}",
                 line,
             )
@@ -305,9 +307,9 @@ def parse_substitution(data: Any, trs: TRS) -> Substitution:
     for name, term_text in data.items():
         var = Var(name)
         if var not in trs.variables:
-            raise ParseError(f"substitution binds undeclared variable {name!r}")
+            raise ParseError(f"substitution binds undeclared variable {_SHOW.repr(name)}")
         if not isinstance(term_text, str):
-            raise ParseError(f"binding for {name!r} must be a term string")
+            raise ParseError(f"binding for {_SHOW.repr(name)} must be a term string")
         bindings[var] = parse_term(term_text, trs)
     return Substitution(bindings)
 
@@ -330,13 +332,15 @@ def trace_to_json(trace: DerivationTrace) -> dict:
 
 def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
     try:
-        mode = RelationMode(data["mode"])
+        mode = next((m for m in RelationMode if m.value == data["mode"]), None)
+        if mode is None:
+            raise ValueError(f"{_SHOW.repr(data['mode'])} is not a valid RelationMode")
         start = parse_term(data["start"], trs)
         raw_steps = data["steps"]
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"malformed trace: {err}") from None
     if not isinstance(raw_steps, list):
-        raise ParseError(f"malformed trace: steps must be a list, got {reprlib.repr(raw_steps)}")
+        raise ParseError(f"malformed trace: steps must be a list, got {_SHOW.repr(raw_steps)}")
     steps = []
     for raw in raw_steps:
         try:
@@ -440,14 +444,14 @@ def _read_tree(data: Any, sort: str, false_val: tuple = (), top_val: tuple = ())
         elif cls is GIf and len(data) == 4:
             cmp = data[1]
             if not isinstance(cmp, list) or len(cmp) != 3 or not isinstance(cmp[0], str):
-                raise ParseError(f"malformed comparison node: {reprlib.repr(cmp)}")
+                raise ParseError(f"malformed comparison node: {_SHOW.repr(cmp)}")
             leaves, kids = cmp[:1], [cmp[1], cmp[2], data[2], data[3]]
         elif cls is Cnst and len(data) == 2 and isinstance(data[1], list):
             if not all(_is_int(c) and c >= 0 for c in data[1]):
-                raise ParseError(f"constant must be a list of naturals: {reprlib.repr(data[1])}")
+                raise ParseError(f"constant must be a list of naturals: {_SHOW.repr(data[1])}")
             leaves, kids = (tuple(data[1]),), ()
         else:
-            raise ParseError(f"malformed {_WHAT[sort]} node: {reprlib.repr(data)}")
+            raise ParseError(f"malformed {_WHAT[sort]} node: {_SHOW.repr(data)}")
         if kids or cls is GTuple:
             todo += [(cls, leaves, len(kids)), *reversed(kids)]
             wants += [None, *reversed(sorts)]
@@ -473,10 +477,10 @@ def parse_pvs0_program(text: str) -> Pvs0Program:
         raise ParseError(f"malformed program: {err}") from None
     for name, value in (("false_val", false_val), ("top_val", top_val)):
         if not all(_is_int(c) and c >= 0 for c in value):
-            raise ParseError(f"{name} must be a list of naturals: {reprlib.repr(value)}")
+            raise ParseError(f"{name} must be a list of naturals: {_SHOW.repr(value)}")
     for name, bank in (("o1", raw_o1), ("o2", raw_o2)):
         if not isinstance(bank, list):
-            raise ParseError(f"malformed program: {name} must be a list, got {reprlib.repr(bank)}")
+            raise ParseError(f"malformed program: {name} must be a list, got {_SHOW.repr(bank)}")
     o1 = tuple(OperatorDef(1, _read_tree(raw, "value", false_val, top_val)) for raw in raw_o1)
     o2 = tuple(OperatorDef(2, _read_tree(raw, "value", false_val, top_val)) for raw in raw_o2)
     return Pvs0Program(width, false_val, top_val, o1, o2, _read_tree(raw_body, "expression"))
@@ -535,11 +539,11 @@ def parse_value(text: str) -> tuple[int, ...]:
     if cleaned.startswith("(") and cleaned.endswith(")"):
         cleaned = cleaned[1:-1]
     if not cleaned:
-        raise ParseError(f"empty value {text!r}")
+        raise ParseError(f"empty value {_SHOW.repr(text)}")
     try:
         parts = tuple(int(p) for p in cleaned.split(","))
     except ValueError:
-        raise ParseError(f"malformed value {text!r}") from None
+        raise ParseError(f"malformed value {_SHOW.repr(text)}") from None
     if any(p < 0 for p in parts):
-        raise ParseError(f"value components must be naturals: {text!r}")
+        raise ParseError(f"value components must be naturals: {_SHOW.repr(text)}")
     return parts

@@ -26,7 +26,6 @@ depth works; only evaluating a guard calls one closure per nesting level.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter, eq, le, lt
@@ -35,7 +34,7 @@ from typing import Callable, Union
 from .dependency_pairs import DepPairAlt, to_standard
 from .rewriting import DEFAULT_FUEL, TRS, defined_symbols
 from .substitution import match
-from .terms import App, Term, _walk, format_position
+from .terms import _SHOW, App, Term, _walk, format_position
 
 Value = tuple[int, ...]
 _COMPARE = {"lt": lt, "le": le, "eq": eq}
@@ -186,7 +185,7 @@ class GIf(_Node):
 
     def __post_init__(self) -> None:
         if self.cmp not in _COMPARE:
-            raise Pvs0Error(f"unknown comparison {self.cmp!r}")
+            raise Pvs0Error(f"unknown comparison {_SHOW.repr(self.cmp)}")
 
 
 GValue = Union[GTuple, GIf]
@@ -219,8 +218,6 @@ _LEAVES = {
 }
 _SORT = dict.fromkeys(Pvs0Expr.__args__, _E) | dict.fromkeys(GScalar.__args__, _S)
 _SORT |= dict.fromkeys(GValue.__args__, _V)
-_SHOW = reprlib.Repr()  # how a message shows a node or a value: a node's text is cut to 200
-_SHOW.maxother = 200
 
 
 def _kids(node: object) -> tuple:
@@ -286,9 +283,9 @@ class OperatorDef:
             if cls is GComp:
                 a, c = node.arg, node.component
                 if not 0 <= a < arity:
-                    raise Pvs0Error(f"argument index {a} out of range for arity {arity}")
+                    raise Pvs0Error(f"argument index {_SHOW.repr(a)} out of range for arity {arity}")
                 if c < 0:
-                    raise Pvs0Error(f"component index {c} is negative")
+                    raise Pvs0Error(f"component index {_SHOW.repr(c)} is negative")
                 reads = max(reads, c + 1)
                 return lambda args: args[a][c]
             if cls is GTuple:
@@ -340,7 +337,8 @@ class Pvs0Program:
                 if extra:
                     raise Pvs0Error(f"tuple of {min(extra)} components in a width-{width} program")
                 if defn._reads > width:
-                    raise Pvs0Error(f"component index {defn._reads - 1} out of range for width {width}")
+                    index = _SHOW.repr(defn._reads - 1)
+                    raise Pvs0Error(f"component index {index} out of range for width {width}")
 
         def check(node: Pvs0Expr, kids: list) -> None:
             if node.__class__ is Cnst and (len(node.value) != width or any(c < 0 for c in node.value)):
@@ -359,7 +357,8 @@ def guard_eval(defn: OperatorDef, args: tuple[Value, ...]) -> Value:
     try:
         return defn._run(args)
     except IndexError:  # a component past the end of a value too short
-        raise Pvs0Error(f"operator reading {defn._reads} components applied to {args}") from None
+        shown = _SHOW.repr(args)
+        raise Pvs0Error(f"operator reading {defn._reads} components applied to {shown}") from None
 
 
 def _evaluate(
@@ -368,7 +367,7 @@ def _evaluate(
     """``chi_eval``'s result, with the lowest fuel any ``rec`` ran the body at
     (``fuel`` itself when no ``rec`` ran)."""
     if len(value) != program.width:
-        raise Pvs0Error(f"input {value} does not fit width {program.width}")
+        raise Pvs0Error(f"input {_SHOW.repr(value)} does not fit width {program.width}")
     o1, o2, body, false_val = program.o1, program.o2, program.body, program.false_val
     lowest = fuel
     if fuel <= 0:
@@ -541,14 +540,14 @@ def unary_encoder(
     else:
         maybe = trs.signature.get(root)
         if maybe is None:
-            raise ValueError(f"no symbol {root!r} in the signature")
+            raise ValueError(f"no symbol {_SHOW.repr(root)} in the signature")
         root_sym = maybe
     succ_sym = trs.signature.get(succ)
     zero_sym = trs.signature.get(zero)
     if succ_sym is None or succ_sym.arity != 1:
-        raise ValueError(f"need a unary symbol {succ!r} in the signature")
+        raise ValueError(f"need a unary symbol {_SHOW.repr(succ)} in the signature")
     if zero_sym is None or zero_sym.arity != 0:
-        raise ValueError(f"need a constant {zero!r} in the signature")
+        raise ValueError(f"need a constant {_SHOW.repr(zero)} in the signature")
 
     def nat(n: int) -> Term:
         t: Term = App(zero_sym, ())
@@ -559,7 +558,7 @@ def unary_encoder(
     def encode(value: Value) -> Term:
         if len(value) != root_sym.arity:
             raise Pvs0Error(
-                f"value width {len(value)} does not match arity of {root_sym!r}"
+                f"value width {len(value)} does not match arity of {_SHOW.repr(root_sym)}"
             )
         return App(root_sym, tuple(nat(c) for c in value))
 
@@ -589,7 +588,7 @@ def check_cc_dp_correspondence(
     for ctx_index, dp in pairs:
         if not 0 <= ctx_index < len(contexts):
             raise Pvs0Error(
-                f"no calling context {ctx_index}; program has {len(contexts)}"
+                f"no calling context {_SHOW.repr(ctx_index)}; program has {len(contexts)}"
             )
         pair = to_standard(trs, dp)
         ctx = contexts[ctx_index]

@@ -34,6 +34,7 @@ from typing import Callable, Iterator
 
 from .substitution import Substitution, match
 from .terms import (
+    _SHOW,
     App,
     InvalidPositionError,
     Position,
@@ -92,11 +93,11 @@ class Rule:
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
             raise RuleRestrictionError(
-                f"rule {self.index}: left-hand side is the variable {self.lhs.name}"
+                f"rule {self.index}: left-hand side is the variable {_SHOW.repr(self.lhs.name)}"
             )
         extra = vars_of(self.rhs) - vars_of(self.lhs)
         if extra:
-            names = ", ".join(sorted(v.name for v in extra))
+            names = _SHOW.repr(sorted(v.name for v in extra))
             raise RuleRestrictionError(
                 f"rule {self.index}: right-hand side invents variables {names}"
             )

@@ -14,8 +14,12 @@ position and returns its path, ``_plug`` rebuilds around one; none recurses.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
+
+_SHOW = reprlib.Repr()  # how every message shows a value it was given: a long one is cut at "..."
+_SHOW.maxother = 200  # for a node or a pair; a string is cut at 30 characters, a list at 6 items
 
 
 class InvalidPositionError(ValueError):
@@ -267,9 +271,9 @@ def parse_position(text: str) -> Position:
     try:
         indices = tuple(int(part) for part in text.split("."))
     except ValueError:
-        raise InvalidPositionError(f"malformed position {text!r}") from None
+        raise InvalidPositionError(f"malformed position {_SHOW.repr(text)}") from None
     if any(i < 1 for i in indices):
-        raise InvalidPositionError(f"position indices are 1-based: {text!r}")
+        raise InvalidPositionError(f"position indices are 1-based: {_SHOW.repr(text)}")
     return indices
 
 

@@ -388,6 +388,79 @@ def test_pvs0_eval_error_abbreviates_an_oversized_field(capsys, tmp_path, field,
     assert len(captured.err.encode()) < 1024
 
 
+def _witness(entry):
+    return json.dumps({"entries": [entry]})
+
+
+def _invents(n):
+    names = [f"x{i}" for i in range(n)]
+    return f"(VAR {' '.join(names)})\n(RULES a -> f({','.join(names)}))\n"
+
+
+CHAIN_VERIFY = ["chain-verify", "ack.trs", "--witness", "w.json"]
+CC_DP_CHECK = ["cc-dp-check", "ack.pvs0.json", "ack.trs", "--grid", "1,1"]
+PVS0_EVAL = ["pvs0-eval", "p.json", "--input", "1"]
+
+
+def _operator(guard):
+    return json.dumps(
+        {"width": 1, "false_val": [0], "top_val": [1], "body": ["op1", 0, ["vr"]], "o1": [guard]}
+    )
+
+
+@pytest.mark.parametrize(
+    "files, argv, env",
+    [
+        ({"w.json": _witness({"rule": 1, "substitution": {"v" * 1_000_000: "0"}})},
+         CHAIN_VERIFY, None),
+        ({"w.json": _witness({"rule": 1, "substitution": {"x": "b" * 1_000_000}})},
+         CHAIN_VERIFY, None),
+        ({"w.json": _witness({"rule": 2, "position": ".".join(["1"] * 200_000)})},
+         CHAIN_VERIFY, None),
+        ({"w.json": _witness({"rule": 2, "position": "p" * 500_000})}, CHAIN_VERIFY, None),
+        ({"s.trs": "(" + "S" * 500_000 + ")\n(RULES a -> a)\n"}, ["dps", "s.trs"], None),
+        ({"s.trs": _invents(60_000)}, ["dps", "s.trs"], None),
+        ({"p.json": _operator(["if", ["c" * 500_000, ["const", 0], ["const", 0]], ["top"], ["bottom"]])},
+         PVS0_EVAL, None),
+        ({"p.json": _operator(["tuple", ["comp", 10**3999, 0]])}, PVS0_EVAL, None),
+        ({"p.json": _operator(["tuple", ["comp", 0, 10**3999]])}, PVS0_EVAL, None),
+        ({"p.json": _operator(["tuple", ["comp", 0, -(10**3999)]])}, PVS0_EVAL, None),
+        ({}, ["normalize", "ack.trs", "--term", "t" * 100_000], None),
+        ({}, CC_DP_CHECK + ["--pair", "p" * 100_000], None),
+        ({}, CC_DP_CHECK + ["--pair", "0:2@2", "--root", "r" * 100_000], None),
+        ({}, ["pvs0-eval", "ack.pvs0.json", "--input", "9" * 100_000], None),
+        ({}, ["pvs0-eval", "ack.pvs0.json", "--input", ",".join(["1"] * 50_000)], None),
+        ({}, ["dps", "ack.trs"], "f" * 100_000),
+        ({}, ["dps", "ack.trs", "--fuel", "-" + "9" * 4_000], None),
+    ],
+    ids=["witness-variable-name", "witness-identifier", "witness-long-position",
+         "witness-malformed-position", "trs-section", "trs-invented-variables",
+         "guard-comparison", "guard-argument-index", "guard-component-index",
+         "guard-negative-component", "term", "pair", "root", "input", "input-width", "RDP_FUEL",
+         "negative-fuel"],
+)
+def test_error_line_abbreviates_an_oversized_input(
+    capsys, monkeypatch, tmp_path, ack_trs_path, ack_program_path, files, argv, env
+):
+    """An error line echoes a value read from a file, a flag or the
+    environment abbreviated, not whole."""
+    paths = {"ack.trs": ack_trs_path, "ack.pvs0.json": ack_program_path}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    if env is None:
+        monkeypatch.delenv("RDP_FUEL", raising=False)
+    else:
+        monkeypatch.setenv("RDP_FUEL", env)
+    code = run_command([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "..." in captured.err
+    assert len(captured.err.encode()) < 1024
+
+
 def test_pvs0_terminates(capsys, ack_program_path):
     code, report = run_json(
         capsys, ["pvs0-terminates", ack_program_path, "--input", "(2,3)"]

@@ -390,6 +390,20 @@ def test_parse_trace_errors():
             parse_trace({"start": "a(0,0)", "mode": "full", "steps": [step]}, trs)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("mode", "m" * 1_000_000), ("start", "b" * 1_000_000)], ids=["mode", "start"]
+)
+def test_parse_trace_abbreviates_an_oversized_field(field, value):
+    """A trace read in process, where no command reaches, is refused with its
+    oversized field abbreviated, not whole."""
+    data = {"mode": "full", "start": "0", "steps": []} | {field: value}
+    with pytest.raises(ParseError, match="^malformed trace: ") as err:
+        parse_trace(data, ack_system())
+    message = str(err.value)
+    assert "..." in message
+    assert len(message.encode()) < 1024
+
+
 # --- chain witnesses -------------------------------------------------------
 
 

@@ -130,6 +130,14 @@ def test_gif_rejects_unknown_comparison():
         GIf("gt", GConst(0), GConst(1), GTuple((GConst(0),)), GTuple((GConst(0),)))
 
 
+def test_gif_abbreviates_an_oversized_comparison():
+    with pytest.raises(Pvs0Error, match="^unknown comparison ") as err:
+        GIf("c" * 500_000, GConst(0), GConst(1), GTuple((GConst(0),)), GTuple((GConst(0),)))
+    message = str(err.value)
+    assert "..." in message
+    assert len(message.encode()) < 1024
+
+
 # --- program validation ----------------------------------------------------
 
 
