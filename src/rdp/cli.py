@@ -16,11 +16,12 @@ import argparse
 import functools
 import json
 import os
+import reprlib
 import sys
 import threading
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from . import formats
 from .dependency_pairs import (
@@ -54,6 +55,9 @@ from .rewriting import (
 from .terms import _SHOW, format_position, parse_position, subterm_at, term_to_str
 
 _MODES = {mode.value: mode for mode in RelationMode}
+_MODE_NAMES = "{" + ",".join(sorted(_MODES)) + "}"  # how --help shows --mode's values
+_PATH = reprlib.Repr()  # how an error shows a file path: whole up to 200 characters
+_PATH.maxstring = 200  # so even a cut path of 4-byte characters stays under 1 KB
 
 
 def _fuel(args: argparse.Namespace) -> int:
@@ -71,6 +75,24 @@ def _fuel(args: argparse.Namespace) -> int:
     if fuel < 0:
         raise formats.ParseError(f"{source} must not be negative, got {_SHOW.repr(fuel)}")
     return fuel
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag; argparse's own message would echo a bad value whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_SHOW.repr(text)}") from None
+
+
+def _mode_flag(text: str) -> RelationMode:
+    """The relation mode named ``text``; argparse's own message would echo a bad name whole."""
+    mode = _MODES.get(text)
+    if mode is None:
+        names = ", ".join(map(repr, sorted(_MODES)))
+        shown = _SHOW.repr(text)
+        raise argparse.ArgumentTypeError(f"invalid choice: {shown} (choose from {names})")
+    return mode
 
 
 def _load_trs(path: str) -> TRS:
@@ -130,7 +152,7 @@ def _cmd_dps(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     term = formats.parse_term(args.term, trs)
-    mode = _MODES[args.mode]
+    mode = args.mode
     try:
         trace = normalize(trs, term, mode, args.fuel)
     except FuelExhausted as err:
@@ -156,7 +178,7 @@ def _cmd_reach(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     source = formats.parse_term(args.source, trs)
     target = formats.parse_term(args.target, trs)
-    mode = _MODES[args.mode]
+    mode = args.mode
     trace = derives(trs, source, target, mode, args.fuel)
     if trace is None:
         return {"status": "not-found", "mode": mode.value, "fuel": args.fuel}, 1
@@ -327,9 +349,16 @@ def _cmd_cc_dp_check(args: argparse.Namespace) -> tuple[dict, int]:
 # --- dispatcher ------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one ``error:`` line, as every other exit-2 error."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message} (see {self.prog} --help)\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdp",
         description="Term rewriting workbench: innermost reduction, dependency "
         "pairs, chain witnesses, loop certificates, and a small recursive "
@@ -341,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--json", action="store_true", help="emit the report as JSON")
         cmd.add_argument(
-            "--fuel", type=int, default=None,
+            "--fuel", type=_int_flag, default=None,
             help="search budget (default: RDP_FUEL or 10000)",
         )
         cmd.set_defaults(func=handler)
@@ -355,13 +384,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add("normalize", _cmd_normalize, "reduce a term to a normal form")
     cmd.add_argument("trs")
     cmd.add_argument("--term", required=True)
-    cmd.add_argument("--mode", choices=sorted(_MODES), default="full")
+    cmd.add_argument("--mode", type=_mode_flag, default="full", metavar=_MODE_NAMES)
 
     cmd = add("reach", _cmd_reach, "search for a derivation between two terms")
     cmd.add_argument("trs")
     cmd.add_argument("--from", dest="source", required=True)
     cmd.add_argument("--to", dest="target", required=True)
-    cmd.add_argument("--mode", choices=sorted(_MODES), default="full")
+    cmd.add_argument("--mode", type=_mode_flag, default="full", metavar=_MODE_NAMES)
 
     cmd = add("loop", _cmd_loop, "search for an exact innermost cycle")
     cmd.add_argument("trs")
@@ -385,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
               "extract a verified chain witness from an innermost cycle")
     cmd.add_argument("trs")
     cmd.add_argument("--term", required=True)
-    cmd.add_argument("--length", type=int, required=True)
+    cmd.add_argument("--length", type=_int_flag, required=True)
 
     cmd = add("pvs0-eval", _cmd_pvs0_eval, "evaluate a program on an input")
     cmd.add_argument("program")
@@ -464,7 +493,10 @@ def run_command(argv: list[str]) -> int:
         detail = "recursion-depth-exceeded" if isinstance(err, RecursionError) else err.reason
         report, code = {"status": "failure", "detail": detail, "fuel": args.fuel}, 1
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        message = str(err)
+        if isinstance(err, OSError) and err.filename is not None:  # str(err) has it whole
+            message = f"[Errno {err.errno}] {err.strerror}: {_PATH.repr(err.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     print(json.dumps(report, indent=2) if args.json else _render_text(report))
     return code

@@ -103,6 +103,15 @@ def _position_field(data: Any) -> Position:
     return parse_position(value)
 
 
+def _term_field(data: Any, key: str, trs: TRS) -> Term:
+    """``data[key]`` parsed as a term if it is a string; else KeyError, TypeError
+    or ParseError."""
+    value = data[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a term string, found {_SHOW.repr(value)}")
+    return parse_term(value, trs)
+
+
 # --- tokenizer -------------------------------------------------------------
 
 _PUNCT = {"(": "lparen", ")": "rparen", ",": "comma"}
@@ -335,7 +344,7 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
         mode = next((m for m in RelationMode if m.value == data["mode"]), None)
         if mode is None:
             raise ValueError(f"{_SHOW.repr(data['mode'])} is not a valid RelationMode")
-        start = parse_term(data["start"], trs)
+        start = _term_field(data, "start", trs)
         raw_steps = data["steps"]
     except (KeyError, TypeError, ValueError) as err:
         raise ParseError(f"malformed trace: {err}") from None
@@ -349,7 +358,7 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
                     _position_field(raw),
                     _int_field(raw, "rule_index"),
                     parse_substitution(raw["substitution"], trs),
-                    parse_term(raw["term"], trs),
+                    _term_field(raw, "term", trs),
                 )
             )
         except (KeyError, TypeError, InvalidPositionError) as err:

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import pytest
 
@@ -432,12 +434,15 @@ def _operator(guard):
         ({}, ["pvs0-eval", "ack.pvs0.json", "--input", ",".join(["1"] * 50_000)], None),
         ({}, ["dps", "ack.trs"], "f" * 100_000),
         ({}, ["dps", "ack.trs", "--fuel", "-" + "9" * 4_000], None),
+        ({}, ["dps", "ack.trs", "--fuel", "f" * 100_000], None),
+        ({}, ["loop-chain", "ack.trs", "--term", "a(0,0)", "--length", "l" * 100_000], None),
+        ({}, ["normalize", "ack.trs", "--term", "a(0,0)", "--mode", "m" * 100_000], None),
     ],
     ids=["witness-variable-name", "witness-identifier", "witness-long-position",
          "witness-malformed-position", "trs-section", "trs-invented-variables",
          "guard-comparison", "guard-argument-index", "guard-component-index",
          "guard-negative-component", "term", "pair", "root", "input", "input-width", "RDP_FUEL",
-         "negative-fuel"],
+         "negative-fuel", "malformed-fuel", "malformed-length", "unknown-mode"],
 )
 def test_error_line_abbreviates_an_oversized_input(
     capsys, monkeypatch, tmp_path, ack_trs_path, ack_program_path, files, argv, env
@@ -459,6 +464,24 @@ def test_error_line_abbreviates_an_oversized_input(
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "..." in captured.err
     assert len(captured.err.encode()) < 1024
+
+
+def test_error_line_abbreviates_an_oversized_path(capsys, tmp_path):
+    """The operating system's error repeats the path it could not open: a path
+    of 100,000 characters is cut, an ordinary one is printed whole."""
+    code = run_command(["dps", str(tmp_path / ("p" * 100_000))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and captured.err.count("\n") == 1
+    assert "..." in captured.err
+    assert len(captured.err.encode()) < 1024
+    missing = str(tmp_path / ("q" * 60 + ".trs"))
+    code = run_command(["dps", missing])
+    captured = capsys.readouterr()
+    assert code == 2
+    expected = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), missing)
+    assert captured.err == f"error: {expected}\n"
 
 
 def test_pvs0_terminates(capsys, ack_program_path):

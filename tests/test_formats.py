@@ -390,6 +390,18 @@ def test_parse_trace_errors():
             parse_trace({"start": "a(0,0)", "mode": "full", "steps": [step]}, trs)
 
 
+def test_parse_trace_refuses_a_term_that_is_not_a_string():
+    """A start or a step's term must be a string: a list, even of strings, is
+    not text to tokenize."""
+    trs = ack_system()
+    for start in ([1], ["0"], 0, None):
+        with pytest.raises(ParseError, match="^malformed trace: 'start' must be a term string"):
+            parse_trace({"mode": "full", "start": start, "steps": []}, trs)
+    step = {"position": "", "rule_index": 0, "substitution": {}, "term": ["s(0)"]}
+    with pytest.raises(ParseError, match="^malformed trace step: 'term' must be a term string"):
+        parse_trace({"mode": "full", "start": "a(0,0)", "steps": [step]}, trs)
+
+
 @pytest.mark.parametrize(
     "field, value", [("mode", "m" * 1_000_000), ("start", "b" * 1_000_000)], ids=["mode", "start"]
 )

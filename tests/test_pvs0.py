@@ -275,6 +275,37 @@ def test_epsilon_check(ack_program):
     )
 
 
+# --- tabled rec calls --------------------------------------------------------
+
+
+def test_terminates_on_runs_the_body_once_per_input(ack_program):
+    """Ackermann (3,7) needs fuel 1023.  Its body meets 2,558 distinct inputs;
+    re-running the body at every rec made about two million operator calls."""
+    program = pickle.loads(pickle.dumps(ack_program))
+    calls = 0
+    for defn in program.o1 + program.o2:
+
+        def counted(args, run=defn._run):
+            nonlocal calls
+            calls += 1
+            return run(args)
+
+        object.__setattr__(defn, "_run", counted)
+    assert terminates_on(program, (3, 7), 10_000) == 1023
+    assert 0 < calls <= 10_000
+
+
+def test_a_rec_on_the_input_its_body_runs_on_is_undefined():
+    """rec(vr) and rec^100(vr) call the body on its own input again: undefined
+    at any fuel, found when the input comes back rather than by spending it."""
+    nested = Vr()
+    for _ in range(100):
+        nested = Rec(nested)
+    for program in (loop_program(), width1(nested)):
+        assert chi_eval(program, program.body, (0,), 10_000) is None
+        assert terminates_on(program, (0,), 10_000) is None
+
+
 # --- calling contexts ------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Operators compiled when they are built against the guard interpreter
 and the two-walk guard check they replaced (``oracle_guard_eval``,
-``oracle_check_guard``), the explicit-stack evaluator against the
+``oracle_check_guard``), the tabled explicit-stack evaluator against the
 recursive one it replaced (``oracle_evaluate``), the one-pass least fuel
 of ``terminates_on`` and ``epsilon_check`` against the probe-and-bisect
 search it replaced (``oracle_minimal_fuel``), and calling contexts read
@@ -169,6 +169,17 @@ def test_evaluator_agrees_on_ackermann(ack_program):
             for fuel in range(0, 14, 3):
                 expected = oracle_evaluate(ack_program, ack_program.body, (m, n), fuel)
                 assert _evaluate(ack_program, ack_program.body, (m, n), fuel) == expected
+
+
+def test_evaluator_agrees_on_ackermann_at_every_fuel(ack_program):
+    """Every fuel from 0 to one past the least, so that table hits also meet
+    too little fuel to cover the input's least fuel."""
+    body = ack_program.body
+    for value in [(2, n) for n in range(7)] + [(3, n) for n in range(3)]:
+        least = oracle_minimal_fuel(ack_program, body, value, 100)
+        for fuel in range(least + 2):
+            expected = oracle_evaluate(ack_program, body, value, fuel)
+            assert _evaluate(ack_program, body, value, fuel) == expected
 
 
 @settings(max_examples=300, deadline=None)
