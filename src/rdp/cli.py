@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import os
-import reprlib
 import sys
 import threading
 from itertools import product
@@ -52,12 +51,10 @@ from .rewriting import (
     derives,
     normalize,
 )
-from .terms import _SHOW, format_position, parse_position, subterm_at, term_to_str
+from .terms import _SHOW, _cut, format_position, parse_position, subterm_at, term_to_str
 
 _MODES = {mode.value: mode for mode in RelationMode}
 _MODE_NAMES = "{" + ",".join(sorted(_MODES)) + "}"  # how --help shows --mode's values
-_PATH = reprlib.Repr()  # how an error shows a file path: whole up to 200 characters
-_PATH.maxstring = 200  # so even a cut path of 4-byte characters stays under 1 KB
 
 
 def _fuel(args: argparse.Namespace) -> int:
@@ -353,7 +350,9 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one ``error:`` line, as every other exit-2 error."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"error: {message} (see {self.prog} --help)\n")
+        # argparse echoes an unknown command or unrecognized arguments whole;
+        # cut at 240 characters, the line stays under 1 KB in 4-byte characters.
+        self.exit(2, f"error: {_cut(message, 240)} (see {self.prog} --help)\n")
 
 
 @functools.cache
@@ -495,7 +494,8 @@ def run_command(argv: list[str]) -> int:
     except (OSError, ValueError) as err:
         message = str(err)
         if isinstance(err, OSError) and err.filename is not None:  # str(err) has it whole
-            message = f"[Errno {err.errno}] {err.strerror}: {_PATH.repr(err.filename)}"
+            # A path's repr is cut at 200 characters, under 1 KB even in 4-byte characters.
+            message = f"[Errno {err.errno}] {err.strerror}: {_cut(repr(err.filename))}"
         print(f"error: {message}", file=sys.stderr)
         return 2
     print(json.dumps(report, indent=2) if args.json else _render_text(report))

@@ -15,11 +15,16 @@ whether a position may fire under a mode.  A breadth-first search keeps one
 such table for all the terms it expands, under every mode, so each expansion
 matches only the nodes it has not seen and skips every subterm without a
 redex; on a term that grows by a node per step, fuel buys work linearly.
-``normalize`` always takes the first of those steps: leftmost-outermost
-under ``full`` and ``non-root``, leftmost-innermost under the innermost
-modes, computed call by value (arguments left to right, then the root; a
-parent is rebuilt only when an argument changed).  Its traces are the ones
-the original definitions, which rescanned the whole term per step, produced.
+``normalize`` always takes the first of those steps, and both of its walks
+keep one path of ``(parent, i)`` pairs and resume after each step instead of
+rescanning from the root.  Leftmost-innermost, under the innermost modes, is
+computed call by value (arguments left to right, then the root; a parent is
+rebuilt only when an argument changed).  Leftmost-outermost, under ``full``
+and ``non-root``, rebuilds the path around the contractum, re-checks only
+the redex's ancestors within the depth of the deepest left-hand side (all of
+them when some left-hand side is non-linear), and otherwise goes on in
+pre-order from the contractum.  Their traces are the ones the original
+definitions, which rescanned the whole term per step, produced.
 
 Fuel bounds work, never correctness: a positive answer always carries a
 replayable trace, a negative answer only says nothing was found within fuel.
@@ -47,6 +52,7 @@ from .terms import (
     _split_at,
     _walk,
     format_position,
+    iter_vars,
     symbols_of,
     term_to_str,
     vars_of,
@@ -117,6 +123,9 @@ class TRS:
     _by_root: dict[str, tuple[Rule, ...]] = field(init=False, repr=False, compare=False)
     # Root symbols of left-hand sides.
     _defined: frozenset[Symbol] = field(init=False, repr=False, compare=False)
+    # How far above a changed position a redex can appear: the depth of the
+    # deepest non-variable position of any lhs, None when some lhs is non-linear.
+    _reach: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_root: dict[str, list[Rule]] = {}
@@ -128,6 +137,14 @@ class TRS:
             self, "_by_root", {name: tuple(rules) for name, rules in by_root.items()}
         )
         object.__setattr__(self, "_defined", frozenset(r.lhs.sym for r in self.rules))
+        reach: int | None = 0
+        for rule in self.rules:
+            occurrences = list(iter_vars(rule.lhs))
+            if len(occurrences) != len(set(occurrences)):
+                reach = None
+                break
+            reach = max(reach, *(len(p) for t, p in _walk(rule.lhs) if t.__class__ is App))
+        object.__setattr__(self, "_reach", reach)
 
 
 def trs_of(*rules: tuple[Term, Term]) -> TRS:
@@ -380,11 +397,56 @@ def _call_by_value(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
 
 
 def _leftmost_outermost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
-    """The derivation that always takes the first step of ``iter_successors``."""
-    step = next(iter_successors(trs, term, mode), None)
-    while step is not None:
-        yield step
-        step = next(iter_successors(trs, step.result, mode), None)
+    """The derivation under ``full`` or ``non-root`` that always fires the
+    first redex in pre-order, resuming the walk after each step.
+
+    Every position before the walk's in pre-order was tried and may not
+    fire.  A step changes only the redex's ancestors among those, and each
+    parent on the path is rebuilt around the contractum.  A linear lhs
+    matches afresh only where the change lies at its non-variable
+    positions, so only ancestors within ``trs._reach`` levels of the redex
+    are tried again, top-down, and all of them when some lhs is non-linear.
+    The first that may fire is the next redex; else the walk goes on from
+    the contractum.
+    """
+    reach = trs._reach
+    path: list[list] = []
+    node, fired = term, []
+    while True:
+        if not fired and node.__class__ is App and _may_fire(mode, not path, lambda: False):
+            fired = _matches(trs, node)
+        if fired:
+            rule, sigma = fired[0]
+            node = contractum = sigma.apply(rule.rhs)
+            for top in reversed(path):
+                parent, i = top
+                args = parent.args
+                node = top[0] = App(parent.sym, (*args[: i - 1], node, *args[i:]))
+            yield Step(tuple(i for _, i in path), rule.index, sigma, node)
+            node, fired = contractum, []
+            lowest = 0 if reach is None else max(len(path) - reach, 0)
+            for depth in range(lowest, len(path)):
+                if _may_fire(mode, not depth, lambda: False):
+                    fired = _matches(trs, path[depth][0])
+                    if fired:
+                        node = path[depth][0]
+                        del path[depth:]
+                        break
+            continue
+        if node.__class__ is App and node.args:
+            path.append([node, 1])
+            node = node.args[0]
+            continue
+        while path:  # climb past the parents whose arguments are all walked
+            top = path[-1]
+            parent, i = top
+            if i < len(parent.args):
+                top[1] = i + 1
+                node = parent.args[i]
+                break
+            del path[-1]
+        else:
+            return
 
 
 def normalize(

@@ -22,6 +22,14 @@ _SHOW = reprlib.Repr()  # how every message shows a value it was given: a long o
 _SHOW.maxother = 200  # for a node or a pair; a string is cut at 30 characters, a list at 6 items
 
 
+def _cut(text: str, limit: int = 200) -> str:
+    """``text`` whole up to ``limit`` characters, else its two ends around "..."."""
+    if len(text) <= limit:
+        return text
+    head = (limit - 3) // 2
+    return f"{text[:head]}...{text[len(text) - (limit - 3 - head):]}"
+
+
 class InvalidPositionError(ValueError):
     """Raised when a position does not address a subterm of the given term."""
 
@@ -183,7 +191,7 @@ def _split_at(term: Term, pos: Position) -> tuple[list[tuple[App, int]], Term]:
                 else f"{current.sym!r} has no argument {i}"
             )
             raise InvalidPositionError(
-                f"position {format_position(pos)} invalid at depth {depth}: {stop}"
+                f"position {_cut(format_position(pos))} invalid at depth {depth}: {_cut(stop)}"
             )
         path.append((current, i))
         current = current.args[i - 1]

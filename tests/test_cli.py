@@ -484,6 +484,33 @@ def test_error_line_abbreviates_an_oversized_path(capsys, tmp_path):
     assert captured.err == f"error: {expected}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, short",
+    [(["c" * 100_000], ["normaliz"]), (["dps", "ack.trs", "y" * 100_000], ["dps", "ack.trs", "y"])],
+    ids=["unknown-command", "unrecognized-arguments"],
+)
+def test_usage_error_line_abbreviates_oversized_argv(capsys, ack_trs_path, argv, short):
+    """argparse echoes an unknown command name or unrecognized arguments
+    whole; past 240 characters the line keeps both ends, under 1 KB, and a
+    short message prints whole."""
+    paths = {"ack.trs": ack_trs_path}
+    code = run_command([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "..." in captured.err and captured.err.endswith(" (see rdp --help)\n")
+    assert len(captured.err.encode()) < 1024
+    code = run_command([paths.get(arg, arg) for arg in short])
+    err = capsys.readouterr().err
+    assert code == 2
+    if short[0] == "dps":
+        assert err == "error: unrecognized arguments: y (see rdp --help)\n"
+    else:  # argparse's quoting of the choices varies across Python versions
+        assert err.startswith("error: argument command: invalid choice: 'normaliz' (choose from ")
+        assert "..." not in err and "pvs0-terminates" in err and "cc-dp-check" in err
+
+
 def test_pvs0_terminates(capsys, ack_program_path):
     code, report = run_json(
         capsys, ["pvs0-terminates", ack_program_path, "--input", "(2,3)"]

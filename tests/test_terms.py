@@ -187,6 +187,25 @@ def test_replace_at_deep_in_a_tower_does_not_recurse():
         replace_at(tower, pos + (1, 1), X)
 
 
+def test_invalid_position_message_cuts_a_long_position():
+    """A position, or a name, longer than 200 characters is shown by its two
+    ends, so the message stays under 1 KB however long either is."""
+    with pytest.raises(InvalidPositionError) as info:
+        subterm_at(nat(1), (1,) * 200_000)
+    message = str(info.value)
+    assert len(message.encode()) < 1024
+    assert message.startswith("position 1.1.1.") and "..." in message
+    assert message.endswith(".1.1 invalid at depth 1: 0/0 has no argument 1")
+    # 100 parts print in 199 characters, whole.
+    whole = format_position((1,) * 100)
+    with pytest.raises(InvalidPositionError) as info:
+        subterm_at(nat(1), (1,) * 100)
+    assert str(info.value) == f"position {whole} invalid at depth 1: 0/0 has no argument 1"
+    with pytest.raises(InvalidPositionError) as info:
+        subterm_at(Var("v" * 100_000), (1,))
+    assert len(str(info.value)) < 1024 and str(info.value).endswith("v is a variable")
+
+
 def test_vars_helpers():
     t = ack(ack(Y, X), Y)
     assert vars_of(t) == frozenset({X, Y})
