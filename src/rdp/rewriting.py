@@ -15,15 +15,15 @@ whether a position may fire under a mode.  A breadth-first search keeps one
 such table for all the terms it expands, under every mode, so each expansion
 matches only the nodes it has not seen and skips every subterm without a
 redex; on a term that grows by a node per step, fuel buys work linearly.
-``normalize`` always takes the first of those steps, and both of its walks
-keep one path of ``(parent, i)`` pairs and resume after each step instead of
-rescanning from the root.  Leftmost-innermost, under the innermost modes, is
-computed call by value (arguments left to right, then the root; a parent is
-rebuilt only when an argument changed).  Leftmost-outermost, under ``full``
-and ``non-root``, rebuilds the path around the contractum, re-checks only
-the redex's ancestors within the depth of the deepest left-hand side (all of
-them when some left-hand side is non-linear), and otherwise goes on in
-pre-order from the contractum.  Their traces are the ones the original
+``normalize`` always takes the first of those steps.  Its one walk keeps a
+path of ``[parent, i, hint args]``, rebuilds the parents in place around
+each contractum and resumes there instead of rescanning from the root.
+Under ``full`` and ``non-root`` it tries a node on the way down
+(leftmost-outermost) and, after a step, re-checks only the redex's
+ancestors within the depth of the deepest left-hand side (all of them when
+some left-hand side is non-linear).  Under the innermost modes it tries a
+node on the way up (leftmost-innermost) and never enters a contractum's
+variable parts, which are normal.  Its traces are the ones the original
 definitions, which rescanned the whole term per step, produced.
 
 Fuel bounds work, never correctness: a positive answer always carries a
@@ -203,7 +203,8 @@ class DerivationTrace:
 #
 # Paths are those of ``terms``, one ``(parent, i)`` per step down, and ``_plug``
 # rebuilds a term around a contractum from one.  ``_fireable`` rides ``_walk``;
-# call by value keeps each parent rebuilt with the arguments normalized so far.
+# ``_leftmost`` keeps its own path, ``[parent, i, hint args]``, and rebuilds its
+# parents in place around each contractum.
 
 
 def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
@@ -350,101 +351,66 @@ def is_normal_substitution(sigma: Substitution, trs: TRS) -> bool:
     return all(is_normal_form(trs, t, RelationMode.FULL) for _, t in sigma.items())
 
 
-def _call_by_value(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
-    """The derivation under an innermost ``mode`` that normalizes arguments
-    left to right before trying the root.
+def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
+    """The derivation under ``mode`` that always fires the first position in
+    pre-order where a step may fire, resuming the walk after each step.
 
-    Innermost redexes never nest, so each step fires the first innermost
-    redex in pre-order, exactly as ``iter_successors`` orders them; a node
-    is tried only once its arguments are normal, so never with a redex
-    below.  After a step only the contractum's rule-built part is examined:
-    its variable parts are subterms of normal forms, hence normal.  Each
-    parent on the path is rebuilt only when an argument comes back changed.
-    ``hints`` holds the arguments of the pattern each parent instantiates (the
-    rule's rhs in a contractum, else the term itself): a variable is normal.
+    The path holds ``[parent, i, hint args]``; a step rebuilds its parents
+    in place around the contractum.  Outermost, a node is tried when the
+    walk enters it; innermost, when the walk leaves it (leaves too), since
+    the first redex in post-order is the leftmost innermost one.  Positions
+    tried before may not fire, and a step changes only the redex's
+    ancestors among them.  Innermost, those are tried when left anyway, and
+    a hint that is a variable (of the rule's rhs, in a contractum) marks a
+    normal subterm, never entered.  Outermost, a linear lhs matches afresh
+    only where the change lies at its non-variable positions, so the
+    ancestors within ``trs._reach`` levels (all of them when some lhs is
+    non-linear) are tried again, top-down; the first that may fire is next.
     """
+    inner, reach = mode.innermost, trs._reach
     path: list[list] = []
-    hints: list[tuple[Term, ...]] = []
-    node, hint = term, term
+    node, hint, down, fired = term, term, True, []
     while True:
-        while node.__class__ is App and node.args and hint.__class__ is not Var:
-            path.append([node, 1])
-            hints.append(hint.args)
-            node, hint = node.args[0], hint.args[0]
-        normal = hint.__class__ is Var
-        while True:
-            if not normal and _may_fire(mode, not path, lambda: False):
-                fired = _matches(trs, node)
-                if fired:
-                    rule, sigma = fired[0]
-                    contractum = sigma.apply(rule.rhs)
-                    pos = tuple(i for _, i in path)
-                    yield Step(pos, rule.index, sigma, _plug(path, contractum))
-                    node, hint = contractum, rule.rhs
-                    break
-            if not path:
-                return
-            parent, i = top = path[-1]
-            if node is not parent.args[i - 1]:
-                args = parent.args
-                parent = top[0] = App(parent.sym, (*args[: i - 1], node, *args[i:]))
-            if i < len(parent.args):
-                top[1] = i + 1
-                node, hint = parent.args[i], hints[-1][i]
-                break
-            del path[-1], hints[-1]
-            node, normal = parent, False
-
-
-def _leftmost_outermost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
-    """The derivation under ``full`` or ``non-root`` that always fires the
-    first redex in pre-order, resuming the walk after each step.
-
-    Every position before the walk's in pre-order was tried and may not
-    fire.  A step changes only the redex's ancestors among those, and each
-    parent on the path is rebuilt around the contractum.  A linear lhs
-    matches afresh only where the change lies at its non-variable
-    positions, so only ancestors within ``trs._reach`` levels of the redex
-    are tried again, top-down, and all of them when some lhs is non-linear.
-    The first that may fire is the next redex; else the walk goes on from
-    the contractum.
-    """
-    reach = trs._reach
-    path: list[list] = []
-    node, fired = term, []
-    while True:
-        if not fired and node.__class__ is App and _may_fire(mode, not path, lambda: False):
+        if (
+            not fired
+            and down != inner
+            and node.__class__ is App
+            and hint.__class__ is not Var
+            and _may_fire(mode, not path, lambda: False)
+        ):
             fired = _matches(trs, node)
         if fired:
             rule, sigma = fired[0]
             node = contractum = sigma.apply(rule.rhs)
             for top in reversed(path):
-                parent, i = top
+                parent, i, _ = top
                 args = parent.args
                 node = top[0] = App(parent.sym, (*args[: i - 1], node, *args[i:]))
-            yield Step(tuple(i for _, i in path), rule.index, sigma, node)
-            node, fired = contractum, []
-            lowest = 0 if reach is None else max(len(path) - reach, 0)
-            for depth in range(lowest, len(path)):
-                if _may_fire(mode, not depth, lambda: False):
-                    fired = _matches(trs, path[depth][0])
-                    if fired:
-                        node = path[depth][0]
-                        del path[depth:]
-                        break
-            continue
-        if node.__class__ is App and node.args:
-            path.append([node, 1])
-            node = node.args[0]
-            continue
-        while path:  # climb past the parents whose arguments are all walked
+            yield Step(tuple(top[1] for top in path), rule.index, sigma, node)
+            node, hint, down, fired = contractum, rule.rhs if inner else contractum, True, []
+            if not inner:
+                lowest = 0 if reach is None else max(len(path) - reach, 0)
+                for depth in range(lowest, len(path)):
+                    if _may_fire(mode, not depth, lambda: False):
+                        fired = _matches(trs, path[depth][0])
+                        if fired:
+                            node = path[depth][0]
+                            del path[depth:]
+                            break
+        elif down and node.__class__ is App and node.args and hint.__class__ is not Var:
+            path.append([node, 1, hint.args])
+            node, hint = node.args[0], hint.args[0]
+        elif down:
+            down = False  # leave the node, so an innermost walk tries it
+        elif path:
             top = path[-1]
-            parent, i = top
+            parent, i, hints = top
             if i < len(parent.args):
                 top[1] = i + 1
-                node = parent.args[i]
-                break
-            del path[-1]
+                node, hint, down = parent.args[i], hints[i], True
+            else:
+                del path[-1]
+                node = hint = parent
         else:
             return
 
@@ -455,15 +421,14 @@ def normalize(
     """Reduce until a mode-normal form, always firing the lowest-index rule
     at the first position in pre-order where ``mode`` allows a step.
 
-    Under ``full`` and ``non-root`` that is the leftmost-outermost strategy.
-    Under the innermost modes it is leftmost-innermost, computed call by
-    value: arguments are normalized left to right before the root is tried.
-    Each step consumes one unit of fuel; raises FuelExhausted (carrying the
-    partial trace) if no normal form is reached within ``fuel`` steps.
+    Under ``full`` and ``non-root`` that is the leftmost-outermost strategy,
+    under the innermost modes the leftmost-innermost one; one walk,
+    ``_leftmost``, computes both.  Each step consumes one unit of fuel;
+    raises FuelExhausted (carrying the partial trace) if no normal form is
+    reached within ``fuel`` steps.
     """
-    walk = _call_by_value if mode.innermost else _leftmost_outermost
     steps: list[Step] = []
-    for step in walk(trs, term, mode):
+    for step in _leftmost(trs, term, mode):
         if len(steps) >= fuel:
             raise FuelExhausted(DerivationTrace(term, tuple(steps), mode))
         steps.append(step)

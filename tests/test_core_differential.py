@@ -26,12 +26,14 @@ from rdp import (
     normalize,
     positions_of,
     reduce_at,
+    replace_at,
     successors,
     trace_to_json,
 )
 
 from helpers import (
     C0,
+    EQ2,
     F1,
     X,
     Y,
@@ -77,7 +79,23 @@ def _systems():
     ):
         trs = build()
         out[name] = (trs, terms_over(trs.signature.symbols))
+    eq_trs, eq_terms = out["eq"]
+    out["eq"] = (eq_trs, st.one_of(eq_terms, _eq_after_a_step(eq_trs, eq_terms)))
     return out
+
+
+@st.composite
+def _eq_after_a_step(draw, trs, terms):
+    """eq(C[u], C[v]) in a drawn context, where v is u after its first full
+    step, as eq(eq(s(one),c), eq(s(s(0)),c)): once the walk takes that
+    step, eq(x,x) matches high above it through its repeated variable."""
+    u = draw(terms)
+    steps = oracle_successors(trs, u, RelationMode.FULL)
+    v = steps[0].result if steps else u
+    inner, outer = draw(terms), draw(terms)
+    hole = draw(st.sampled_from(positions_of(inner)))
+    pair = ap(EQ2, replace_at(inner, hole, u), replace_at(inner, hole, v))
+    return replace_at(outer, draw(st.sampled_from(positions_of(outer))), pair)
 
 
 SYSTEMS = _systems()

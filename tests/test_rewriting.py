@@ -265,20 +265,43 @@ def test_leftmost_outermost_rechecks_every_ancestor_under_a_non_linear_rule():
 
 def test_leftmost_outermost_matches_a_constant_number_of_times_per_step(monkeypatch):
     """The walk resumes after each step instead of rescanning from the root:
-    full a(3,3) takes 2,432 steps at fewer than 10 matches each (a rescan
-    made 34)."""
-    calls = 0
-    counted = rewriting.match
+    a(3,3) takes 2,432 steps at fewer than 10 matches each under full (a
+    rescan made 34) and fewer than 4 under innermost.  Either way it tries
+    fewer than 4 nodes per step; innermost, the hints keep it out of a
+    contractum's variable parts, and without them it tried 21."""
+    calls = tried = 0
+    counted, tries = rewriting.match, rewriting._matches
 
     def counting(pattern, subject):
         nonlocal calls
         calls += 1
         return counted(pattern, subject)
 
+    def trying(trs, node):
+        nonlocal tried
+        tried += 1
+        return tries(trs, node)
+
     monkeypatch.setattr(rewriting, "match", counting)
-    trace = normalize(ack_system(), ack(nat(3), nat(3)), FULL)
-    assert trace.end == nat(61) and len(trace.steps) == 2432
-    assert calls < 10 * len(trace.steps)
+    monkeypatch.setattr(rewriting, "_matches", trying)
+    for mode, bound in ((FULL, 10), (INN, 4)):
+        calls = tried = 0
+        trace = normalize(ack_system(), ack(nat(3), nat(3)), mode)
+        assert trace.end == nat(61) and len(trace.steps) == 2432
+        assert calls < bound * len(trace.steps), mode
+        assert tried < 4 * len(trace.steps), mode
+
+
+@pytest.mark.parametrize("mode", list(RelationMode))
+def test_normalize_deep_term(mode):
+    """20,000 inert levels above a(1,1): the walk keeps no recursion, and
+    the root never fires, so every mode takes the same 4 steps."""
+    term = ack(nat(1), nat(1))
+    for _ in range(20_000):
+        term = ap(S1, term)
+    trace = normalize(ack_system(), term, mode)
+    assert len(trace.steps) == 4
+    assert trace.end == nat(20_003)
 
 
 def test_derives_non_root_descent():
