@@ -337,36 +337,42 @@ def detect_innermost_loop(
 ) -> LoopCertificate | None:
     """Search for an exact innermost cycle reachable from ``term``.
 
-    Explores at most ``fuel`` distinct terms breadth-first, then looks for a
-    cycle among them by depth-first search.  Sound but incomplete: None only
-    means no cycle was found within fuel, and in particular nonterminating
-    systems whose terms grow forever are never caught.
+    Depth-first over the terms explored breadth-first, which are admitted up
+    to ``fuel`` distinct terms: the exploration runs only until the term the
+    search enters next has been expanded, so a cycle near ``term`` is found
+    without spending the budget.  Sound but incomplete: None only means no
+    cycle was found within fuel, and in particular nonterminating systems
+    whose terms grow forever are never caught.
     """
-    edges: dict[Term, list[Step]] = {
-        u: [step for step, _ in tagged]
-        for u, tagged in explore(trs, term, RelationMode.INNERMOST, fuel)
-    }
+    expansions = explore(trs, term, RelationMode.INNERMOST, fuel)
+    edges: dict[Term, list[tuple[Step, bool | None]]] = {}
+
+    def steps_from(u: Term) -> Iterator[tuple[Step, bool | None]]:
+        while u not in edges:  # u is admitted, so the exploration expands it
+            v, tagged = next(expansions)
+            edges[v] = tagged
+        return iter(edges[u])
 
     # Depth-first from ``term``, one path of (node, steps not yet tried, step into node).
     done: set[Term] = set()
-    path: list[tuple] = [(term, iter(edges[term]), None)]
+    path: list[tuple] = [(term, steps_from(term), None)]
     on_path: dict[Term, int] = {term: 0}
     while path:
         node, remaining, _ = path[-1]
-        step = next(remaining, None)
+        step, admitted = next(remaining, (None, None))
         if step is None:
             path.pop()
             del on_path[node]
             done.add(node)
             continue
         v = step.result
-        if v not in edges or v in done:
+        if admitted is None or v in done:  # refused by the fuel, or searched
             continue
         if v in on_path:
             steps = tuple(s for _, _, s in path[on_path[v] + 1 :]) + (step,)
             return LoopCertificate(DerivationTrace(v, steps, RelationMode.INNERMOST))
         on_path[v] = len(path)
-        path.append((v, iter(edges[v]), step))
+        path.append((v, steps_from(v), step))
     return None
 
 

@@ -4,9 +4,12 @@ TRS files use a TPDB-flavored syntax: a ``(VAR x y)`` section declaring
 variables and a ``(RULES l -> r ...)`` section, in either order.  The
 signature is inferred from use, with a consistent-arity check.  Terms and
 programs are read at any depth, with explicit stacks, and programs are
-written on the walk of ``terms``, as text in one linear pass.  Chain
-witnesses, programs, and traces travel as JSON; the depth limit of the one
-``json.loads`` call is the only one.  Every parse(print(x)) round-trips.
+written on the walk of ``terms``, as text in one linear pass.  Traces are
+written at any depth too, each step against the text of the step before
+(``terms._write_shared``); rules and witness bindings still print with the
+recursive ``term_to_str``.  Chain witnesses, programs, and traces travel as
+JSON; the depth limit of the one ``json.loads`` call is the only one on
+reading.  Every parse(print(x)) round-trips.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .terms import (
     Term,
     Var,
     _walk,
+    _write_shared,
     format_position,
     parse_position,
     term_to_str,
@@ -302,11 +306,12 @@ def format_trs(trs: TRS) -> str:
 # --- substitutions and traces ----------------------------------------------
 
 
+def _by_name(sigma: Substitution) -> list[tuple[Var, Term]]:
+    return sorted(sigma.items(), key=lambda item: item[0].name)
+
+
 def substitution_to_json(sigma: Substitution) -> dict[str, str]:
-    return {
-        v.name: term_to_str(t)
-        for v, t in sorted(sigma.items(), key=lambda item: item[0].name)
-    }
+    return {v.name: term_to_str(t) for v, t in _by_name(sigma)}
 
 
 def parse_substitution(data: Any, trs: TRS) -> Substitution:
@@ -324,19 +329,25 @@ def parse_substitution(data: Any, trs: TRS) -> Substitution:
 
 
 def trace_to_json(trace: DerivationTrace) -> dict:
-    return {
-        "start": term_to_str(trace.start),
-        "mode": trace.mode.value,
-        "steps": [
+    """The trace with every term printed whole, at any depth.  Each step's σ
+    and then its result are written against the text printed one step before
+    (``terms._write_shared``), so a node the step did not build is copied as
+    a slice of that text and output work follows the nodes each step builds."""
+    now: dict = {}
+    start = _write_shared(trace.start, now, {})
+    steps = []
+    for step in trace.steps:
+        before, now = now, {}
+        sigma = {v.name: _write_shared(t, now, before) for v, t in _by_name(step.substitution)}
+        steps.append(
             {
                 "position": format_position(step.position),
                 "rule_index": step.rule_index,
-                "substitution": substitution_to_json(step.substitution),
-                "term": term_to_str(step.result),
+                "substitution": sigma,
+                "term": _write_shared(step.result, now, before),
             }
-            for step in trace.steps
-        ],
-    }
+        )
+    return {"start": start, "mode": trace.mode.value, "steps": steps}
 
 
 def parse_trace(data: Any, trs: TRS) -> DerivationTrace:

@@ -10,6 +10,11 @@ and a set or dict lookup of a term already hashed costs constant time.
 A path is a list of ``(parent, i)`` pairs from the root: ``_walk`` yields any
 tree's nodes (PVS0 trees too) with theirs, ``_split_at`` descends to one
 position and returns its path, ``_plug`` rebuilds around one; none recurses.
+
+``term_to_str`` prints one term by recursion.  ``_write_shared`` prints the
+terms of a trace on an explicit stack: it copies a node printed before as a
+slice of that text, found by ``id`` in an index the caller keeps for one
+trace, so shared nodes cost a memory copy instead of a walk.
 """
 
 from __future__ import annotations
@@ -107,13 +112,18 @@ class App:
     def __eq__(self, other: object) -> bool:
         """Structural equality.  Differing cached hashes settle it early, but
         no hash is ever computed here: equal terms built apart are compared
-        node by node.
+        node by node, each pair of nodes once, so terms that share subterms
+        compare in time linear in their distinct nodes.
         """
         if self is other:
             return True
         if other.__class__ is not App:
             return NotImplemented
         stack = [(self, other)]
+        # Keyed by the id of each left node pushed, the right node it was first
+        # pushed with, and by an id pair, each pair pushed after that; both terms
+        # keep these nodes alive, so their ids stay valid.
+        pushed = {id(self): other}
         while stack:
             a, b = stack.pop()
             ha, hb = a._hash, b._hash
@@ -125,6 +135,21 @@ class App:
                 if x is y:
                     continue
                 if x.__class__ is App and y.__class__ is App:
+                    if not x.args:  # a constant: nothing below it to push
+                        if x.sym is not y.sym and x.sym != y.sym:
+                            return False
+                        continue
+                    key = id(x)
+                    seen = pushed.get(key)
+                    if seen is None:
+                        pushed[key] = y
+                    elif seen is y:
+                        continue
+                    else:
+                        key = (key, id(y))
+                        if key in pushed:
+                            continue
+                        pushed[key] = y
                     stack.append((x, y))
                 elif x != y:
                     return False
@@ -264,6 +289,73 @@ def term_to_str(term: Term) -> str:
     if not term.args:
         return term.sym.name
     return f"{term.sym.name}({','.join(term_to_str(a) for a in term.args)})"
+
+
+# An index of printed text maps ``id(node)`` to ``[text, start, end]``: ``text`` is a
+# one-item list that holds the string of one ``_write_shared`` call once it returns.
+# Ids are only valid while the caller keeps every indexed node alive.
+def _write_shared(term: Term, now: dict, before: dict) -> str:
+    """``term_to_str(term)``, written on one explicit stack at any depth.
+
+    An application found in ``now`` (text already returned) or in ``before``
+    is copied as a slice of that text, and only the other nodes are written
+    symbol by symbol.  Each application written enters ``now`` with its place
+    in this call's text, and each one copied from ``before`` with its entry
+    there; one met again in this same call, and not in ``before``, is written
+    again.
+    """
+    if term.__class__ is Var:
+        return term.name
+    if not term.args:
+        return term.sym.name
+    out: list[str] = []
+    size = 0  # characters in out
+    mine: list[str] = []  # this call's text, once it is whole
+    # Terms to write, "," between arguments, and the entry of each application
+    # written in full, which gets its end where the application closes.
+    todo: list = [term]
+    while todo:
+        node = todo.pop()
+        cls = node.__class__
+        if cls is App:
+            args = node.args
+            if not args:
+                piece = node.sym.name
+            else:
+                key = id(node)
+                found = now.get(key)
+                if found is None or found[0] is mine:
+                    found = before.get(key)
+                    if found is None:
+                        entry = now[key] = [mine, size, 0]
+                        todo.append(entry)
+                        if len(args) == 1:
+                            todo.append(args[0])
+                        else:
+                            rest = [","] * (2 * len(args) - 1)
+                            rest[::2] = args[::-1]
+                            todo += rest
+                        piece = node.sym.name
+                        out.append(piece)
+                        out.append("(")
+                        size += len(piece) + 1
+                        continue
+                    now[key] = found
+                text, start, end = found
+                piece = text[0][start:end]
+        elif cls is list:
+            out.append(")")
+            size += 1
+            node[2] = size
+            continue
+        elif cls is str:
+            piece = node
+        else:
+            piece = node.name
+        out.append(piece)
+        size += len(piece)
+    mine.append("".join(out))
+    return mine[0]
 
 
 def format_position(pos: Position) -> str:

@@ -48,7 +48,14 @@ from rdp import (
     verify_chain_prefix,
 )
 from rdp.dependency_pairs import VERIFIED
-from rdp.formats import ParseError, _int_field, _is_int, _tokenize, _TokenStream
+from rdp.formats import (
+    ParseError,
+    _int_field,
+    _is_int,
+    _tokenize,
+    _TokenStream,
+    substitution_to_json,
+)
 from rdp.pvs0 import _COMPARE, CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value, _Node
 from rdp.rewriting import (
     DEFAULT_FUEL,
@@ -321,7 +328,8 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # node.  ``_depth_is_bad_input`` turns the recursive readers' RecursionError
 # into the ParseError the readers they were replaced by raise.
 # ``oracle_node_repr`` restates the dataclass-generated ``repr`` of PVS0
-# nodes, which recursed once per level.
+# nodes, which recursed once per level.  ``oracle_trace_to_json`` prints
+# every term of a trace whole with the recursive ``term_to_str``.
 
 
 def _depth_is_bad_input(parse: Callable) -> Callable:
@@ -333,6 +341,22 @@ def _depth_is_bad_input(parse: Callable) -> Callable:
         except RecursionError:
             raise ParseError("nested too deeply to read") from None
     return guarded
+
+
+def oracle_trace_to_json(trace: DerivationTrace) -> dict:
+    return {
+        "start": term_to_str(trace.start),
+        "mode": trace.mode.value,
+        "steps": [
+            {
+                "position": format_position(step.position),
+                "rule_index": step.rule_index,
+                "substitution": substitution_to_json(step.substitution),
+                "term": term_to_str(step.result),
+            }
+            for step in trace.steps
+        ],
+    }
 
 
 def oracle_has_redex(trs: TRS, term: Term) -> bool:

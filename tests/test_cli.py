@@ -137,6 +137,19 @@ def test_normalize_deep_growth_is_an_honest_failure(capsys, grow_trs_path):
     assert report["fuel"] == 450
 
 
+def test_reach_prints_a_derivation_deeper_than_the_recursive_printer(capsys, grow_trs_path):
+    """The trace printer has no depth limit: a derivation that ends 401
+    levels deep is verified and printed whole."""
+    target = "g(" + "s(" * 400 + "x" + ")" * 401
+    code, report = run_json(
+        capsys, ["reach", grow_trs_path, "--from", "g(x)", "--to", target, "--fuel", "500"]
+    )
+    assert code == 0
+    assert report["status"] == "verified"
+    assert report["length"] == 400
+    assert report["trace"]["steps"][-1]["term"] == target
+
+
 def test_reach_verified_and_not_found(capsys, ack_trs_path):
     code, report = run_json(
         capsys,

@@ -58,6 +58,7 @@ from helpers import (
     oracle_normalize,
     oracle_reduce_at,
     oracle_successors,
+    oracle_trace_to_json,
     terms_over,
 )
 
@@ -167,6 +168,25 @@ def test_explorers_match_oracle(name, data, fuel):
             )
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trace_printer_matches_the_recursive_printer(name, data):
+    """Every trace prints byte for byte as the recursive printer printed it:
+    normalization traces (complete or cut off by fuel) in every mode, whose
+    steps share all but the rebuilt nodes with the step before, and the
+    breadth-first derivations to the terms a search reached."""
+    trs, terms = SYSTEMS[name]
+    term = data.draw(terms)
+    for mode in MODES:
+        trace = _normalize_outcome(normalize, trs, term, mode, max(FUELS.get(name, range(11))))[1]
+        assert trace_to_json(trace) == oracle_trace_to_json(trace), mode
+        reached, _ = oracle_descendants(trs, term, mode, 8)
+        for v in sorted(reached, key=repr)[-3:]:
+            found = derives(trs, term, v, mode, 8)
+            assert trace_to_json(found) == oracle_trace_to_json(found), (mode, v)
+
+
 @pytest.mark.parametrize("m,n", [(0, 2), (1, 3), (2, 2), (3, 1)])
 def test_ackermann_normal_forms_match_oracle(m, n):
     """Whole derivations, including nested Ackermann redexes under ``s``."""
@@ -176,7 +196,7 @@ def test_ackermann_normal_forms_match_oracle(m, n):
             got = normalize(trs, term, mode, 5000)
             want = oracle_normalize(trs, term, mode, 5000)
             assert got == want
-            assert trace_to_json(got) == trace_to_json(want)
+            assert trace_to_json(got) == oracle_trace_to_json(want)
 
 
 def _tampered(trs, source, step):

@@ -28,13 +28,17 @@ from rdp import (
     is_dep_pair_alt,
     next_dp_and_sub,
     parse_chain_witness,
+    parse_term,
+    parse_trs,
     standard_dep_pairs,
     term_pos_dps_alt,
     to_standard,
+    term_to_str,
     unary_encoder,
     validate_witness,
     verify_chain_prefix,
 )
+from rdp import rewriting
 from rdp.dependency_pairs import NOT_FOUND, PRECONDITION_FAILED, VERIFIED
 
 from rdp import trs_of
@@ -401,6 +405,30 @@ def test_detect_innermost_loop_none_on_growing():
 def test_detect_innermost_loop_under_context():
     cert = detect_innermost_loop(loop_system(), ap(F1, fc()), 50)
     assert cert is not None
+
+
+def test_loop_search_expands_only_what_its_search_enters(monkeypatch):
+    """From f(d(k),h(c)), h(x) -> h(h(x)) grows the second argument forever,
+    while d(c) and e(c) cycle in the first.  At the default fuel the search
+    expands a handful of terms, not the 10,000 its budget admits (which took
+    gigabytes when the whole budget was explored before the search)."""
+    trs = parse_trs(
+        "(VAR x y)\n(RULES f(x,y) -> f(y,x) h(x) -> h(h(x)) d(x) -> e(x) e(x) -> d(x) k -> c)"
+    )
+    expanded = 0
+    successors_of = rewriting.iter_successors
+
+    def counting(*args):
+        nonlocal expanded
+        expanded += 1
+        return successors_of(*args)
+
+    monkeypatch.setattr(rewriting, "iter_successors", counting)
+    cert = detect_innermost_loop(trs, parse_term("f(d(k),h(c))", trs))
+    assert cert is not None and check_certificate(trs, cert)
+    assert term_to_str(cert.trace.start) == "f(d(c),h(c))"
+    assert [step.rule_index for step in cert.trace.steps] == [2, 3]
+    assert 0 < expanded <= 30
 
 
 def test_find_mint_subterm_prefers_arguments():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rdp import (
     App,
     ChainWitness,
+    FuelExhausted,
     Op1,
     DepPairAlt,
     InvalidDepPairError,
@@ -34,9 +35,11 @@ from rdp import (
     program_to_json,
     term_to_str,
     trace_to_json,
+    trs_of,
     vars_of,
     witness_to_json,
 )
+from rdp import formats
 from rdp.formats import _tokenize, parse_substitution, pvs0_expr_to_str, substitution_to_json
 from rdp.rewriting import TRS
 
@@ -44,7 +47,9 @@ from helpers import (
     A2,
     C0,
     F1,
+    G1,
     G2,
+    H2,
     S1,
     X,
     Y,
@@ -63,6 +68,7 @@ from helpers import (
     oracle_apply,
     oracle_parse_term,
     oracle_parse_trs,
+    oracle_trace_to_json,
     terms_over,
 )
 
@@ -365,6 +371,79 @@ def test_trace_json_round_trip():
     trs = ack_system()
     trace = normalize(trs, ack(nat(1), nat(1)), RelationMode.INNERMOST)
     assert parse_trace(trace_to_json(trace), trs) == trace
+
+
+def _trace(trs, term, mode, fuel):
+    try:
+        return normalize(trs, term, mode, fuel)
+    except FuelExhausted as err:
+        return err.trace
+
+
+@pytest.mark.parametrize("mode", list(RelationMode), ids=lambda mode: mode.value)
+def test_trace_printer_matches_the_recursive_printer_on_shared_terms(mode):
+    """hg's first rule puts g(x,y) twice into its result, so each step doubles
+    the printed term while the nodes stay shared; f(x) -> p(x,x) shares its
+    argument inside one term, which is printed in full where it is met
+    again in the same term and copied in the steps after."""
+    p2 = Symbol("p", 2)
+    dup = trs_of((ap(F1, X), App(p2, (X, X))))
+    tower = ap(C0)
+    for _ in range(8):
+        tower = ap(F1, tower)
+    shared = App(p2, (tower, tower))
+    for trs, start, fuel in (
+        (hg_system(), ap(H2, X, X), 10),
+        (hg_system(), ap(H2, ap(H2, X, Y), ap(G2, X, X)), 6),
+        (dup, tower, 40),
+        (dup, App(p2, (shared, shared)), 40),
+    ):
+        trace = _trace(trs, start, mode, fuel)
+        assert trace_to_json(trace) == oracle_trace_to_json(trace)
+
+
+def test_trace_printer_matches_the_recursive_printer_on_parsed_traces():
+    """A trace read back shares no node between its steps, so every term is
+    written in full, as before."""
+    for trs, start in ((ack_system(), ack(nat(2), nat(1))), (hg_system(), ap(H2, X, X))):
+        for mode in RelationMode:
+            data = oracle_trace_to_json(_trace(trs, start, mode, 8))
+            parsed = parse_trace(json.loads(json.dumps(data)), trs)
+            assert trace_to_json(parsed) == oracle_trace_to_json(parsed) == data
+
+
+def test_a_trace_of_any_depth_prints():
+    """5,000 steps of g(x) -> g(s(x)) end 5,001 levels deep, past the
+    recursive printer, which failed near 330; each step copies the previous
+    term's argument instead of writing it again."""
+    trace = _trace(grow_system(), ap(G1, X), RelationMode.FULL, 5000)
+    steps = trace_to_json(trace)["steps"]
+    assert len(steps) == 5000
+    assert steps[-1]["term"] == "g(" + "s(" * 5000 + "x" + ")" * 5001
+    assert steps[-1]["substitution"] == {"x": "s(" * 4999 + "x" + ")" * 4999}
+    assert steps[1] == {"position": "ε", "rule_index": 0, "substitution": {"x": "s(x)"},
+                        "term": "g(s(s(x)))"}
+
+
+def test_a_trace_step_writes_only_the_nodes_it_builds(monkeypatch):
+    """Each step of g(x) -> g(s(x)) builds g and s over the previous argument,
+    so it writes those two symbol by symbol and copies its σ and the rest as
+    text already printed; under h(_, s^50(0)) it rebuilds h too, and copies
+    the numeral that no step touches from the step before, every time."""
+    written = []
+
+    def counting(term, now, before):
+        text = write(term, now, before)
+        written.append(sum(1 for entry in now.values() if entry[0] and entry[0][0] is text))
+        return text
+
+    write = formats._write_shared
+    monkeypatch.setattr(formats, "_write_shared", counting)
+    # (start, applications in it, applications each step builds)
+    for start, size, built in ((ap(G1, X), 1, 2), (ap(H2, ap(G1, X), nat(50)), 52, 3)):
+        written.clear()
+        trace_to_json(_trace(grow_system(), start, RelationMode.INNERMOST, 300))
+        assert written == [size, built] + [0, built] * 299  # the first step's σ binds nothing
 
 
 def test_parse_trace_errors():

@@ -3,17 +3,21 @@ from hypothesis import given
 
 from rdp import (
     App,
+    FuelExhausted,
     InvalidPositionError,
+    RelationMode,
     ROOT,
     Signature,
     Symbol,
     Var,
     format_position,
+    normalize,
     parse_position,
     positions_of,
     replace_at,
     subterm_at,
     term_to_str,
+    trs_of,
     vars_of,
 )
 from rdp.terms import iter_vars, subterms_of, symbols_of, vars_in_order
@@ -23,6 +27,7 @@ from helpers import (
     C0,
     F1,
     G2,
+    H2,
     S1,
     X,
     Y,
@@ -30,6 +35,7 @@ from helpers import (
     ack,
     ack_terms,
     ap,
+    hg_system,
     nat,
     oracle_replace_at,
     terms_over,
@@ -113,6 +119,52 @@ def test_deep_terms_hash_and_compare_without_recursion():
     assert one != s_tower(100_000, Y)
     assert one != s_tower(99_999, X)
     assert len({one, two}) == 1
+
+
+class _CountedSymbol(Symbol):
+    """Equal to any symbol of the same name and arity; counts how often it is
+    compared and refuses to go on past ``budget`` comparisons."""
+
+    compared = 0
+    budget = 0
+
+    def __eq__(self, other):
+        _CountedSymbol.compared += 1
+        assert _CountedSymbol.compared <= _CountedSymbol.budget, "compared too many nodes"
+        return (self.name, self.arity) == (other.name, other.arity)
+
+    __hash__ = Symbol.__hash__
+
+
+@pytest.mark.parametrize("second", [X, Y], ids=["equal", "one-leaf-differs"])
+def test_equality_compares_each_pair_of_shared_nodes_once(second):
+    """h(x,y) -> h(g(x,y), g(g(x,y),y)) shares each step's arguments twice, so
+    200 steps make a tree of about 2^200 nodes over a few hundred distinct
+    ones.  Two such terms built apart, under symbols that are equal but not
+    the same objects, compare node pair by node pair, each pair once."""
+    h, g = _CountedSymbol("h", 2), _CountedSymbol("g", 2)
+    counted = trs_of(
+        (App(h, (X, Y)), App(h, (App(g, (X, Y)), App(g, (App(g, (X, Y)), Y))))),
+        (App(h, (X, Y)), App(g, (X, Y))),
+        (App(g, (X, Y)), Y),
+    )
+    ends = []
+    for trs, start in ((hg_system(), ap(H2, X, X)), (counted, App(h, (X, second)))):
+        with pytest.raises(FuelExhausted) as stop:
+            normalize(trs, start, RelationMode.FULL, 200)
+        ends.append(stop.value.trace.end)
+    _CountedSymbol.compared, _CountedSymbol.budget = 0, 4 * 200
+    assert (ends[0] == ends[1]) is (second == X)
+    assert 0 < _CountedSymbol.compared <= 4 * 200
+
+
+def test_equality_with_a_node_shared_on_one_side_only():
+    """A node shared on the left meets two equal or differing copies on the right."""
+    shared = ack(nat(3), X)
+    left = ack(shared, ack(shared, shared))
+    assert left == ack(ack(nat(3), X), ack(ack(nat(3), X), ack(nat(3), X)))
+    assert left != ack(ack(nat(3), X), ack(ack(nat(3), X), ack(nat(3), Y)))
+    assert left != ack(ack(nat(3), X), ack(ack(nat(2), X), ack(nat(3), X)))
 
 
 def test_signature_lookup_and_duplicates():
