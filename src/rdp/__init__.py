@@ -44,7 +44,6 @@ from .formats import (
     parse_trace,
     parse_trs,
     parse_value,
-    program_to_json,
     trace_to_json,
     witness_to_json,
 )
@@ -87,11 +86,7 @@ from .rewriting import (
     check_trace,
     defined_symbols,
     derives,
-    descendants,
     embed_trace,
-    has_redex,
-    is_normal_form,
-    is_normal_substitution,
     is_nr_normal_form,
     normalize,
     reduce_at,
@@ -99,7 +94,6 @@ from .rewriting import (
     trs_of,
 )
 from .substitution import (
-    EMPTY_SUBSTITUTION,
     Substitution,
     match,
 )

@@ -37,7 +37,6 @@ from .rewriting import (
     derives,
     embed_trace,
     explore,
-    is_normal_substitution,
     is_nr_normal_form,
     normalize,
     reduce_at,
@@ -401,8 +400,9 @@ def dp_and_sub_from_nrnf(
 ) -> tuple[DepPairAlt, Substitution, Term]:
     """From an nr-normal term, extract the dependency pair its root step takes.
 
-    Matches the lowest-index rule at the root (the substitution is normal
-    because the term is nr-normal), reduces, and locates a certified
+    Matches the lowest-index rule at the root (the substitution is normal:
+    no lhs is a variable, so it binds only proper subterms of the
+    nr-normal term), reduces, and locates a certified
     subterm of the reduct.  Returns the pair, the substitution, and that
     subterm.
     """
@@ -412,7 +412,6 @@ def dp_and_sub_from_nrnf(
     if step is None:
         raise ConstructionFailure("no-root-rule")
     sigma, reduct = step.substitution, step.result
-    assert is_normal_substitution(sigma, trs)
     found = find_mint_subterm(trs, reduct, fuel)
     if found is None:
         raise ConstructionFailure("no-mint-within-fuel")

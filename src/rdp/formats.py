@@ -3,13 +3,14 @@
 TRS files use a TPDB-flavored syntax: a ``(VAR x y)`` section declaring
 variables and a ``(RULES l -> r ...)`` section, in either order.  The
 signature is inferred from use, with a consistent-arity check.  Terms and
-programs are read at any depth, with explicit stacks, and programs are
-written on the walk of ``terms``, as text in one linear pass.  Traces are
-written at any depth too, each step against the text of the step before
-(``terms._write_shared``); rules and witness bindings still print with the
-recursive ``term_to_str``.  Chain witnesses, programs, and traces travel as
-JSON; the depth limit of the one ``json.loads`` call is the only one on
-reading.  Every parse(print(x)) round-trips.
+programs are read at any depth, with explicit stacks, and program
+expressions print on the walk of ``terms``, as text in one linear pass.
+Traces are written at any depth too, each step against the text of the
+step before (``terms._write_shared``); rules and witness bindings still
+print with the recursive ``term_to_str``.  Chain witnesses and traces
+travel as JSON both ways; programs are read from JSON and never written
+back.  The depth limit of the one ``json.loads`` call is the only one on
+reading.  TRS files, traces and witnesses round-trip: parse(print(x)) is x.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .pvs0 import (
     GIf,
     GMonus,
     GTuple,
-    GValue,
     Ite,
     Op1,
     Op2,
@@ -39,7 +39,6 @@ from .pvs0 import (
     _LEAVES,
     _NOUN,
     _SORT,
-    _fold,
     _kids,
 )
 from .rewriting import (
@@ -506,22 +505,6 @@ def parse_pvs0_program(text: str) -> Pvs0Program:
     return Pvs0Program(width, false_val, top_val, o1, o2, _read_tree(raw_body, "expression"))
 
 
-def pvs0_expr_to_json(e: Pvs0Expr | GValue) -> list:
-    """A program expression or an operator body as JSON."""
-
-    def encode(node: Any, kids: list) -> list:
-        cls = node.__class__
-        if cls is Cnst:
-            return ["cnst", list(node.value)]
-        if cls is GIf:
-            return ["if", [node.cmp, kids[0], kids[1]], kids[2], kids[3]]
-        if cls not in _TAGS:
-            raise ValueError(f"not a {_NOUN['expression']}: {_SHOW.repr(node)}")
-        return [_TAGS[cls], *[getattr(node, name) for name in _LEAVES[cls]], *kids]
-
-    return _fold(e, encode)
-
-
 def pvs0_expr_to_str(e: Pvs0Expr) -> str:
     """A program expression as text, written in one pass over the walk."""
     out: list[str] = []
@@ -540,17 +523,6 @@ def pvs0_expr_to_str(e: Pvs0Expr) -> str:
         else:
             out.append(_TAGS[cls])
     return "".join(out) + ")" * opened
-
-
-def program_to_json(program: Pvs0Program) -> dict:
-    return {
-        "width": program.width,
-        "false_val": list(program.false_val),
-        "top_val": list(program.top_val),
-        "o1": [pvs0_expr_to_json(d.body) for d in program.o1],
-        "o2": [pvs0_expr_to_json(d.body) for d in program.o2],
-        "body": pvs0_expr_to_json(program.body),
-    }
 
 
 def parse_value(text: str) -> tuple[int, ...]:

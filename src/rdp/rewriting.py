@@ -7,12 +7,12 @@ candidate steps are ordered by position in pre-order with ties broken by
 rule index, and breadth-first exploration visits terms in that order.
 
 One successor core answers every question about redexes.  Rules are
-indexed by the root symbol of their lhs; ``_fireable`` rides the walk of
-``terms`` to yield the positions that may fire, and under the innermost
-modes one bottom-up pass first records, per node, the matching rules and
-whether a redex lies below.  Every walk asks one rule, ``_may_fire``,
-whether a position may fire under a mode.  A breadth-first search keeps one
-such table for all the terms it expands, under every mode, so each expansion
+indexed by the root symbol of their lhs, and every walk asks one rule,
+``_may_fire``, whether a position may fire under a mode.
+``iter_successors`` first records in one bottom-up pass, per node, the
+matching rules and whether a redex lies below, then rides the walk of
+``terms`` over that table to the positions that may fire.  A breadth-first
+search keeps one such table for all the terms it expands, so each expansion
 matches only the nodes it has not seen and skips every subterm without a
 redex; on a term that grows by a node per step, fuel buys work linearly.
 ``normalize`` always takes the first of those steps.  Its one walk keeps a
@@ -25,6 +25,12 @@ some left-hand side is non-linear).  Under the innermost modes it tries a
 node on the way up (leftmost-innermost) and never enters a contractum's
 variable parts, which are normal.  Its traces are the ones the original
 definitions, which rescanned the whole term per step, produced.
+
+The one boolean question, whether a redex is nr-normal, which replay and
+the dependency-pair checks ask, has its own walk: it visits each distinct
+node once and stops at the first match, so it costs time linear in the
+distinct nodes of a term whose steps duplicated subterms, not in the size
+of its unfolded tree.
 
 Fuel bounds work, never correctness: a positive answer always carries a
 replayable trace, a negative answer only says nothing was found within fuel.
@@ -202,9 +208,9 @@ class DerivationTrace:
 # --- the successor core ------------------------------------------------------
 #
 # Paths are those of ``terms``, one ``(parent, i)`` per step down, and ``_plug``
-# rebuilds a term around a contractum from one.  ``_fireable`` rides ``_walk``;
-# ``_leftmost`` keeps its own path, ``[parent, i, hint args]``, and rebuilds its
-# parents in place around each contractum.
+# rebuilds a term around a contractum from one.  ``iter_successors`` rides
+# ``_walk``; ``_leftmost`` keeps its own path, ``[parent, i, hint args]``, and
+# rebuilds its parents in place around each contractum.
 
 
 def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
@@ -259,50 +265,24 @@ def _may_fire(mode: RelationMode, at_root: bool, redex_below: Callable[[], bool]
     return not (mode.innermost and redex_below())
 
 
-def _fireable(
-    trs: TRS,
-    term: Term,
-    mode: RelationMode,
-    table: dict[int, tuple] | None = None,
-) -> Iterator[tuple[list[tuple[App, int]], list[tuple[Rule, Substitution]]]]:
-    """Each position of ``term`` that may fire under ``mode``, in pre-order,
-    as its path and its matching rules.
-
-    The path is only valid until the walk resumes.  Given a redex ``table``
-    (see ``_redex_table``), the walk first adds the nodes of ``term`` it
-    lacks, then reads matches from it under every mode and skips every
-    subterm without a redex.  Without one, innermost modes build a table for
-    ``term`` alone and the others match lazily, so a first position comes early.
-    """
-    if table is not None:
-        _redex_table(trs, term, table)
-    elif mode.innermost:
-        table = _redex_table(trs, term, {})
-    kids = _args if table is None else (  # a node's arguments, if a redex lies there
-        lambda node: node.args if node.__class__ is App and table[id(node)][1] else ()
-    )
-    for node, path in _walk(term, kids):
-        if node.__class__ is App:
-            if table is None:  # ``below`` is unknown without the pass; only innermost asks
-                matches, below = _matches(trs, node), True
-            else:
-                matches, below, _ = table[id(node)]
-            if matches and _may_fire(mode, not path, lambda: below):
-                yield path, matches
-
-
-def has_redex(trs: TRS, term: Term) -> bool:
-    """True when some rule matches at some position of ``term``."""
-    return next(_fireable(trs, term, RelationMode.FULL), None) is not None
-
-
 def is_nr_normal_form(trs: TRS, term: Term) -> bool:
     """True when every proper subterm of ``term`` is a normal form.
 
     This is the innermost side condition: a redex may fire only when it is
-    nr-normal.
+    nr-normal.  One walk on a plain stack visits each distinct node below
+    the root once, however often it is shared, and stops at the first one a
+    rule matches.
     """
-    return next(_fireable(trs, term, RelationMode.NON_ROOT), None) is None
+    seen: set[int] = set()
+    stack = list(_args(term))
+    while stack:
+        node = stack.pop()
+        if node.__class__ is App and id(node) not in seen:
+            if _matches(trs, node):
+                return False
+            seen.add(id(node))
+            stack.extend(node.args)
+    return True
 
 
 def iter_successors(
@@ -310,14 +290,23 @@ def iter_successors(
 ) -> Iterator[Step]:
     """One-step reducts under ``mode``, ordered by (position pre-order, rule index).
 
-    ``table`` is a redex table that one search keeps for ``trs`` across
-    the terms it expands (see ``_redex_table``); without one the call
-    stands alone.
+    The walk first adds the nodes of ``term`` that the redex ``table`` (see
+    ``_redex_table``) lacks, then reads every node's matches from it and
+    skips every subterm without a redex.  One search keeps one table for
+    ``trs`` across the terms it expands; without one the call builds a
+    table for ``term`` alone.
     """
-    for path, matches in _fireable(trs, term, mode, table):
-        pos = tuple(i for _, i in path)
-        for rule, sigma in matches:
-            yield Step(pos, rule.index, sigma, _plug(path, sigma.apply(rule.rhs)))
+    table = _redex_table(trs, term, {} if table is None else table)
+    kids = lambda node: (  # a node's arguments, if a redex lies there
+        node.args if node.__class__ is App and table[id(node)][1] else ()
+    )
+    for node, path in _walk(term, kids):
+        if node.__class__ is App:
+            matches, below, _ = table[id(node)]
+            if matches and _may_fire(mode, not path, lambda: below):
+                pos = tuple(i for _, i in path)
+                for rule, sigma in matches:
+                    yield Step(pos, rule.index, sigma, _plug(path, sigma.apply(rule.rhs)))
 
 
 def successors(trs: TRS, term: Term, mode: RelationMode) -> list[Step]:
@@ -340,15 +329,6 @@ def reduce_at(
 ) -> Step | None:
     """The lowest-rule-index step at ``pos`` valid under ``mode``, if any."""
     return next(_steps_at(trs, term, pos, mode), None)
-
-
-def is_normal_form(trs: TRS, term: Term, mode: RelationMode) -> bool:
-    return next(_fireable(trs, term, mode), None) is None
-
-
-def is_normal_substitution(sigma: Substitution, trs: TRS) -> bool:
-    """True when every term in the range of ``sigma`` is a normal form of ``trs``."""
-    return all(is_normal_form(trs, t, RelationMode.FULL) for _, t in sigma.items())
 
 
 def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
@@ -502,22 +482,6 @@ def derives(
                 steps.reverse()
                 return DerivationTrace(source, tuple(steps), mode)
     return None
-
-
-def descendants(
-    trs: TRS, term: Term, mode: RelationMode, fuel: int = DEFAULT_FUEL
-) -> tuple[frozenset[Term], bool]:
-    """All terms reachable under ``mode`` (including ``term``), with a truncation flag.
-
-    The flag is True when the closure was cut off by fuel, i.e. some reduct
-    outside the returned set exists.
-    """
-    reached: list[Term] = []
-    truncated = False
-    for u, tagged in explore(trs, term, mode, fuel):
-        reached.append(u)
-        truncated = truncated or any(fresh is None for _, fresh in tagged)
-    return frozenset(reached), truncated
 
 
 def check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:

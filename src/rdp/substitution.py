@@ -47,9 +47,6 @@ class Substitution:
     def get(self, var: Var) -> Term:
         return self._map.get(var, var)
 
-    def domain(self) -> frozenset[Var]:
-        return frozenset(self._map)
-
     def items(self) -> Iterator[tuple[Var, Term]]:
         return iter(self._map.items())
 
@@ -73,9 +70,6 @@ class Substitution:
             f"{v.name} -> {term_to_str(t)}" for v, t in sorted(self._map.items(), key=lambda it: it[0].name)
         )
         return "{" + inner + "}"
-
-
-EMPTY_SUBSTITUTION = Substitution()
 
 
 def match(pattern: Term, subject: Term) -> Substitution | None:

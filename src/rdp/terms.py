@@ -199,7 +199,7 @@ class Signature:
 
 def positions_of(term: Term) -> list[Position]:
     """All positions of ``term`` in pre-order (root first, arguments left to right)."""
-    return [pos for pos, _ in subterms_of(term)]
+    return [tuple(i for _, i in path) for _, path in _walk(term)]
 
 
 # A path is a list of ``(parent, i)`` pairs, root first: each ancestor of a
@@ -275,11 +275,6 @@ def _walk(root: object, kids: Callable[[object], tuple] = _args) -> Iterator[tup
             subtrees = kids(node)
         path.append((node, i + 1))
         node = subtrees[i]
-
-
-def subterms_of(term: Term) -> Iterator[tuple[Position, Term]]:
-    """(position, subterm) pairs in pre-order."""
-    return ((tuple(i for _, i in path), t) for t, path in _walk(term))
 
 
 def term_to_str(term: Term) -> str:

@@ -67,6 +67,7 @@ from rdp.rewriting import (
     RuleRestrictionError,
     Step,
     _may_fire,
+    explore,
 )
 from rdp.substitution import match
 from rdp.terms import (
@@ -94,6 +95,7 @@ Q1 = Symbol("q", 1)
 LOOP1 = Symbol("loop", 1)
 EQ2 = Symbol("eq", 2)
 T0 = Symbol("t", 0)
+P2 = Symbol("p", 2)
 D1 = Symbol("d", 1)
 ONE0 = Symbol("one", 0)
 E1 = Symbol("e", 1)
@@ -151,6 +153,11 @@ def hg_system():
         (ap(H2, X, Y), gxy),
         (gxy, Y),
     )
+
+
+def dup_system():
+    """f(x) -> p(x,x); g(x) -> c: each f step puts one node at two positions."""
+    return trs_of((ap(F1, X), ap(P2, X, X)), (ap(G1, X), ap(C0)))
 
 
 def grow_system():
@@ -437,10 +444,6 @@ def oracle_reduce_at(
     return None
 
 
-def oracle_is_normal_form(trs: TRS, term: Term, mode: RelationMode) -> bool:
-    return next(oracle_iter_successors(trs, term, mode), None) is None
-
-
 def oracle_check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
     """Replay one step: position, rule, substitution, side condition, result."""
     try:
@@ -540,6 +543,19 @@ def oracle_descendants(
             visited.add(v)
             queue.append(v)
     return frozenset(visited), truncated
+
+
+def explored(
+    trs: TRS, start: Term, mode: RelationMode, fuel: int
+) -> tuple[frozenset[Term], bool]:
+    """The terms ``explore`` expands from ``start`` and whether it refused a
+    new one for fuel, in the shape ``oracle_descendants`` gives."""
+    reached: list[Term] = []
+    refused = False
+    for u, tagged in explore(trs, start, mode, fuel):
+        reached.append(u)
+        refused = refused or any(fresh is None for _, fresh in tagged)
+    return frozenset(reached), refused
 
 
 def oracle_detect_innermost_loop(

@@ -6,7 +6,6 @@ from rdp import (
     DepPair,
     DepPairAlt,
     DerivationTrace,
-    EMPTY_SUBSTITUTION,
     InvalidDepPairError,
     LoopCertificate,
     PreconditionFailed,
@@ -541,7 +540,7 @@ def test_chain_from_loop_rejects_bad_arguments():
         chain_from_loop(trs, cert, 0, 100)
     forged = LoopCertificate(
         DerivationTrace(
-            fc(), (Step((), 0, EMPTY_SUBSTITUTION, fc()),), RelationMode.INNERMOST
+            fc(), (Step((), 0, Substitution(), fc()),), RelationMode.INNERMOST
         )
     )
     with pytest.raises(PreconditionFailed, match="does-not-replay"):

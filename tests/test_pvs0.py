@@ -32,7 +32,7 @@ from rdp import (
     unary_encoder,
 )
 
-from rdp.formats import program_to_json, pvs0_expr_to_str
+from rdp.formats import pvs0_expr_to_str
 
 from helpers import ack, ack_system, hg_system, nat
 
@@ -356,8 +356,8 @@ def test_a_deep_body_builds_lists_its_contexts_and_evaluates():
 
 
 def test_a_body_and_a_guard_of_any_depth_work():
-    """A 20,000-deep body hashes, compares, prints, encodes and lists its
-    contexts, and a guard of 5,000 nested additions builds: each is one
+    """A 20,000-deep body hashes, compares, prints and lists its contexts,
+    and a guard of 5,000 nested additions builds: each is one
     walk over an explicit stack."""
 
     def body(bottom):
@@ -376,10 +376,6 @@ def test_a_body_and_a_guard_of_any_depth_work():
     succ = OperatorDef(1, GTuple((GAdd(GComp(0, 0), GConst(1)),)))
     plus = OperatorDef(2, GTuple((GAdd(GComp(0, 0), GComp(1, 0)),)))
     program = width1(deep, o1=[succ], o2=[plus])
-    encoded = program_to_json(program)
-    for _ in range(20_003):
-        encoded = encoded["body"] if isinstance(encoded, dict) else encoded[-1]
-    assert encoded == ["vr"]
     contexts = calling_contexts(program)
     assert [len(ctx.path) for ctx in contexts] == [0, 20_001]
     assert contexts[1].actual == Vr()

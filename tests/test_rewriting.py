@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from rdp import (
+    App,
     DerivationTrace,
     FuelExhausted,
     RelationMode,
@@ -16,11 +17,8 @@ from rdp import (
     check_trace,
     defined_symbols,
     derives,
-    descendants,
     detect_innermost_loop,
     embed_trace,
-    has_redex,
-    is_normal_form,
     is_nr_normal_form,
     normalize,
     reduce_at,
@@ -36,6 +34,8 @@ from helpers import (
     EQ2,
     F1,
     G1,
+    H2,
+    P2,
     S1,
     T0,
     X,
@@ -44,9 +44,12 @@ from helpers import (
     ack,
     ack_system,
     ap,
+    dup_system,
+    explored,
     fc,
     grow_system,
     ground_ack_terms,
+    hg_system,
     loop_system,
     nat,
     oracle_normalize,
@@ -104,12 +107,12 @@ def test_defined_symbols_are_stored_but_not_compared(ack_trs):
 
 
 def test_has_redex_and_normal_forms():
+    """A normal form is a term with no successors."""
     trs = ack_system()
-    assert not has_redex(trs, nat(2))
-    assert has_redex(trs, ack(ap(Z0), X))
-    assert is_normal_form(trs, nat(2), FULL)
-    assert is_normal_form(trs, ap(Z0), FULL)
-    assert not is_normal_form(trs, ack(ap(Z0), ap(Z0)), FULL)
+    assert not successors(trs, nat(2), FULL)
+    assert successors(trs, ack(ap(Z0), X), FULL)
+    assert not successors(trs, ap(Z0), FULL)
+    assert successors(trs, ack(ap(Z0), ap(Z0)), FULL)
 
 
 def test_is_nr_normal_form():
@@ -330,14 +333,14 @@ def test_derives_not_found_within_fuel():
 
 
 def test_descendants_closed_orbit():
-    closure, truncated = descendants(loop_system(), fc(), INN, 10)
+    closure, truncated = explored(loop_system(), fc(), INN, 10)
     assert closure == frozenset({fc()})
     assert not truncated
 
 
 def test_descendants_ackermann_closure():
     trs = ack_system()
-    closure, truncated = descendants(trs, ack(nat(1), ap(Z0)), FULL, 1000)
+    closure, truncated = explored(trs, ack(nat(1), ap(Z0)), FULL, 1000)
     assert closure == frozenset(
         {ack(nat(1), ap(Z0)), ack(ap(Z0), nat(1)), nat(2)}
     )
@@ -345,10 +348,10 @@ def test_descendants_ackermann_closure():
 
 
 def test_descendants_normal_form_and_truncation():
-    closure, truncated = descendants(ack_system(), ap(Z0), FULL, 10)
+    closure, truncated = explored(ack_system(), ap(Z0), FULL, 10)
     assert closure == frozenset({ap(Z0)})
     assert not truncated
-    grown, cut = descendants(grow_system(), ap(G1, X), FULL, 3)
+    grown, cut = explored(grow_system(), ap(G1, X), FULL, 3)
     assert cut
     assert len(grown) == 3
 
@@ -357,17 +360,76 @@ def test_descendants_normal_form_and_truncation():
 def test_loop_search_matches_each_node_once(monkeypatch, n):
     """One redex table per search: each expansion of ``g(s^k(x))`` matches
     only its two new nodes, so fuel n buys at most 2n + 2 match rounds."""
-    calls = 0
+    calls = _counting_matches(monkeypatch)
+    assert detect_innermost_loop(grow_system(), ap(G1, X), n) is None
+    assert calls[0] <= 2 * n + 2
+
+
+def _counting_matches(monkeypatch) -> list[int]:
+    """Count the calls of ``_matches`` in the one-item list returned."""
+    calls = [0]
     matches = rewriting._matches
 
     def counting(trs, node):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return matches(trs, node)
 
     monkeypatch.setattr(rewriting, "_matches", counting)
-    assert detect_innermost_loop(grow_system(), ap(G1, X), n) is None
-    assert calls <= 2 * n + 2
+    return calls
+
+
+def _distinct_nodes(term) -> int:
+    """Application nodes of ``term``, each shared node counted once."""
+    seen, stack = set(), [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.args)
+    return len(seen)
+
+
+def test_innermost_replay_of_a_duplicating_rule_is_linear_in_the_dag(monkeypatch):
+    """Innermost ``f^200(c)`` under ``f(x) -> p(x,x)`` ends in ``p^200(c)``
+    with both arguments of every ``p`` one node: 201 distinct nodes, 2^201 - 1
+    positions.  Replay and the nr-normal check visit each distinct node
+    once, so they match at most once per distinct node of each term."""
+    n = 200
+    trs = dup_system()
+    term = shared = ap(C0)
+    for _ in range(n):
+        term, shared = ap(F1, term), ap(P2, shared, shared)
+    trace = normalize(trs, term, INN, n)
+    assert len(trace) == n and trace.end == shared
+    calls = _counting_matches(monkeypatch)
+    assert check_trace(trs, trace)
+    assert calls[0] <= sum(_distinct_nodes(t) for t in trace.terms())
+    calls[0] = 0
+    assert is_nr_normal_form(trs, trace.end)
+    assert calls[0] <= _distinct_nodes(trace.end)
+    calls[0] = 0
+    assert not is_nr_normal_form(trs, ap(P2, ap(F1, shared), ap(F1, shared)))
+    assert calls[0] == 1  # the walk stops at the first node a rule matches
+
+
+def test_nr_normal_check_of_hg_terms_is_linear_in_the_dag(monkeypatch):
+    """Under ``h(x,y) -> h(g(x,y), g(g(x,y),y))``, the first rule of ``hg``,
+    full ``h(x,x)`` rewrites the root 200 times, and each step puts ``y``
+    and ``g(x,y)`` at two positions.  Every term is nr-normal, as ``g`` is
+    a constructor here, so the check walks all of it, once per distinct node."""
+    first = hg_system().rules[0]
+    trs = trs_of((first.lhs, first.rhs))
+    with pytest.raises(FuelExhausted) as err:
+        normalize(trs, ap(H2, X, X), FULL, 200)
+    trace = err.value.trace
+    assert len(trace) == 200
+    calls = _counting_matches(monkeypatch)
+    assert check_trace(trs, trace)
+    assert calls[0] == 200
+    for t in trace.terms():
+        calls[0] = 0
+        assert is_nr_normal_form(trs, t)
+        assert calls[0] <= _distinct_nodes(t)
 
 
 def test_check_step_rejects_tampering():

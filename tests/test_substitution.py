@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdp import EMPTY_SUBSTITUTION, Substitution, Var, is_normal_substitution, match
+from rdp import (
+    ROOT,
+    RelationMode,
+    Substitution,
+    Var,
+    is_nr_normal_form,
+    match,
+    reduce_at,
+    successors,
+)
 
 from helpers import (
     A2,
@@ -26,9 +35,9 @@ TERMS = terms_over([A2, S1, Z0, F1, G2], max_leaves=12)
 
 
 def test_identity_bindings_are_dropped():
-    assert Substitution({X: X}) == EMPTY_SUBSTITUTION
+    assert Substitution({X: X}) == Substitution()
     assert not Substitution({X: X})
-    assert Substitution({X: nat(1), Y: Y}).domain() == frozenset({X})
+    assert dict(Substitution({X: nat(1), Y: Y}).items()) == {X: nat(1)}
 
 
 def test_apply():
@@ -55,7 +64,7 @@ def test_apply_agrees_with_the_recursive_definition(term, depth, bindings):
 def test_restrict():
     sigma = Substitution({X: nat(1), Y: nat(2)})
     assert sigma.restrict([X]) == Substitution({X: nat(1)})
-    assert sigma.restrict([]) == EMPTY_SUBSTITUTION
+    assert sigma.restrict([]) == Substitution()
 
 
 def test_equality_is_extensional():
@@ -92,10 +101,13 @@ def test_match_recovers_an_equivalent_substitution(pattern, t1, t2):
     assert found.apply(pattern) == subject
 
 
-def test_is_normal_substitution():
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ack_terms, ground_ack_terms))
+def test_a_root_step_of_an_nr_normal_term_binds_only_normal_forms(term):
+    """No lhs is a variable, so the matcher at the root binds proper
+    subterms only, and those of an nr-normal term have no successors."""
     trs = ack_system()
-    assert is_normal_substitution(Substitution({Y: nat(1)}), trs)
-    assert not is_normal_substitution(
-        Substitution({X: ack(ap(Z0), ap(Z0))}), trs
-    )
-    assert is_normal_substitution(EMPTY_SUBSTITUTION, trs)
+    step = reduce_at(trs, term, ROOT, RelationMode.FULL)
+    if step is not None and is_nr_normal_form(trs, term):
+        for _, bound in step.substitution.items():
+            assert not successors(trs, bound, RelationMode.FULL)

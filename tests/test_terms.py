@@ -20,7 +20,7 @@ from rdp import (
     trs_of,
     vars_of,
 )
-from rdp.terms import iter_vars, subterms_of, symbols_of, vars_in_order
+from rdp.terms import _walk, iter_vars, symbols_of, vars_in_order
 
 from helpers import (
     A2,
@@ -268,9 +268,14 @@ def test_vars_helpers():
     assert vars_in_order(ap(A2, deep, Y)) == (X, Y)
 
 
+def subterms_of(t):
+    """(position, subterm) pairs in the walk's pre-order."""
+    return [(tuple(i for _, i in path), sub) for sub, path in _walk(t)]
+
+
 def test_subterms_of_matches_positions():
     t = ack(ap(S1, X), ap(Z0))
-    assert list(subterms_of(t)) == [
+    assert subterms_of(t) == [
         ((), t),
         ((1,), ap(S1, X)),
         ((1, 1), X),
@@ -280,7 +285,7 @@ def test_subterms_of_matches_positions():
 
 @given(TERMS)
 def test_the_walk_lists_every_subterm_once_in_pre_order(t):
-    pairs = list(subterms_of(t))
+    pairs = subterms_of(t)
     positions = [pos for pos, _ in pairs]
     assert positions == sorted(set(positions))
     for pos, sub in pairs:
