@@ -5,9 +5,12 @@ variables and a ``(RULES l -> r ...)`` section, in either order.  The
 signature is inferred from use, with a consistent-arity check.  Terms and
 programs are read at any depth, with explicit stacks, and program
 expressions print on the walk of ``terms``, as text in one linear pass.
-Traces are written at any depth too, each step against the text of the
-step before (``terms._write_shared``); rules and witness bindings still
-print with the recursive ``term_to_str``.  Chain witnesses and traces
+Traces are written at any depth too: a step whose result rewrites the
+term before it at its position, by identity, is spliced into that term's
+text, its contractum written in place of the redex's span and its σ
+bindings sliced from that span (``terms._Spliced``), and any other step is
+written whole; rules and witness bindings still print with the recursive
+``term_to_str``.  Chain witnesses and traces
 travel as JSON both ways; programs are read from JSON and never written
 back.  The depth limit of the one ``json.loads`` call is the only one on
 reading.  TRS files, traces and witnesses round-trip: parse(print(x)) is x.
@@ -60,6 +63,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _Spliced,
     _walk,
     _write_shared,
     format_position,
@@ -328,22 +332,23 @@ def parse_substitution(data: Any, trs: TRS) -> Substitution:
 
 
 def trace_to_json(trace: DerivationTrace) -> dict:
-    """The trace with every term printed whole, at any depth.  Each step's σ
-    and then its result are written against the text printed one step before
-    (``terms._write_shared``), so a node the step did not build is copied as
-    a slice of that text and output work follows the nodes each step builds."""
-    now: dict = {}
-    start = _write_shared(trace.start, now, {})
+    """The trace with every term printed whole, at any depth.  A step whose
+    result rewrites the term before it at its position, by identity, prints
+    by splicing its contractum into that term's text, and its σ bindings are
+    slices of the redex's span (``terms._Spliced``); any other step is
+    written whole.  So output work follows the nodes each step builds."""
+    latest = _Spliced(trace.start)
+    start = latest.text
     steps = []
     for step in trace.steps:
-        before, now = now, {}
-        sigma = {v.name: _write_shared(t, now, before) for v, t in _by_name(step.substitution)}
+        sigma = _by_name(step.substitution)
+        known = latest.rewrite(step.position, step.result, [t for _, t in sigma])
         steps.append(
             {
                 "position": format_position(step.position),
                 "rule_index": step.rule_index,
-                "substitution": sigma,
-                "term": _write_shared(step.result, now, before),
+                "substitution": {v.name: _write_shared(t, known) for v, t in sigma},
+                "term": latest.text,
             }
         )
     return {"start": start, "mode": trace.mode.value, "steps": steps}

@@ -54,6 +54,7 @@ from .terms import (
     Term,
     Var,
     _args,
+    _index,
     _plug,
     _split_at,
     _walk,
@@ -265,23 +266,28 @@ def _may_fire(mode: RelationMode, at_root: bool, redex_below: Callable[[], bool]
     return not (mode.innermost and redex_below())
 
 
-def is_nr_normal_form(trs: TRS, term: Term) -> bool:
+def is_nr_normal_form(trs: TRS, term: Term, normal: set[int] | None = None) -> bool:
     """True when every proper subterm of ``term`` is a normal form.
 
     This is the innermost side condition: a redex may fire only when it is
     nr-normal.  One walk on a plain stack visits each distinct node below
     the root once, however often it is shared, and stops at the first one a
-    rule matches.
+    rule matches.  ``normal`` holds the ids of nodes already found normal,
+    which the walk skips, and gains every node it visits when the answer is
+    True; its caller keeps those nodes alive, as a trace does its terms.
     """
     seen: set[int] = set()
+    known = () if normal is None else normal
     stack = list(_args(term))
     while stack:
         node = stack.pop()
-        if node.__class__ is App and id(node) not in seen:
+        if node.__class__ is App and id(node) not in seen and id(node) not in known:
             if _matches(trs, node):
                 return False
             seen.add(id(node))
             stack.extend(node.args)
+    if normal is not None:
+        normal |= seen
     return True
 
 
@@ -304,7 +310,7 @@ def iter_successors(
         if node.__class__ is App:
             matches, below, _ = table[id(node)]
             if matches and _may_fire(mode, not path, lambda: below):
-                pos = tuple(i for _, i in path)
+                pos = tuple(map(_index, path))
                 for rule, sigma in matches:
                     yield Step(pos, rule.index, sigma, _plug(path, sigma.apply(rule.rhs)))
 
@@ -313,13 +319,16 @@ def successors(trs: TRS, term: Term, mode: RelationMode) -> list[Step]:
     return list(iter_successors(trs, term, mode))
 
 
-def _steps_at(trs: TRS, term: Term, pos: Position, mode: RelationMode) -> Iterator[Step]:
+def _steps_at(
+    trs: TRS, term: Term, pos: Position, mode: RelationMode, normal: set[int] | None = None
+) -> Iterator[Step]:
     """Every step ``mode`` allows at ``pos`` in ``term``, by rule index; an
-    invalid ``pos`` raises InvalidPositionError when the first is asked for."""
+    invalid ``pos`` raises InvalidPositionError when the first is asked for.
+    ``normal`` is as for ``is_nr_normal_form``."""
     path, sub = _split_at(term, pos)
     if isinstance(sub, Var):
         return
-    if _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub)):
+    if _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub, normal)):
         for rule, sigma in _matches(trs, sub):
             yield Step(pos, rule.index, sigma, _plug(path, sigma.apply(rule.rhs)))
 
@@ -366,7 +375,7 @@ def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
                 parent, i, _ = top
                 args = parent.args
                 node = top[0] = App(parent.sym, (*args[: i - 1], node, *args[i:]))
-            yield Step(tuple(top[1] for top in path), rule.index, sigma, node)
+            yield Step(tuple(map(_index, path)), rule.index, sigma, node)
             node, hint, down, fired = contractum, rule.rhs if inner else contractum, True, []
             if not inner:
                 lowest = 0 if reach is None else max(len(path) - reach, 0)
@@ -484,20 +493,26 @@ def derives(
     return None
 
 
-def check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
+def check_step(
+    trs: TRS, source: Term, step: Step, mode: RelationMode, normal: set[int] | None = None
+) -> bool:
     """Replay one step: it must be one of the steps ``mode`` allows at its
-    position, so its substitution is the matcher of its rule there."""
+    position, so its substitution is the matcher of its rule there.
+    ``normal`` is as for ``is_nr_normal_form``."""
     try:
-        return step in _steps_at(trs, source, step.position, mode)
+        return step in _steps_at(trs, source, step.position, mode, normal)
     except InvalidPositionError:
         return False
 
 
 def check_trace(trs: TRS, trace: DerivationTrace) -> bool:
-    """Replay a whole trace under its recorded mode."""
+    """Replay a whole trace under its recorded mode.  The nodes found normal
+    stay known for the steps after, so an innermost replay walks the normal
+    part below each redex only where the step before built it."""
+    normal: set[int] = set()  # the trace keeps these nodes alive
     current = trace.start
     for step in trace.steps:
-        if not check_step(trs, current, step, trace.mode):
+        if not check_step(trs, current, step, trace.mode, normal):
             return False
         current = step.result
     return True

@@ -11,16 +11,25 @@ A path is a list of ``(parent, i)`` pairs from the root: ``_walk`` yields any
 tree's nodes (PVS0 trees too) with theirs, ``_split_at`` descends to one
 position and returns its path, ``_plug`` rebuilds around one; none recurses.
 
-``term_to_str`` prints one term by recursion.  ``_write_shared`` prints the
-terms of a trace on an explicit stack: it copies a node printed before as a
-slice of that text, found by ``id`` in an index the caller keeps for one
-trace, so shared nodes cost a memory copy instead of a walk.
+``term_to_str`` prints one term by recursion.  ``_write_shared`` prints on
+an explicit stack and copies the nodes whose text the caller already has,
+found by ``id``.  ``_Spliced`` prints the terms of a trace: a step whose
+result is the term before it rewritten at its position, sharing every node
+off that position, is printed by splicing, the way a rope edits text (Boehm,
+Atkinson & Plass, "Ropes: an alternative to strings", 1995).  Its text is
+the text before with the redex's span replaced by the contractum's, and
+that span comes from the offsets kept along the previous step's position,
+reused where the two positions agree, and from text lengths kept per node
+(``_size``) below that.  The σ bindings and the contractum's copied parts
+are slices of the redex's span.  So a step costs Python work for the levels
+above its redex and the nodes it builds, and a memory copy for the rest.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterator, Union
 
 _SHOW = reprlib.Repr()  # how every message shows a value it was given: a long one is cut at "..."
@@ -62,10 +71,6 @@ class Var:
         return self.name
 
 
-# Stores a field of an immutable App, whose own __setattr__ refuses.
-_set = object.__setattr__
-
-
 class App:
     """A symbol applied to exactly ``sym.arity`` argument terms.
 
@@ -84,9 +89,9 @@ class App:
             raise ValueError(
                 f"symbol {sym.name!r} has arity {sym.arity}, got {len(args)} arguments"
             )
-        _set(self, "sym", sym)
-        _set(self, "args", args)
-        _set(self, "_hash", None)
+        _put_sym(self, sym)
+        _put_args(self, args)
+        _put_hash(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable term")
@@ -105,15 +110,18 @@ class App:
                     stack += pending
                     continue
                 stack.pop()
-                _set(node, "_hash", hash((node.sym, *map(hash, node.args))))
+                _put_hash(node, hash((node.sym, *map(hash, node.args))))
             h = self._hash
         return h
 
     def __eq__(self, other: object) -> bool:
         """Structural equality.  Differing cached hashes settle it early, but
         no hash is ever computed here: equal terms built apart are compared
-        node by node, each pair of nodes once, so terms that share subterms
-        compare in time linear in their distinct nodes.
+        node by node, each pair of nodes pushed once, so terms that share
+        subterms compare in time linear in their distinct nodes.  A chain of
+        one-argument nodes is walked in place, with no stack or memo entry
+        per node; only a chain shared below several pushed pairs is walked
+        once per pair.
         """
         if self is other:
             return True
@@ -126,11 +134,18 @@ class App:
         pushed = {id(self): other}
         while stack:
             a, b = stack.pop()
-            ha, hb = a._hash, b._hash
-            if ha is not None and hb is not None and ha != hb:
-                return False
-            if a.sym is not b.sym and a.sym != b.sym:
-                return False
+            while True:  # down a chain of one-argument nodes in place
+                ha, hb = a._hash, b._hash
+                if ha is not None and hb is not None and ha != hb:
+                    return False
+                if a.sym is not b.sym and a.sym != b.sym:
+                    return False
+                if len(a.args) != 1:
+                    break
+                (x,), (y,) = a.args, b.args
+                if x.__class__ is not App or y.__class__ is not App or x is y:
+                    break
+                a, b = x, y
             for x, y in zip(a.args, b.args):
                 if x is y:
                     continue
@@ -158,6 +173,9 @@ class App:
     def __repr__(self) -> str:
         return term_to_str(self)
 
+
+# Store a field of an immutable App through its slot, past the __setattr__ that refuses.
+_put_sym, _put_args, _put_hash = App.sym.__set__, App.args.__set__, App._hash.__set__
 
 Term = Union[Var, App]
 
@@ -199,11 +217,12 @@ class Signature:
 
 def positions_of(term: Term) -> list[Position]:
     """All positions of ``term`` in pre-order (root first, arguments left to right)."""
-    return [tuple(i for _, i in path) for _, path in _walk(term)]
+    return [tuple(map(_index, path)) for _, path in _walk(term)]
 
 
 # A path is a list of ``(parent, i)`` pairs, root first: each ancestor of a
 # subterm and the 1-based index of the argument the path goes on through.
+_index = itemgetter(1)  # the index in one step of a path, so tuple(map(_index, path)) is its position
 def _split_at(term: Term, pos: Position) -> tuple[list[tuple[App, int]], Term]:
     """The path to ``pos`` in ``term`` and the subterm there."""
     path: list[tuple[App, int]] = []
@@ -286,76 +305,163 @@ def term_to_str(term: Term) -> str:
     return f"{term.sym.name}({','.join(term_to_str(a) for a in term.args)})"
 
 
-# An index of printed text maps ``id(node)`` to ``[text, start, end]``: ``text`` is a
-# one-item list that holds the string of one ``_write_shared`` call once it returns.
-# Ids are only valid while the caller keeps every indexed node alive.
-def _write_shared(term: Term, now: dict, before: dict) -> str:
+def _write_shared(term: Term, known: dict[int, str]) -> str:
     """``term_to_str(term)``, written on one explicit stack at any depth.
 
-    An application found in ``now`` (text already returned) or in ``before``
-    is copied as a slice of that text, and only the other nodes are written
-    symbol by symbol.  Each application written enters ``now`` with its place
-    in this call's text, and each one copied from ``before`` with its entry
-    there; one met again in this same call, and not in ``before``, is written
-    again.
+    A node whose ``id`` is in ``known`` is copied as the text found there,
+    and only the other nodes are written symbol by symbol; a node met twice
+    is written twice.
     """
     if term.__class__ is Var:
         return term.name
     if not term.args:
         return term.sym.name
+    found = known.get(id(term))
+    if found is not None:
+        return found
     out: list[str] = []
-    size = 0  # characters in out
-    mine: list[str] = []  # this call's text, once it is whole
-    # Terms to write, "," between arguments, and the entry of each application
-    # written in full, which gets its end where the application closes.
-    todo: list = [term]
+    todo: list = [term]  # terms to write, and the "," and ")" between and after arguments
     while todo:
         node = todo.pop()
         cls = node.__class__
         if cls is App:
             args = node.args
-            if not args:
-                piece = node.sym.name
+            if args:
+                found = known.get(id(node))
+                if found is not None:
+                    out.append(found)
+                    continue
+                todo.append(")")
+                if len(args) == 1:
+                    todo.append(args[0])
+                else:
+                    rest = [","] * (2 * len(args) - 1)
+                    rest[::2] = args[::-1]
+                    todo += rest
+                out.append(node.sym.name)
+                out.append("(")
             else:
-                key = id(node)
-                found = now.get(key)
-                if found is None or found[0] is mine:
-                    found = before.get(key)
-                    if found is None:
-                        entry = now[key] = [mine, size, 0]
-                        todo.append(entry)
-                        if len(args) == 1:
-                            todo.append(args[0])
-                        else:
-                            rest = [","] * (2 * len(args) - 1)
-                            rest[::2] = args[::-1]
-                            todo += rest
-                        piece = node.sym.name
-                        out.append(piece)
-                        out.append("(")
-                        size += len(piece) + 1
-                        continue
-                    now[key] = found
-                text, start, end = found
-                piece = text[0][start:end]
-        elif cls is list:
-            out.append(")")
-            size += 1
-            node[2] = size
-            continue
+                out.append(node.sym.name)
         elif cls is str:
-            piece = node
+            out.append(node)
         else:
-            piece = node.name
-        out.append(piece)
-        size += len(piece)
-    mine.append("".join(out))
-    return mine[0]
+            out.append(node.name)
+    return "".join(out)
+
+
+def _size(node: Term, sizes: dict[int, int]) -> int:
+    """The length of ``term_to_str(node)``, kept in ``sizes`` by ``id`` for each
+    node with arguments it computes; a pass bottom-up that stops at nodes
+    already kept, as ``App.__hash__`` does."""
+    if node.__class__ is Var:
+        return len(node.name)
+    if not node.args:
+        return len(node.sym.name)
+    size = sizes.get(id(node))
+    if size is None:
+        stack = [node]
+        while stack:
+            top = stack[-1]
+            pending = [a for a in top.args if a.__class__ is App and a.args and id(a) not in sizes]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            sizes[id(top)] = (
+                len(top.sym.name) + 1 + len(top.args) + sum(_size(a, sizes) for a in top.args)
+            )
+        size = sizes[id(node)]
+    return size
+
+
+class _Spliced:
+    """The text of the latest term of a trace, printed by splicing.
+
+    When the next term is this one rewritten at one position by identity
+    (the same symbol object at each level down to it, every argument off
+    the position the same object), its text is ``text[:s] + contractum +
+    text[e:]``, where ``[s, e)`` is the redex's span.  ``starts[d]`` and
+    ``tails[d]`` are where the node at depth ``d`` of ``pos`` starts and how
+    many characters follow it; a step keeps them on the prefix its position
+    shares with ``pos`` and adds the rest from the lengths of the arguments
+    beside the path (``_size``).  The given subterms of the redex, such as
+    a step's σ bindings, are copied as slices of its span, and the
+    contractum copies them in turn.  Any other next term is written whole.
+    Node ids are valid only while the caller keeps every term alive.
+    """
+
+    __slots__ = ("term", "text", "pos", "starts", "tails", "sizes")
+
+    def __init__(self, term: Term) -> None:
+        self.sizes: dict[int, int] = {}
+        self._whole(term)
+
+    def _whole(self, term: Term) -> dict[int, str]:
+        """Move on to ``term`` written whole; no value's text is known."""
+        self.term, self.text = term, _write_shared(term, {})
+        self.pos, self.starts, self.tails = ROOT, [0], [0]
+        return {}
+
+    def rewrite(self, pos: Position, result: Term, values: list[Term]) -> dict[int, str]:
+        """Move on to ``result``, the latest term rewritten at ``pos``, and return
+        the texts of those ``values`` found inside the redex, by ``id``."""
+        old, starts, tails, sizes, text = self.pos, self.starts, self.tails, self.sizes, self.text
+        same = min(len(old), len(pos))  # the depth down to which pos follows old
+        if old[:same] != pos[:same]:
+            same = next(d for d, (i, j) in enumerate(zip(old, pos)) if i != j)
+        if same < len(old):  # where they part, old's node has a known length
+            cut = len(text) - starts[same + 1] - tails[same + 1]
+        del starts[same + 1 :], tails[same + 1 :]
+        q, r = self.term, result
+        for depth, i in enumerate(pos):
+            if (
+                q.__class__ is not App
+                or r.__class__ is not App
+                or r.sym is not q.sym
+                or not 0 < i <= len(q.args)
+            ):
+                return self._whole(result)
+            args, theirs = q.args, r.args
+            if len(args) == 2:  # the common case first: the one argument beside the path
+                if args[2 - i] is not theirs[2 - i]:
+                    return self._whole(result)
+            elif len(args) > 2 and any(args[j] is not theirs[j] for j in range(len(args)) if j != i - 1):
+                return self._whole(result)
+            if depth >= same:  # below the shared prefix: place the node by its siblings
+                if depth == same and same < len(old):
+                    sizes[id(args[old[same] - 1])] = cut
+                at = starts[depth] + len(q.sym.name) + i
+                for a in args[: i - 1]:
+                    at += _size(a, sizes)
+                starts.append(at)
+                at = tails[depth] + 1 + len(args) - i
+                for a in args[i:]:
+                    at += _size(a, sizes)
+                tails.append(at)
+            q, r = args[i - 1], theirs[i - 1]
+        known: dict[int, str] = {}
+        want = {id(v) for v in values if v.__class__ is App and v.args}
+        todo, seen = [(q, starts[-1])], set()
+        while want and todo:  # down the redex to the values, each distinct node once
+            node, at = todo.pop()
+            key = id(node)
+            if key in want:
+                known[key] = text[at : at + _size(node, sizes)]
+                want.discard(key)
+            elif node.__class__ is App and node.args and key not in seen:
+                seen.add(key)
+                at += len(node.sym.name) + 1
+                for a in node.args:
+                    todo.append((a, at))
+                    at += _size(a, sizes) + 1
+        self.term, self.pos = result, pos
+        self.text = text[: starts[-1]] + _write_shared(r, known) + text[len(text) - tails[-1] :]
+        return known
 
 
 def format_position(pos: Position) -> str:
     """Dot-separated 1-based indices; the root prints as the empty-path mark."""
-    return ".".join(str(i) for i in pos) if pos else "ε"
+    return ".".join(map(str, pos)) if pos else "ε"
 
 
 def parse_position(text: str) -> Position:

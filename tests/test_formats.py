@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from time import perf_counter
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from rdp import (
     App,
     ChainWitness,
+    DerivationTrace,
     FuelExhausted,
     Op1,
     DepPairAlt,
@@ -17,6 +20,7 @@ from rdp import (
     RelationMode,
     RuleRestrictionError,
     Signature,
+    Step,
     Substitution,
     Symbol,
     Term,
@@ -38,7 +42,7 @@ from rdp import (
     vars_of,
     witness_to_json,
 )
-from rdp import formats
+from rdp import formats, terms
 from rdp.formats import _tokenize, parse_substitution, pvs0_expr_to_str, substitution_to_json
 from rdp.rewriting import TRS
 
@@ -427,23 +431,101 @@ def test_a_trace_of_any_depth_prints():
 
 def test_a_trace_step_writes_only_the_nodes_it_builds(monkeypatch):
     """Each step of g(x) -> g(s(x)) builds g and s over the previous argument,
-    so it writes those two symbol by symbol and copies its σ and the rest as
-    text already printed; under h(_, s^50(0)) it rebuilds h too, and copies
-    the numeral that no step touches from the step before, every time."""
+    so it writes those two symbol by symbol and copies its σ as text already
+    printed; under h(_, s^50(0)) the step is spliced into the text before,
+    so neither the rebuilt h nor the numeral beside it is written again."""
     written = []
 
-    def counting(term, now, before):
-        text = write(term, now, before)
-        written.append(sum(1 for entry in now.values() if entry[0] and entry[0][0] is text))
-        return text
+    def counting(term, known):
+        count, todo = 0, [term]  # the applications the call writes symbol by symbol
+        while todo:
+            node = todo.pop()
+            if node.__class__ is App and node.args and id(node) not in known:
+                count += 1
+                todo += node.args
+        written.append(count)
+        return write(term, known)
 
-    write = formats._write_shared
+    write = terms._write_shared
+    monkeypatch.setattr(terms, "_write_shared", counting)
     monkeypatch.setattr(formats, "_write_shared", counting)
-    # (start, applications in it, applications each step builds)
-    for start, size, built in ((ap(G1, X), 1, 2), (ap(H2, ap(G1, X), nat(50)), 52, 3)):
+    # (start, applications in it, applications each step writes)
+    for start, size, built in ((ap(G1, X), 1, 2), (ap(H2, ap(G1, X), nat(50)), 52, 2)):
         written.clear()
-        trace_to_json(_trace(grow_system(), start, RelationMode.INNERMOST, 300))
-        assert written == [size, built] + [0, built] * 299  # the first step's σ binds nothing
+        trace = _trace(grow_system(), start, RelationMode.INNERMOST, 300)
+        assert trace_to_json(trace) == oracle_trace_to_json(trace)
+        # every σ binding is copied; one call per step writes its contractum
+        assert [count for count in written if count] == [size] + [built] * 300
+
+
+def _oracle_deep(trace):
+    """``oracle_trace_to_json(trace)`` for terms thousands of levels deep: the
+    recursive oracle runs on a thread with a stack and a recursion limit
+    that reach that far, both restored after."""
+    out, limit = [], sys.getrecursionlimit()
+    size = threading.stack_size(256 << 20)
+    sys.setrecursionlimit(40_000)
+    try:
+        worker = threading.Thread(target=lambda: out.append(oracle_trace_to_json(trace)))
+        worker.start()
+        worker.join()
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(size)
+    return out[0]
+
+
+def test_the_printer_writes_whole_the_steps_it_cannot_splice():
+    """A step is spliced into the text before only when its result is the
+    term before rewritten at its position by identity; every other step,
+    and every edge of the splice, prints as the recursive printer does."""
+    trs = ack_system()
+    start = ack(nat(1), ack(nat(0), nat(2)))
+    inner = ack(nat(0), nat(2))
+    sigma = Substitution({Y: nat(2)})
+    cases = {}
+    # read back, a trace shares no node between its steps
+    data = trace_to_json(normalize(trs, start, RelationMode.INNERMOST))
+    cases["parsed"] = parse_trace(json.loads(json.dumps(data)), trs)
+    # a result that also changes the argument off the step's position
+    cases["off-position"] = DerivationTrace(
+        start, (Step((2,), 0, sigma, ack(nat(2), nat(3))),), RelationMode.INNERMOST
+    )
+    # the argument off the position equal to the one before, but another object
+    cases["equal-off-position"] = DerivationTrace(
+        start, (Step((2,), 0, sigma, ack(nat(1), nat(3))),), RelationMode.INNERMOST
+    )
+    # the symbol above the position equal to the one before, but another object
+    cases["equal-symbol"] = DerivationTrace(
+        start,
+        (Step((2,), 0, sigma, App(Symbol("a", 2), (start.args[0], nat(3)))),),
+        RelationMode.INNERMOST,
+    )
+    # a position that leaves the term before, and one that is not 1-based
+    cases["bad-position"] = DerivationTrace(
+        start,
+        (Step((2, 1, 1), 0, sigma, start), Step((0,), 0, sigma, start)),
+        RelationMode.FULL,
+    )
+    # a σ binding no subterm of the redex is: it is written whole
+    foreign = Substitution({X: ack(nat(3), nat(3)), Y: inner.args[1]})
+    cases["foreign-binding"] = DerivationTrace(
+        start, (Step((2,), 0, foreign, App(A2, (start.args[0], nat(3)))),), RelationMode.FULL
+    )
+    # root steps, the first of a trace among them, and steps that go up and down
+    cases["root"] = normalize(trs, ack(nat(1), nat(1)), RelationMode.FULL)
+    cases["shared-root"] = _trace(hg_system(), ap(H2, X, X), RelationMode.FULL, 6)
+    for name, trace in cases.items():
+        assert trace_to_json(trace) == oracle_trace_to_json(trace), name
+    # The oracle prints each step on its own, in time quadratic in the length
+    # here (80 s for all 5,000 steps), so every 250th step and the last stand in.
+    trace = _trace(grow_system(), ap(G1, X), RelationMode.FULL, 5000)
+    printed = trace_to_json(trace)
+    picked = [*range(0, 5000, 250), 4999]
+    sample = DerivationTrace(trace.start, tuple(trace.steps[k] for k in picked), trace.mode)
+    want = _oracle_deep(sample)
+    assert printed["start"] == want["start"]
+    assert [printed["steps"][k] for k in picked] == want["steps"]
 
 
 def test_parse_trace_errors():

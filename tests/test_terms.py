@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -165,6 +167,38 @@ def test_equality_with_a_node_shared_on_one_side_only():
     assert left == ack(ack(nat(3), X), ack(ack(nat(3), X), ack(nat(3), X)))
     assert left != ack(ack(nat(3), X), ack(ack(nat(3), X), ack(nat(3), Y)))
     assert left != ack(ack(nat(3), X), ack(ack(nat(2), X), ack(nat(3), X)))
+
+
+def _memo_entries(left, right):
+    """``left == right`` and the entries of the pair memo that ``App.__eq__``
+    held when it returned, read from its frame by a profile hook."""
+    entries = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is App.__eq__.__code__:
+            entries.append(len(frame.f_locals["pushed"]))
+
+    sys.setprofile(profile)
+    try:
+        same = left == right
+    finally:
+        sys.setprofile(None)
+    return same, entries[-1]
+
+
+def test_a_unary_chain_compares_in_place():
+    """Two s^10000(0) built apart share nothing; a chain of one-argument
+    nodes is walked in place, so the memo keeps only the roots' entry,
+    where it kept one entry per node of the chain."""
+    zero = ap(Z0)
+    for second, want in ((zero, True), (ap(Symbol("1", 0)), False)):
+        same, entries = _memo_entries(s_tower(10_000, zero), s_tower(10_000, second))
+        assert same is want
+        assert entries == 1
+    # a chain that ends in a binary node pushes only that node's arguments
+    left = s_tower(10_000, ack(s_tower(50, X), X))
+    right = s_tower(10_000, ack(s_tower(50, X), X))
+    assert _memo_entries(left, right) == (True, 2)
 
 
 def test_signature_lookup_and_duplicates():
