@@ -215,6 +215,9 @@ class Signature:
         return iter(self.symbols)
 
 
+_index = itemgetter(1)  # the index in one step of a path, so tuple(map(_index, path)) is its position
+
+
 def positions_of(term: Term) -> list[Position]:
     """All positions of ``term`` in pre-order (root first, arguments left to right)."""
     return [tuple(map(_index, path)) for _, path in _walk(term)]
@@ -222,7 +225,6 @@ def positions_of(term: Term) -> list[Position]:
 
 # A path is a list of ``(parent, i)`` pairs, root first: each ancestor of a
 # subterm and the 1-based index of the argument the path goes on through.
-_index = itemgetter(1)  # the index in one step of a path, so tuple(map(_index, path)) is its position
 def _split_at(term: Term, pos: Position) -> tuple[list[tuple[App, int]], Term]:
     """The path to ``pos`` in ``term`` and the subterm there."""
     path: list[tuple[App, int]] = []
