@@ -354,7 +354,8 @@ def _write_shared(term: Term, known: dict[int, str]) -> str:
 def _size(node: Term, sizes: dict[int, int]) -> int:
     """The length of ``term_to_str(node)``, kept in ``sizes`` by ``id`` for each
     node with arguments it computes; a pass bottom-up that stops at nodes
-    already kept, as ``App.__hash__`` does."""
+    already kept, as ``App.__hash__`` does: a node that waits for its
+    arguments is summed again once they are kept."""
     if node.__class__ is Var:
         return len(node.name)
     if not node.args:
@@ -364,15 +365,19 @@ def _size(node: Term, sizes: dict[int, int]) -> int:
         stack = [node]
         while stack:
             top = stack[-1]
-            pending = [a for a in top.args if a.__class__ is App and a.args and id(a) not in sizes]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
-            sizes[id(top)] = (
-                len(top.sym.name) + 1 + len(top.args) + sum(_size(a, sizes) for a in top.args)
-            )
-        size = sizes[id(node)]
+            size, waiting = len(top.sym.name) + 1 + len(top.args), False
+            for a in top.args:
+                if a.__class__ is Var:
+                    size += len(a.name)
+                elif not a.args:
+                    size += len(a.sym.name)
+                elif id(a) in sizes:
+                    size += sizes[id(a)]
+                else:
+                    stack.append(a)
+                    waiting = True
+            if not waiting:
+                sizes[id(stack.pop())] = size
     return size
 
 
