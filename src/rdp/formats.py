@@ -5,15 +5,13 @@ variables and a ``(RULES l -> r ...)`` section, in either order.  The
 signature is inferred from use, with a consistent-arity check.  Terms and
 programs are read at any depth, with explicit stacks, and program
 expressions print on the walk of ``terms``, as text in one linear pass.
-Traces are written at any depth too: a step whose result rewrites the
-term before it at its position, by identity, is spliced into that term's
-text, its contractum written in place of the redex's span and its σ
-bindings sliced from that span (``terms._Spliced``), and any other step is
-written whole; rules and witness bindings still print with the recursive
-``term_to_str``.  Chain witnesses and traces
-travel as JSON both ways; programs are read from JSON and never written
-back.  The depth limit of the one ``json.loads`` call is the only one on
-reading.  TRS files, traces and witnesses round-trip: parse(print(x)) is x.
+Traces are written at any depth too, each step spliced into the text of
+the step before where its result allows (``trace_to_json``); rules and
+witness bindings still print with the recursive ``term_to_str``.  Chain
+witnesses and traces travel as JSON both ways; programs are read from JSON
+and never written back.  The depth limit of the one ``json.loads`` call is
+the only one on reading.  TRS files, traces and witnesses round-trip:
+parse(print(x)) is x.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
-    _Spliced,
+    _size,
     _walk,
     _write_shared,
     format_position,
@@ -332,23 +330,90 @@ def parse_substitution(data: Any, trs: TRS) -> Substitution:
 
 
 def trace_to_json(trace: DerivationTrace) -> dict:
-    """The trace with every term printed whole, at any depth.  A step whose
-    result rewrites the term before it at its position, by identity, prints
-    by splicing its contractum into that term's text, and its σ bindings are
-    slices of the redex's span (``terms._Spliced``); any other step is
-    written whole.  So output work follows the nodes each step builds."""
-    latest = _Spliced(trace.start)
-    start = latest.text
+    """The trace with every term printed whole, at any depth.
+
+    A step whose result is the term before rewritten at its position by
+    identity (the same symbol object at each level down to it, every
+    argument off the position the same object) is printed by splicing, the
+    way a rope edits text (Boehm, Atkinson & Plass, "Ropes: an alternative
+    to strings", 1995): its text is ``text[:s] + contractum + text[e:]``,
+    where ``[s, e)`` is the redex's span in the text before.  ``starts[d]``
+    and ``tails[d]`` are where the node at depth ``d`` of the position before
+    starts and how many characters follow it; a step keeps them on the
+    prefix the two positions share and adds the rest from the lengths of
+    the arguments beside the path, kept per node ``id`` (``terms._size``).
+    The σ bindings are slices of the redex's span, and the contractum copies
+    them in turn.  Any other step (a trace read back, a hand-built result)
+    is written whole.  So a step costs Python work for the levels above its
+    redex and the nodes it builds, and a memory copy for the rest.  Node
+    ids stay valid because the trace keeps every term alive.
+    """
+    term = trace.start
+    text = start = _write_shared(term, {})
+    pos, starts, tails = ROOT, [0], [0]
+    sizes: dict[int, int] = {}
     steps = []
     for step in trace.steps:
+        new, result = step.position, step.result
         sigma = _by_name(step.substitution)
-        known = latest.rewrite(step.position, step.result, [t for _, t in sigma])
+        same = min(len(pos), len(new))  # the depth down to which new follows pos
+        if pos[:same] != new[:same]:
+            same = next(d for d, (i, j) in enumerate(zip(pos, new)) if i != j)
+        del starts[same + 1 :], tails[same + 1 :]
+        q, r, spliced = term, result, True
+        for depth, i in enumerate(new):
+            if (
+                q.__class__ is not App
+                or r.__class__ is not App
+                or r.sym is not q.sym
+                or not 0 < i <= len(q.args)
+            ):
+                spliced = False
+                break
+            args, theirs = q.args, r.args
+            if len(args) == 2:  # the common case first: the one argument beside the path
+                spliced = args[2 - i] is theirs[2 - i]
+            elif len(args) > 2:
+                spliced = all(args[j] is theirs[j] for j in range(len(args)) if j != i - 1)
+            if not spliced:
+                break
+            if depth >= same:  # below the shared prefix: place the node by its siblings
+                at = starts[depth] + len(q.sym.name) + i
+                for a in args[: i - 1]:
+                    at += _size(a, sizes)
+                starts.append(at)
+                at = tails[depth] + 1 + len(args) - i
+                for a in args[i:]:
+                    at += _size(a, sizes)
+                tails.append(at)
+            q, r = args[i - 1], theirs[i - 1]
+        known: dict[int, str] = {}
+        if spliced:
+            want = {id(t) for _, t in sigma if t.__class__ is App and t.args}
+            todo, seen = [(q, starts[-1])], set()
+            while want and todo:  # down the redex to the σ values, each distinct node once
+                node, at = todo.pop()
+                key = id(node)
+                if key in want:
+                    known[key] = text[at : at + _size(node, sizes)]
+                    want.discard(key)
+                elif node.__class__ is App and node.args and key not in seen:
+                    seen.add(key)
+                    at += len(node.sym.name) + 1
+                    for a in node.args:
+                        todo.append((a, at))
+                        at += _size(a, sizes) + 1
+            text = text[: starts[-1]] + _write_shared(r, known) + text[len(text) - tails[-1] :]
+            pos = new
+        else:
+            text, pos, starts, tails = _write_shared(result, {}), ROOT, [0], [0]
+        term = result
         steps.append(
             {
-                "position": format_position(step.position),
+                "position": format_position(new),
                 "rule_index": step.rule_index,
                 "substitution": {v.name: _write_shared(t, known) for v, t in sigma},
-                "term": latest.text,
+                "term": text,
             }
         )
     return {"start": start, "mode": trace.mode.value, "steps": steps}

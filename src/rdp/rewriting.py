@@ -357,6 +357,10 @@ def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
     non-linear) are tried again, top-down; the first that may fire is next.
     """
     inner, reach = mode.innermost, trs._reach
+    # The walk tries a node only when nothing below it may fire, so
+    # _may_fire's answer turns on the root alone: a node below the root
+    # may fire under every mode, and the root as this says.
+    fires_at_root = _may_fire(mode, True, lambda: False)
     path: list[list] = []
     node, hint, down, fired = term, term, True, []
     while True:
@@ -365,7 +369,7 @@ def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
             and down != inner
             and node.__class__ is App
             and hint.__class__ is not Var
-            and _may_fire(mode, not path, lambda: False)
+            and (path or fires_at_root)
         ):
             fired = _matches(trs, node)
         if fired:
@@ -380,7 +384,7 @@ def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
             if not inner:
                 lowest = 0 if reach is None else max(len(path) - reach, 0)
                 for depth in range(lowest, len(path)):
-                    if _may_fire(mode, not depth, lambda: False):
+                    if depth or fires_at_root:
                         fired = _matches(trs, path[depth][0])
                         if fired:
                             node = path[depth][0]

@@ -13,16 +13,8 @@ position and returns its path, ``_plug`` rebuilds around one; none recurses.
 
 ``term_to_str`` prints one term by recursion.  ``_write_shared`` prints on
 an explicit stack and copies the nodes whose text the caller already has,
-found by ``id``.  ``_Spliced`` prints the terms of a trace: a step whose
-result is the term before it rewritten at its position, sharing every node
-off that position, is printed by splicing, the way a rope edits text (Boehm,
-Atkinson & Plass, "Ropes: an alternative to strings", 1995).  Its text is
-the text before with the redex's span replaced by the contractum's, and
-that span comes from the offsets kept along the previous step's position,
-reused where the two positions agree, and from text lengths kept per node
-(``_size``) below that.  The σ bindings and the contractum's copied parts
-are slices of the redex's span.  So a step costs Python work for the levels
-above its redex and the nodes it builds, and a memory copy for the rest.
+found by ``id``.  ``_size`` is the length of a term's text, kept per node
+``id``.  ``formats.trace_to_json`` splices a trace's terms with these two.
 """
 
 from __future__ import annotations
@@ -379,91 +371,6 @@ def _size(node: Term, sizes: dict[int, int]) -> int:
             if not waiting:
                 sizes[id(stack.pop())] = size
     return size
-
-
-class _Spliced:
-    """The text of the latest term of a trace, printed by splicing.
-
-    When the next term is this one rewritten at one position by identity
-    (the same symbol object at each level down to it, every argument off
-    the position the same object), its text is ``text[:s] + contractum +
-    text[e:]``, where ``[s, e)`` is the redex's span.  ``starts[d]`` and
-    ``tails[d]`` are where the node at depth ``d`` of ``pos`` starts and how
-    many characters follow it; a step keeps them on the prefix its position
-    shares with ``pos`` and adds the rest from the lengths of the arguments
-    beside the path (``_size``).  The given subterms of the redex, such as
-    a step's σ bindings, are copied as slices of its span, and the
-    contractum copies them in turn.  Any other next term is written whole.
-    Node ids are valid only while the caller keeps every term alive.
-    """
-
-    __slots__ = ("term", "text", "pos", "starts", "tails", "sizes")
-
-    def __init__(self, term: Term) -> None:
-        self.sizes: dict[int, int] = {}
-        self._whole(term)
-
-    def _whole(self, term: Term) -> dict[int, str]:
-        """Move on to ``term`` written whole; no value's text is known."""
-        self.term, self.text = term, _write_shared(term, {})
-        self.pos, self.starts, self.tails = ROOT, [0], [0]
-        return {}
-
-    def rewrite(self, pos: Position, result: Term, values: list[Term]) -> dict[int, str]:
-        """Move on to ``result``, the latest term rewritten at ``pos``, and return
-        the texts of those ``values`` found inside the redex, by ``id``."""
-        old, starts, tails, sizes, text = self.pos, self.starts, self.tails, self.sizes, self.text
-        same = min(len(old), len(pos))  # the depth down to which pos follows old
-        if old[:same] != pos[:same]:
-            same = next(d for d, (i, j) in enumerate(zip(old, pos)) if i != j)
-        if same < len(old):  # where they part, old's node has a known length
-            cut = len(text) - starts[same + 1] - tails[same + 1]
-        del starts[same + 1 :], tails[same + 1 :]
-        q, r = self.term, result
-        for depth, i in enumerate(pos):
-            if (
-                q.__class__ is not App
-                or r.__class__ is not App
-                or r.sym is not q.sym
-                or not 0 < i <= len(q.args)
-            ):
-                return self._whole(result)
-            args, theirs = q.args, r.args
-            if len(args) == 2:  # the common case first: the one argument beside the path
-                if args[2 - i] is not theirs[2 - i]:
-                    return self._whole(result)
-            elif len(args) > 2 and any(args[j] is not theirs[j] for j in range(len(args)) if j != i - 1):
-                return self._whole(result)
-            if depth >= same:  # below the shared prefix: place the node by its siblings
-                if depth == same and same < len(old):
-                    sizes[id(args[old[same] - 1])] = cut
-                at = starts[depth] + len(q.sym.name) + i
-                for a in args[: i - 1]:
-                    at += _size(a, sizes)
-                starts.append(at)
-                at = tails[depth] + 1 + len(args) - i
-                for a in args[i:]:
-                    at += _size(a, sizes)
-                tails.append(at)
-            q, r = args[i - 1], theirs[i - 1]
-        known: dict[int, str] = {}
-        want = {id(v) for v in values if v.__class__ is App and v.args}
-        todo, seen = [(q, starts[-1])], set()
-        while want and todo:  # down the redex to the values, each distinct node once
-            node, at = todo.pop()
-            key = id(node)
-            if key in want:
-                known[key] = text[at : at + _size(node, sizes)]
-                want.discard(key)
-            elif node.__class__ is App and node.args and key not in seen:
-                seen.add(key)
-                at += len(node.sym.name) + 1
-                for a in node.args:
-                    todo.append((a, at))
-                    at += _size(a, sizes) + 1
-        self.term, self.pos = result, pos
-        self.text = text[: starts[-1]] + _write_shared(r, known) + text[len(text) - tails[-1] :]
-        return known
 
 
 def format_position(pos: Position) -> str:

@@ -513,6 +513,15 @@ def test_the_printer_writes_whole_the_steps_it_cannot_splice():
         start, (Step((2,), 0, foreign, App(A2, (start.args[0], nat(3)))),), RelationMode.FULL
     )
     # root steps, the first of a trace among them, and steps that go up and down
+    # three steps at one position tuple object: the second is written whole,
+    # and the third is spliced into its text
+    at, deep = (2, 2), ack(nat(1), ack(nat(0), inner))
+    one = ack(deep.args[0], ack(deep.args[1].args[0], nat(3)))
+    two = ack(nat(1), ack(nat(0), nat(4)))
+    three = ack(two.args[0], ack(two.args[1].args[0], nat(5)))
+    cases["shared-position"] = DerivationTrace(
+        deep, tuple(Step(at, 0, sigma, t) for t in (one, two, three)), RelationMode.FULL
+    )
     cases["root"] = normalize(trs, ack(nat(1), nat(1)), RelationMode.FULL)
     cases["shared-root"] = _trace(hg_system(), ap(H2, X, X), RelationMode.FULL, 6)
     for name, trace in cases.items():

@@ -169,6 +169,23 @@ def test_equality_with_a_node_shared_on_one_side_only():
     assert left != ack(ack(nat(3), X), ack(ack(nat(2), X), ack(nat(3), X)))
 
 
+def test_a_node_meets_its_second_partner_once():
+    """One node shared 50 times on the left meets one copy on the right first
+    and then a second copy, itself shared 49 times.  Each of the two node
+    pairs is pushed once, so its symbols, equal but not the same objects,
+    are compared once: no more pairs than distinct ones."""
+    leaf = ap(C0)
+    shared = App(_CountedSymbol("h", 2), (leaf, leaf))
+    first, second = (App(_CountedSymbol("h", 2), (leaf, leaf)) for _ in range(2))
+    left, right = shared, second
+    for _ in range(48):
+        left, right = ack(shared, left), ack(second, right)
+    left, right = ack(shared, left), ack(first, right)
+    _CountedSymbol.compared, _CountedSymbol.budget = 0, 2
+    assert left == right
+    assert _CountedSymbol.compared == 2
+
+
 def _memo_entries(left, right):
     """``left == right`` and the entries of the pair memo that ``App.__eq__``
     held when it returned, read from its frame by a profile hook."""
