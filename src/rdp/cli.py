@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -478,8 +479,37 @@ def _render_text(obj: Any, indent: int = 0) -> str:
     return f"{pad}{_render_scalar(obj)}"
 
 
+# Reading the collector's state and switching it are one step under this lock,
+# or a command could read "off" just before another switches it back on, then
+# switch it off for good.
+_COLLECTOR_SWITCH = threading.Lock()
+
+
 def run_command(argv: list[str]) -> int:
-    """Parse arguments, run one command, print its report, return the exit code."""
+    """Parse arguments, run one command, print its report, return the exit code.
+
+    The cyclic garbage collector is paused for the whole command: parsing,
+    the handler, and writing the report.  What a command builds (terms,
+    traces, substitutions, reports) holds no reference cycles, so reference
+    counting frees it all, while each full collection would walk every term
+    a long trace keeps alive.  The collector is switched back on afterwards
+    only if it was on before, on every path out, exceptions included.  The
+    switch is process-wide: a command that starts while another runs finds
+    the collector off and leaves it to the first, so it may lose the pause
+    but never the collector.
+    """
+    with _COLLECTOR_SWITCH:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        return _run_command(argv)
+    finally:
+        if enabled:
+            with _COLLECTOR_SWITCH:
+                gc.enable()
+
+
+def _run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,8 @@
 import errno
+import gc
 import json
 import os
+import threading
 
 import pytest
 
@@ -797,3 +799,150 @@ def test_input_too_deep_to_read_is_bad_input(capsys, tmp_path, files, argv, code
     captured = capsys.readouterr()
     assert captured.out == out
     assert captured.err == err
+
+
+# --- the collector pause ---------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector on or off around the test, and as it was afterwards."""
+    was = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was else gc.disable()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["normalize", "ack", "--term", "a(s(0),s(0))"], 0),
+        (["normalize", "loop", "--term", "f(c)", "--fuel", "7"], 1),
+        (["normalize", "grow", "--term", "g(x)"], 1),
+        (["dps", "missing"], 2),
+        (["normalize", "ack", "--term", "a(0,0)", "--mode", "sideways"], 2),
+        (["--help"], 0),
+    ],
+    ids=["normalized", "fuel-exhausted", "recursion-depth-exceeded", "missing-file",
+         "bad-mode", "help"],
+)
+def test_the_collector_is_left_as_it_was(
+    capsys, collector, monkeypatch, tmp_path, ack_trs_path, loop_trs_path, grow_trs_path,
+    argv, code,
+):
+    """A command pauses the cyclic collector and leaves it as it found it on
+    every way out: exit 0, 1 and 2, and argparse's own exit for --help."""
+    monkeypatch.delenv("RDP_FUEL", raising=False)
+    paths = {"ack": ack_trs_path, "loop": loop_trs_path, "grow": grow_trs_path,
+             "missing": str(tmp_path / "no.trs")}
+    assert run_command([paths.get(arg, arg) for arg in argv] + ["--json"]) == code
+    captured = capsys.readouterr()
+    if argv[-1] == "g(x)":
+        assert json.loads(captured.out)["detail"] == "recursion-depth-exceeded"
+    assert gc.isenabled() is collector
+
+
+def test_the_collector_is_left_as_it_was_when_a_handler_raises(
+    capsys, collector, monkeypatch, ack_trs_path
+):
+    def boom(trs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("rdp.cli.dep_pairs_alt", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_command(["dps", ack_trs_path])
+    assert gc.isenabled() is collector
+
+
+def test_a_command_that_overlaps_another_leaves_the_collector_on(
+    capsys, monkeypatch, tmp_path, ack_trs_path
+):
+    """Command B reads the collector's state while command A runs, and A ends
+    before B acts on what it read.  B may lose the pause, but it must not
+    switch the collector off for good: reading and switching are one step."""
+    a_running, b_read, a_done = threading.Event(), threading.Event(), threading.Event()
+
+    def handler_a(trs):
+        a_running.set()
+        b_read.wait(10)
+        return []
+
+    class Collector:  # the gc module, with B's read held open for A to end in
+        enable, disable = staticmethod(gc.enable), staticmethod(gc.disable)
+
+        @staticmethod
+        def isenabled():
+            enabled = gc.isenabled()
+            if threading.current_thread() is threading.main_thread() and not b_read.is_set():
+                b_read.set()
+                a_done.wait(0.2)
+            return enabled
+
+    def command_a():
+        run_command(["dps", ack_trs_path])
+        a_done.set()
+
+    monkeypatch.setattr("rdp.cli.dep_pairs_alt", handler_a)
+    monkeypatch.setattr("rdp.cli.gc", Collector)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        thread = threading.Thread(target=command_a)
+        thread.start()
+        assert a_running.wait(10)
+        assert run_command(["dps", str(tmp_path / "no.trs")]) == 2
+        thread.join(10)
+        assert not thread.is_alive() and a_done.is_set()
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
+
+
+def _cyclic_garbage(argv):
+    """How many unreachable objects in cycles one command leaves behind."""
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        run_command(argv)
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "loop", "--term", "f(c)"],
+        ["reach", "grow", "--from", "g(x)", "--to", "x"],
+        ["loop", "grow", "--term", "g(x)"],
+        ["mint", "grow", "--term", "g(x)"],
+        ["loop-chain", "grow", "--term", "g(x)", "--length", "2"],
+        ["chain-verify", "ack", "--witness", "witness", "--innermost"],
+        ["chain-derive", "ack", "--witness", "witness"],
+        ["dps", "ack"],
+        ["pvs0-eval", "program", "--input", "3,4"],
+        ["pvs0-terminates", "program", "--input", "3,4"],
+        ["pvs0-contexts", "program"],
+        ["cc-dp-check", "program", "ack", "--pair", "0:1@ε", "--pair", "2:2@2", "--grid", "2,2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_leaves_as_many_cycles_at_any_fuel(
+    capsys, tmp_path, ack_trs_path, loop_trs_path, grow_trs_path, ack_program_path, argv
+):
+    """The collector pause is safe only while what a command builds is freed
+    by reference counting: the cyclic garbage it leaves must not grow with
+    the work that fuel buys.  (The searches on the growing system and the
+    normalize on the looping one use up all their fuel.)"""
+    paths = {"ack": ack_trs_path, "loop": loop_trs_path, "grow": grow_trs_path,
+             "program": ack_program_path,
+             "witness": write_json(tmp_path, "w.json", INNER_ACK_WITNESS)}
+    argv = [paths.get(arg, arg) for arg in argv] + ["--json"]
+    _cyclic_garbage(argv + ["--fuel", "10"])  # first-use caches are not per-command garbage
+    small = _cyclic_garbage(argv + ["--fuel", "10"])
+    large = _cyclic_garbage(argv + ["--fuel", "1000"])
+    capsys.readouterr()
+    assert large == small
