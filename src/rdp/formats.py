@@ -2,9 +2,9 @@
 
 TRS files use a TPDB-flavored syntax: a ``(VAR x y)`` section declaring
 variables and a ``(RULES l -> r ...)`` section, in either order.  The
-signature is inferred from use, with a consistent-arity check.  Terms and
-programs are read at any depth, with explicit stacks, and program
-expressions print on the walk of ``terms``, as text in one linear pass.
+signature is inferred from use, with a consistent-arity check.  Terms,
+systems and programs are read at any depth on explicit stacks, the first two
+straight from the text; program expressions print in one pass of the walk.
 Traces are written at any depth too, each step spliced into the text of
 the step before where its result allows (``trace_to_json``); rules and
 witness bindings still print with the recursive ``term_to_str``.  Chain
@@ -17,7 +17,8 @@ parse(print(x)) is x.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, NamedTuple
+import re
+from typing import Any, Callable
 
 from .dependency_pairs import ChainWitness, DepPairAlt, require_dep_pair
 from .pvs0 import (
@@ -117,114 +118,95 @@ def _term_field(data: Any, key: str, trs: TRS) -> Term:
     return parse_term(value, trs)
 
 
-# --- tokenizer -------------------------------------------------------------
-
-_PUNCT = {"(": "lparen", ")": "rparen", ",": "comma"}
-
-
-class _Token(NamedTuple):
-    kind: str  # lparen rparen comma arrow ident eof
-    text: str
-    line: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c.isspace():
-            i += 1
-        elif c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, line))
-            i += 1
-        elif c == "-" and text.startswith("->", i):
-            tokens.append(_Token("arrow", "->", line))
-            i += 2
-        elif c.isalnum() or c in "_'":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {_SHOW.repr(c)}", line)
-    tokens.append(_Token("eof", "", line))
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self.pos = 0
-
-    @property
-    def head(self) -> _Token:
-        return self._tokens[self.pos]
-
-    def take(self, kind: str) -> _Token:
-        tok = self.head
-        if tok.kind != kind:
-            found = _SHOW.repr(tok.text or "end of input")
-            raise ParseError(f"expected {kind}, found {found}", tok.line)
-        self.pos += 1
-        return tok
-
-
 # --- terms and TRS files ---------------------------------------------------
+
+_NAME = re.compile(r"[\w']+")
+_BLANKS = re.compile(r"\s*")
+_TOKEN = re.compile(r"[\w']+|->|.?")  # at a cursor in text _BAD passed: "" only at the end
+_BAD = re.compile(r"[^\w'\s(),>-]|-(?!>)|(?<!-)>")  # - and > only as ->
+_PARENS = re.compile(r"[()]")
+_KIND = {"(": "lparen", ")": "rparen", ",": "comma", "-": "arrow", "": "eof"}
+
+
+class _Text:
+    """A cursor over the text of a term or system, read in place; ``at`` stands
+    past blanks.  A character nothing may hold is reported before any reading."""
+
+    def __init__(self, text: str):
+        self.text, self.at = text, _BLANKS.match(text).end()
+        bad = _BAD.search(text)
+        if bad is not None:
+            raise ParseError(f"unexpected character {_SHOW.repr(bad[0])}", self.line(bad.start()))
+
+    def line(self, at: int) -> int:
+        return self.text.count("\n", 0, at) + 1
+
+    def kind(self) -> str:
+        """The kind of the token at the cursor: lparen rparen comma arrow ident eof."""
+        return _KIND.get(self.text[self.at : self.at + 1], "ident")
+
+    def take(self, kind: str) -> str:
+        """The token at the cursor, which must be of ``kind``; the cursor moves past it."""
+        token = _TOKEN.match(self.text, self.at)[0]
+        if _KIND.get(token[:1], "ident") != kind:
+            found = _SHOW.repr(token or "end of input")
+            raise ParseError(f"expected {kind}, found {found}", self.line(self.at))
+        self.at = _BLANKS.match(self.text, self.at + len(token)).end()
+        return token
 
 
 def _read_term(
-    ts: _TokenStream, symbol: Callable[[str, int, int], Symbol], variables: frozenset[Var]
+    src: _Text, symbol: Callable[[str, int, int], Symbol], variables: dict[str, Var]
 ) -> Term:
-    """Read one term, building a leaf when its name is read and an application
-    when its closing parenthesis is; ``symbol(name, arity, line)`` names each
-    application's root.  An explicit stack holds the applications open."""
-    # Applications still open: (the name token, the arguments read so far).
-    open_apps: list[tuple[_Token, list[Term]]] = []
+    """Read one term at the cursor: a leaf when its name is read, an application
+    when its closing parenthesis is, with ``symbol(name, arity, at)`` naming its
+    root, which starts at ``at``.  An explicit stack holds the applications open."""
+    text, name_at, blanks = src.text, _NAME.match, _BLANKS.match
+    # Applications still open: (the name, where it starts, the arguments read so far).
+    open_apps: list[tuple[str, int, list[Term]]] = []
     while True:
-        name = ts.take("ident")
-        var = Var(name.text)
-        if ts.head.kind == "lparen":
-            if var in variables:
-                raise ParseError(f"variable {_SHOW.repr(name.text)} used with arguments", name.line)
-            ts.take("lparen")
-            open_apps.append((name, []))
+        start = src.at
+        name = name_at(text, start)
+        if name is None:
+            src.take("ident")  # fails: no name here
+        at = src.at = blanks(text, name.end()).end()
+        name = name[0]
+        if text.startswith("(", at):
+            if name in variables:
+                raise ParseError(f"variable {_SHOW.repr(name)} used with arguments", src.line(start))
+            open_apps.append((name, start, []))
+            src.at = blanks(text, at + 1).end()
             continue
-        term = var if var in variables else App(symbol(name.text, 0, name.line))
+        term = variables.get(name) or App(symbol(name, 0, start))
         while open_apps:
-            open_apps[-1][1].append(term)
-            if ts.head.kind == "comma":
-                ts.take("comma")
+            open_apps[-1][2].append(term)
+            if text.startswith(",", at):
+                src.at = blanks(text, at + 1).end()
                 break
-            ts.take("rparen")
-            name, args = open_apps.pop()
-            term = App(symbol(name.text, len(args), name.line), tuple(args))
+            if not text.startswith(")", at):
+                src.take("rparen")  # fails: neither "," nor ")"
+            at = src.at = blanks(text, at + 1).end()
+            name, start, args = open_apps.pop()
+            term = App(symbol(name, len(args), start), tuple(args))
         else:  # no application left open: the term is complete
             return term
 
 
 def parse_term(text: str, trs: TRS) -> Term:
     """Parse a term against the TRS's signature and declared variables."""
-    ts = _TokenStream(_tokenize(text))
+    src = _Text(text)
 
-    def declared(name: str, arity: int, line: int) -> Symbol:
+    def declared(name: str, arity: int, at: int) -> Symbol:
         sym = trs.signature.get(name)
         if sym is None:
-            raise ParseError(f"unknown identifier {_SHOW.repr(name)}", line)
+            raise ParseError(f"unknown identifier {_SHOW.repr(name)}", src.line(at))
         if sym.arity != arity:
-            raise ParseError(
-                f"symbol {_SHOW.repr(name)} has arity {sym.arity}, applied to {arity}", line
-            )
+            fault = f"symbol {_SHOW.repr(name)} has arity {sym.arity}, applied to {arity}"
+            raise ParseError(fault, src.line(at))
         return sym
 
-    term = _read_term(ts, declared, trs.variables)
-    ts.take("eof")
+    term = _read_term(src, declared, {v.name: v for v in trs.variables})
+    src.take("eof")
     return term
 
 
@@ -237,71 +219,69 @@ def parse_trs(text: str) -> TRS:
     sections are reported with their line.  The rules are read after the
     last section, once the variables are known.
     """
-    ts = _TokenStream(_tokenize(text))
-    var_names: dict[str, int] | None = None
+    src = _Text(text)
+    var_names: list[str] | None = None
     rules_at: int | None = None  # where the rules start
-    while ts.head.kind != "eof":
-        ts.take("lparen")
-        section = ts.take("ident")
-        if section.text == "VAR":
+    while src.kind() != "eof":
+        src.take("lparen")
+        at = src.at
+        section = src.take("ident")
+        if section == "VAR":
             if var_names is not None:
-                raise ParseError("duplicate (VAR ...) section", section.line)
-            var_names = {}
-            while ts.head.kind == "ident":
-                tok = ts.take("ident")
-                var_names.setdefault(tok.text, tok.line)
-        elif section.text == "RULES":
+                raise ParseError("duplicate (VAR ...) section", src.line(at))
+            var_names = []
+            while src.kind() == "ident":
+                var_names.append(src.take("ident"))
+        elif section == "RULES":
             if rules_at is not None:
-                raise ParseError("duplicate (RULES ...) section", section.line)
-            # Skip to the closing parenthesis; the rules are read below.
-            rules_at, depth = ts.pos, 0
-            while ts.head.kind != "eof" and (depth or ts.head.kind != "rparen"):
-                depth += {"lparen": 1, "rparen": -1}.get(ts.head.kind, 0)
-                ts.pos += 1
+                raise ParseError("duplicate (RULES ...) section", src.line(at))
+            # Skip to the closing parenthesis, or the end; the rules are read below.
+            rules_at, depth, src.at = src.at, 0, len(text)
+            for paren in _PARENS.finditer(text, rules_at):
+                depth += 1 if paren[0] == "(" else -1
+                if depth < 0:
+                    src.at = paren.start()
+                    break
         else:
-            raise ParseError(f"unknown section {_SHOW.repr(section.text)}", section.line)
-        ts.take("rparen")
+            raise ParseError(f"unknown section {_SHOW.repr(section)}", src.line(at))
+        src.take("rparen")
     if rules_at is None:
         raise ParseError("missing (RULES ...) section")
-    variables = frozenset(Var(n) for n in var_names or {})
+    variables = {n: Var(n) for n in var_names or ()}
 
-    inferred: dict[str, tuple[Symbol, int]] = {}  # name -> (symbol, first line)
+    inferred: dict[str, tuple[Symbol, int]] = {}  # name -> (symbol, where first used)
 
-    def infer(name: str, arity: int, line: int) -> Symbol:
+    def infer(name: str, arity: int, at: int) -> Symbol:
         seen = inferred.get(name)
         if seen is None:
-            seen = inferred[name] = (Symbol(name, arity), line)
+            seen = inferred[name] = (Symbol(name, arity), at)
         elif seen[0].arity != arity:
             raise ParseError(
                 f"symbol {_SHOW.repr(name)} used with arity {arity} "
-                f"but with arity {seen[0].arity} on line {seen[1]}",
-                line,
+                f"but with arity {seen[0].arity} on line {src.line(seen[1])}",
+                src.line(at),
             )
         return seen[0]
 
-    ts.pos = rules_at
+    src.at = rules_at
     rules: list[Rule] = []
-    while ts.head.kind != "rparen":
-        line = ts.head.line
-        lhs = _read_term(ts, infer, variables)
-        ts.take("arrow")
-        rhs = _read_term(ts, infer, variables)
+    while src.kind() != "rparen":
+        at = src.at
+        lhs = _read_term(src, infer, variables)
+        src.take("arrow")
+        rhs = _read_term(src, infer, variables)
         try:
             rules.append(Rule(lhs, rhs, len(rules)))
         except RuleRestrictionError as err:
-            raise RuleRestrictionError(f"line {line}: {err}") from None
+            raise RuleRestrictionError(f"line {src.line(at)}: {err}") from None
     signature = Signature(tuple(sym for sym, _ in inferred.values()))
-    return TRS(signature, variables, tuple(rules))
+    return TRS(signature, frozenset(variables.values()), tuple(rules))
 
 
 def format_trs(trs: TRS) -> str:
-    names = " ".join(sorted(v.name for v in trs.variables))
-    lines = [f"(VAR {names})" if names else "(VAR)"]
-    lines.append("(RULES")
-    for rule in trs.rules:
-        lines.append(f"  {term_to_str(rule.lhs)} -> {term_to_str(rule.rhs)}")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
+    var = " ".join(["(VAR", *sorted(v.name for v in trs.variables)])
+    rules = "".join(f"  {term_to_str(r.lhs)} -> {term_to_str(r.rhs)}\n" for r in trs.rules)
+    return f"{var})\n(RULES\n{rules})\n"
 
 
 # --- substitutions and traces ----------------------------------------------

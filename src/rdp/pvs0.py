@@ -233,10 +233,10 @@ def _kids(node: object) -> tuple:
     return get(node) if get else ()
 
 
-def _fold(root: object, combine: Callable, sort: str | None = None):
+def _fold(root: object, combine: Callable, sort: str):
     """Fold a tree bottom-up over the walk: ``combine(node, values)`` gets the node's
-    subtrees' values, in order, when the walk leaves it.  Given the root's ``sort``,
-    each node is checked when the walk reaches it to have the sort its place wants."""
+    subtrees' values, in order, when the walk leaves it.  Each node is checked when
+    the walk reaches it to have the sort its place wants, ``sort`` at the root."""
     values: list = []
     # The nodes the walk is inside, each with where its subtrees' values start.
     inside: list[tuple[object, int]] = []
@@ -244,13 +244,12 @@ def _fold(root: object, combine: Callable, sort: str | None = None):
         while len(inside) > len(path):
             done, cut = inside.pop()
             values[cut:] = [combine(done, values[cut:])]
-        if sort is not None:
-            want = sort
-            if path:
-                parent, i = path[-1]
-                want = _S if parent.__class__ is GTuple else _KID_SORTS[parent.__class__][i - 1]
-            if _SORT.get(node.__class__) != want:
-                raise Pvs0Error(f"not a {_NOUN[want]}: {_SHOW.repr(node)}")
+        want = sort
+        if path:
+            parent, i = path[-1]
+            want = _S if parent.__class__ is GTuple else _KID_SORTS[parent.__class__][i - 1]
+        if _SORT.get(node.__class__) != want:
+            raise Pvs0Error(f"not a {_NOUN[want]}: {_SHOW.repr(node)}")
         inside.append((node, len(values)))
     for done, cut in reversed(inside):  # the walk is over: it has left every node
         values[cut:] = [combine(done, values[cut:])]

@@ -5,7 +5,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from hypothesis import strategies as st
 
@@ -52,8 +52,6 @@ from rdp.formats import (
     ParseError,
     _int_field,
     _is_int,
-    _tokenize,
-    _TokenStream,
     substitution_to_json,
 )
 from rdp.pvs0 import _COMPARE, CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value, _Node
@@ -71,6 +69,7 @@ from rdp.rewriting import (
 )
 from rdp.substitution import match
 from rdp.terms import (
+    _SHOW,
     InvalidPositionError,
     Position,
     Signature,
@@ -230,9 +229,10 @@ def random_looping_instance(rng: random.Random):
     return trs_of(*rules), start
 
 
-def terms_over(symbols, max_leaves: int = 10):
-    """Hypothesis strategy: terms over ``symbols``, the constant c and x, y."""
-    leaves = [ap(C0), X, Y] + [ap(sym) for sym in symbols if sym.arity == 0]
+def terms_over(symbols, max_leaves: int = 10, with_c: bool = True):
+    """Hypothesis strategy: terms over ``symbols`` and x, y, and the constant c
+    unless ``with_c`` is false; then c is offered only if ``symbols`` has it."""
+    leaves = ([ap(C0)] if with_c else []) + [X, Y] + [ap(sym) for sym in symbols if sym.arity == 0]
     compound = [sym for sym in symbols if sym.arity > 0]
     return st.recursive(
         st.sampled_from(leaves),
@@ -908,6 +908,66 @@ def oracle_apply(sigma: Substitution, term: Term) -> Term:
     if isinstance(term, Var):
         return sigma.get(term)
     return App(term.sym, tuple(oracle_apply(sigma, a) for a in term.args))
+
+
+# --- the tokenizer the reader oracles stand on ----------------------------
+
+_PUNCT = {"(": "lparen", ")": "rparen", ",": "comma"}
+
+
+class _Token(NamedTuple):
+    kind: str  # lparen rparen comma arrow ident eof
+    text: str
+    line: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line = 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            i += 1
+        elif c.isspace():
+            i += 1
+        elif c in _PUNCT:
+            tokens.append(_Token(_PUNCT[c], c, line))
+            i += 1
+        elif c == "-" and text.startswith("->", i):
+            tokens.append(_Token("arrow", "->", line))
+            i += 2
+        elif c.isalnum() or c in "_'":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], line))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {_SHOW.repr(c)}", line)
+    tokens.append(_Token("eof", "", line))
+    return tokens
+
+
+class _TokenStream:
+    def __init__(self, tokens: list[_Token]):
+        self._tokens = tokens
+        self.pos = 0
+
+    @property
+    def head(self) -> _Token:
+        return self._tokens[self.pos]
+
+    def take(self, kind: str) -> _Token:
+        tok = self.head
+        if tok.kind != kind:
+            found = _SHOW.repr(tok.text or "end of input")
+            raise ParseError(f"expected {kind}, found {found}", tok.line)
+        self.pos += 1
+        return tok
+
 
 
 @dataclass(frozen=True)

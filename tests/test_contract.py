@@ -15,6 +15,12 @@ it printed against its exit code:
   in the input size plus fuel times the largest right-hand side, which
   catches output exponential in the number of steps without a timer.
 
+Terms are drawn over each system's own symbols, so they read.  A run whose
+draw from 0..9 is 0 drops one character of its term, which makes the term
+unreadable on purpose, and must exit 2.  Hypothesis favours 0, so with
+hypothesis 6.155 that is 156 of the 800 runs: they exit 0 in 292 runs
+(37 %), 1 in 352 (44 %) and 2 in the 156 unreadable ones (19.5 %).
+
 Known defects are strict xfails on concrete inputs, each naming the
 ROADMAP item whose mend flips it.
 """
@@ -113,8 +119,9 @@ def _replays(trs, data, mode=None):
     return trace
 
 
-def _keeps_the_contract(path, trs, command, term, target, mode, fuel, length):
-    """Run one command and check its output against the contract."""
+def _keeps_the_contract(path, trs, command, term, target, mode, fuel, length, unreadable=False):
+    """Run one command and check its output against the contract; a term
+    ``unreadable`` on purpose must exit 2."""
     argv = [command, path, "--fuel", str(fuel), "--json"]
     if command == "reach":
         argv += ["--from", term, "--to", target, "--mode", mode.value]
@@ -125,6 +132,7 @@ def _keeps_the_contract(path, trs, command, term, target, mode, fuel, length):
     if command == "loop-chain":
         argv += ["--length", str(length)]
     code, out, err = _run(argv)
+    assert code == 2 or not unreadable, code
 
     size = len(term) + (len(target) if command == "reach" else 0)
     rhs = max(len(term_to_str(rule.rhs)) for rule in trs.rules)
@@ -187,24 +195,32 @@ def _reached(system, term, mode, steps):
 
 @st.composite
 def _runs(draw):
+    """A run over the system's own symbols, whose term loses one character,
+    and reads no more, when a draw from 0..9 is 0."""
     name = draw(st.sampled_from(sorted(SYSTEMS)))
     system = SYSTEMS[name]()
-    term = draw(terms_over(system.signature.symbols))
+    term = draw(terms_over(system.signature.symbols, with_c=False))
     mode = draw(st.sampled_from(list(RelationMode)))
     target = draw(
         st.one_of(
             st.integers(0, 6).map(lambda steps: _reached(system, term, mode, steps)),
-            terms_over(system.signature.symbols),
+            terms_over(system.signature.symbols, with_c=False),
         )
     )
+    text = term_to_str(term)
+    unreadable = draw(st.integers(0, 9)) == 0
+    if unreadable:
+        at = draw(st.integers(0, len(text) - 1))
+        text = text[:at] + text[at + 1 :]
     return (
         name,
         draw(st.sampled_from(COMMANDS)),
-        term_to_str(term),
+        text,
         term_to_str(target),
         mode,
         draw(st.integers(0, 40)),
         draw(st.integers(1, 4)),
+        unreadable,
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -43,7 +44,7 @@ from rdp import (
     witness_to_json,
 )
 from rdp import formats, terms
-from rdp.formats import _tokenize, parse_substitution, pvs0_expr_to_str, substitution_to_json
+from rdp.formats import parse_substitution, pvs0_expr_to_str, substitution_to_json
 from rdp.rewriting import TRS
 
 from helpers import (
@@ -57,6 +58,7 @@ from helpers import (
     X,
     Y,
     Z0,
+    _tokenize,
     ack,
     ack_system,
     ap,
@@ -284,17 +286,23 @@ def test_reader_agrees_with_the_two_pass_reader_on_the_hand_built_systems(system
 
 
 def _broken(text: str, draw) -> str:
-    """``text`` with one token dropped, duplicated or swapped with the next."""
+    """``text`` with one token dropped, duplicated or swapped with the next, or
+    with one of ``#``, ``-`` and ``>`` inserted at a drawn character, where
+    it is a character nothing may hold or half of a broken ``->``."""
     tokens = [tok.text for tok in _tokenize(text)[:-1]]
     i = draw(st.integers(0, len(tokens) - 1))
-    edit = draw(st.sampled_from(("drop", "duplicate", "swap")))
+    edit = draw(st.sampled_from(("drop", "duplicate", "swap", "insert")))
     if edit == "drop":
         del tokens[i]
     elif edit == "duplicate":
         tokens.insert(i, tokens[i])
-    elif i + 1 < len(tokens):
+    elif edit == "swap" and i + 1 < len(tokens):
         tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
-    return " ".join(tokens)
+    text = " ".join(tokens)
+    if edit == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("#->")) + text[at:]
+    return text
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,6 +328,11 @@ def test_reader_rejects_broken_systems_exactly_when_the_two_pass_reader_does(tex
         ("term", "x(0)"),
         ("term", "a(0, 0) a"),
         ("term", "a(0,\n s(0)"),
+        ("term", "a(0,, #)"),
+        ("term", "-"),
+        ("term", ">"),
+        ("term", "-->"),
+        ("term", "->>"),
         ("trs", "(VAR x)\n(RULES\n  f(x) -> x\n  f(x, x) -> x\n)"),
         ("trs", "(VAR x)\n(RULES x(x) -> x)"),
         ("trs", "(VAR x)\n(RULES x -> x)"),
@@ -331,6 +344,7 @@ def test_reader_rejects_broken_systems_exactly_when_the_two_pass_reader_does(tex
         ("trs", "(VAR x)"),
         ("trs", "(VAR x)\n(RULES f(x) -> x #)"),
         ("trs", "(VAR x)\n(RULES f(x) -> \n)"),
+        ("trs", "(VAR x)\n(RULES\n  f(x) - > x\n)"),
     ],
 )
 def test_reader_reports_a_single_fault_as_the_two_pass_reader_does(read, text):
@@ -345,6 +359,32 @@ def test_reader_reports_a_single_fault_as_the_two_pass_reader_does(read, text):
         new(text)
     assert str(found.value) == str(expected.value)
     assert getattr(found.value, "line", None) == getattr(expected.value, "line", None)
+
+
+def test_the_scanner_reads_exactly_the_characters_the_tokenizer_did():
+    """Over every code point: the reader's name, blank and fault patterns take
+    exactly the characters the tokenizer's ``str`` predicates did."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    names = [c for c in every if c.isalnum() or c in "_'"]
+    blanks = [c for c in every if c.isspace()]
+    faults = [c for c in every if not (c.isalnum() or c.isspace() or c in "_'(),")]
+    assert "".join(formats._NAME.findall(every)) == "".join(names)
+    assert "".join(formats._BLANKS.findall(every)) == "".join(blanks)
+    # Here - is followed by . and > follows =: each stands alone.
+    assert "".join(formats._BAD.findall(every)) == "".join(faults)
+
+
+def test_reading_keeps_no_second_copy_of_the_input():
+    """The peak of reading a deep term stays within twice what the term keeps."""
+    text, trs = "s(" * 100_000 + "0" + ")" * 100_000, ack_system()
+    tracemalloc.start()
+    try:
+        term = parse_term(text, trs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert term.args[0].args[0].sym is S1
+    assert peak <= 2 * kept, f"peak {peak} bytes for a term of {kept}"
 
 
 # --- substitutions ---------------------------------------------------------
