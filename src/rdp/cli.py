@@ -52,7 +52,7 @@ from .rewriting import (
     derives,
     normalize,
 )
-from .terms import _SHOW, _cut, format_position, parse_position, subterm_at, term_to_str
+from .terms import _SHOW, _cut, _write_shared, format_position, parse_position, subterm_at, term_to_str
 
 _MODES = {mode.value: mode for mode in RelationMode}
 _MODE_NAMES = "{" + ",".join(sorted(_MODES)) + "}"  # how --help shows --mode's values
@@ -132,8 +132,8 @@ def _cmd_dps(args: argparse.Namespace) -> tuple[dict, int]:
             {
                 "rule": dp.rule_index,
                 "position": format_position(dp.position),
-                "lhs": term_to_str(std.lhs),
-                "rhs_sub": term_to_str(std.rhs_sub),
+                "lhs": _write_shared(std.lhs, {}),
+                "rhs_sub": _write_shared(std.rhs_sub, {}),
             }
         )
     report: dict = {"status": "ok", "count": len(alts), "pairs": pairs}
@@ -141,7 +141,7 @@ def _cmd_dps(args: argparse.Namespace) -> tuple[dict, int]:
         distinct = standard_dep_pairs(trs, dedup=True)
         report["distinct_count"] = len(distinct)
         report["distinct"] = [
-            {"lhs": term_to_str(p.lhs), "rhs_sub": term_to_str(p.rhs_sub)}
+            {"lhs": _write_shared(p.lhs, {}), "rhs_sub": _write_shared(p.rhs_sub, {})}
             for p in distinct
         ]
     return report, 0
@@ -195,12 +195,13 @@ def _cmd_loop(args: argparse.Namespace) -> tuple[dict, int]:
     cert = detect_innermost_loop(trs, term, args.fuel)
     if cert is None:
         return {"status": "not-found", "fuel": args.fuel}, 1
+    trace = formats.trace_to_json(cert.trace)
     return {
         "status": "loop-found",
         "fuel": args.fuel,
-        "start": term_to_str(cert.trace.start),
+        "start": trace["start"],
         "length": len(cert.trace.steps),
-        "trace": formats.trace_to_json(cert.trace),
+        "trace": trace,
     }, 0
 
 
@@ -215,7 +216,7 @@ def _cmd_mint(args: argparse.Namespace) -> tuple[dict, int]:
         "status": "mint-found",
         "fuel": args.fuel,
         "position": format_position(pos),
-        "subterm": term_to_str(subterm_at(term, pos)),
+        "subterm": _write_shared(subterm_at(term, pos), {}),
         "certificate": formats.trace_to_json(cert.trace),
     }, 0
 
@@ -243,14 +244,12 @@ def _cmd_chain_derive(args: argparse.Namespace) -> tuple[dict, int]:
     trs = _load_trs(args.trs)
     witness = formats.parse_chain_witness(Path(args.witness).read_text(), trs)
     links = derivation_from_chain(trs, witness, args.fuel)
+    traces = [formats.trace_to_json(trace) for _, trace in links]
     return {
         "status": "verified",
         "entries": len(witness.entries),
         "fuel": args.fuel,
-        "links": [
-            {"term": term_to_str(term), "trace": formats.trace_to_json(trace)}
-            for term, trace in links
-        ],
+        "links": [{"term": trace["start"], "trace": trace} for trace in traces],
     }, 0
 
 

@@ -51,10 +51,10 @@ from .terms import (
     Term,
     Var,
     _walk,
+    _write_shared,
     format_position,
     replace_at,
     subterm_at,
-    term_to_str,
     vars_in_order,
     vars_of,
 )
@@ -107,7 +107,7 @@ class DepPair:
     rhs_sub: Term
 
     def __repr__(self) -> str:
-        return f"<{term_to_str(self.lhs)}, {term_to_str(self.rhs_sub)}>"
+        return f"<{_write_shared(self.lhs, {})}, {_write_shared(self.rhs_sub, {})}>"
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ systems and programs are read at any depth on explicit stacks, the first two
 straight from the text; program expressions print in one pass of the walk.
 Traces are written at any depth too, each step spliced into the text of
 the step before where its result allows (``trace_to_json``); rules and
-witness bindings still print with the recursive ``term_to_str``.  Chain
+witness bindings are written whole on the same explicit stack.  Chain
 witnesses and traces travel as JSON both ways; programs are read from JSON
 and never written back.  The depth limit of the one ``json.loads`` call is
 the only one on reading.  TRS files, traces and witnesses round-trip:
@@ -67,7 +67,6 @@ from .terms import (
     _write_shared,
     format_position,
     parse_position,
-    term_to_str,
 )
 
 
@@ -280,7 +279,7 @@ def parse_trs(text: str) -> TRS:
 
 def format_trs(trs: TRS) -> str:
     var = " ".join(["(VAR", *sorted(v.name for v in trs.variables)])
-    rules = "".join(f"  {term_to_str(r.lhs)} -> {term_to_str(r.rhs)}\n" for r in trs.rules)
+    rules = "".join(f"  {_write_shared(r.lhs, {})} -> {_write_shared(r.rhs, {})}\n" for r in trs.rules)
     return f"{var})\n(RULES\n{rules})\n"
 
 
@@ -292,7 +291,7 @@ def _by_name(sigma: Substitution) -> list[tuple[Var, Term]]:
 
 
 def substitution_to_json(sigma: Substitution) -> dict[str, str]:
-    return {v.name: term_to_str(t) for v, t in _by_name(sigma)}
+    return {v.name: _write_shared(t, {}) for v, t in _by_name(sigma)}
 
 
 def parse_substitution(data: Any, trs: TRS) -> Substitution:

@@ -58,10 +58,10 @@ from .terms import (
     _plug,
     _split_at,
     _walk,
+    _write_shared,
     format_position,
     iter_vars,
     symbols_of,
-    term_to_str,
     vars_of,
 )
 
@@ -116,7 +116,7 @@ class Rule:
             )
 
     def __repr__(self) -> str:
-        return f"{term_to_str(self.lhs)} -> {term_to_str(self.rhs)}"
+        return f"{_write_shared(self.lhs, {})} -> {_write_shared(self.rhs, {})}"
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ class Step:
     def __repr__(self) -> str:
         return (
             f"--{self.rule_index}@{format_position(self.position)}--> "
-            f"{term_to_str(self.result)}"
+            f"{_write_shared(self.result, {})}"
         )
 
 

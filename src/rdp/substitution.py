@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .terms import App, Term, Var, term_to_str
+from .terms import App, Term, Var, _write_shared
 
 
 class Substitution:
@@ -67,7 +67,7 @@ class Substitution:
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{v.name} -> {term_to_str(t)}" for v, t in sorted(self._map.items(), key=lambda it: it[0].name)
+            f"{v.name} -> {_write_shared(t, {})}" for v, t in sorted(self._map.items(), key=lambda it: it[0].name)
         )
         return "{" + inner + "}"
 

@@ -11,10 +11,9 @@ A path is a list of ``(parent, i)`` pairs from the root: ``_walk`` yields any
 tree's nodes (PVS0 trees too) with theirs, ``_split_at`` descends to one
 position and returns its path, ``_plug`` rebuilds around one; none recurses.
 
-``term_to_str`` prints one term by recursion.  ``_write_shared`` prints on
-an explicit stack and copies the nodes whose text the caller already has,
-found by ``id``.  ``_size`` is the length of a term's text, kept per node
-``id``.  ``formats.trace_to_json`` splices a trace's terms with these two.
+``_write_shared`` prints on an explicit stack every term rdp shows but two
+``normalize`` fields, copying the nodes whose text the caller has, by ``id``.
+``formats.trace_to_json`` splices a trace's terms with it and ``_size``.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ class App:
         return True
 
     def __repr__(self) -> str:
-        return term_to_str(self)
+        return _write_shared(self, {})
 
 
 # Store a field of an immutable App through its slot, past the __setattr__ that refuses.
@@ -291,7 +290,10 @@ def _walk(root: object, kids: Callable[[object], tuple] = _args) -> Iterator[tup
 
 
 def term_to_str(term: Term) -> str:
-    """Render a term; constants print bare, like ``0`` rather than ``0()``."""
+    """Render a term by recursion, which fails near 330 levels; constants print
+    bare, like ``0`` rather than ``0()``.  Its one caller left in ``src/rdp`` is
+    ``cli._cmd_normalize``, where a deep end still fails short: printed, it would
+    bring its trace, megabytes on the benchmark's growing-fuel runs."""
     if isinstance(term, Var):
         return term.name
     if not term.args:
@@ -300,7 +302,7 @@ def term_to_str(term: Term) -> str:
 
 
 def _write_shared(term: Term, known: dict[int, str]) -> str:
-    """``term_to_str(term)``, written on one explicit stack at any depth.
+    """``term``'s text, as ``term_to_str`` has it, on one explicit stack at any depth.
 
     A node whose ``id`` is in ``known`` is copied as the text found there,
     and only the other nodes are written symbol by symbol; a node met twice
@@ -344,7 +346,7 @@ def _write_shared(term: Term, known: dict[int, str]) -> str:
 
 
 def _size(node: Term, sizes: dict[int, int]) -> int:
-    """The length of ``term_to_str(node)``, kept in ``sizes`` by ``id`` for each
+    """The length of ``node``'s text, kept in ``sizes`` by ``id`` for each
     node with arguments it computes; a pass bottom-up that stops at nodes
     already kept, as ``App.__hash__`` does: a node that waits for its
     arguments is summed again once they are kept."""

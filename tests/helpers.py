@@ -52,7 +52,6 @@ from rdp.formats import (
     ParseError,
     _int_field,
     _is_int,
-    substitution_to_json,
 )
 from rdp.pvs0 import _COMPARE, CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value, _Node
 from rdp.rewriting import (
@@ -358,7 +357,10 @@ def oracle_trace_to_json(trace: DerivationTrace) -> dict:
             {
                 "position": format_position(step.position),
                 "rule_index": step.rule_index,
-                "substitution": substitution_to_json(step.substitution),
+                "substitution": {
+                    v.name: term_to_str(t)
+                    for v, t in sorted(step.substitution.items(), key=lambda vt: vt[0].name)
+                },
                 "term": term_to_str(step.result),
             }
             for step in trace.steps

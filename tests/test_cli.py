@@ -18,6 +18,10 @@ HG_TRS = (
 )
 DEEP_TERM = "s(" * 2000 + "x" + ")" * 2000  # deeper than the term printer reaches
 DEEP_TRS = f"(VAR x)\n(RULES g(x) -> {DEEP_TERM})\n"
+# 1,000 levels: past the recursive term_to_str, which fails near 330.
+DEEP_LHS = "f(" + "s(" * 1000 + "x" + ")" * 1001
+DEEP_C = "s(" * 1000 + "c" + ")" * 1000
+WRAP_TRS = "(VAR x)\n(RULES\n  f(x) -> f(x)\n  k -> w(s(c))\n)\n"
 # JSON deeper than json.loads reads on every supported Python, 3.13 included.
 DEEP_PROGRAM = (
     '{"width": 1, "false_val": [0], "top_val": [1], "body": '
@@ -258,6 +262,32 @@ def test_searches_on_growing_terms_answer_not_found(
     monkeypatch.delenv("RDP_FUEL", raising=False)
     code, report = run_json(capsys, [argv[0], grow_trs_path, *argv[1:]])
     assert (code, report["status"], report["fuel"]) == (1, "not-found", fuel)
+
+
+@pytest.mark.parametrize(
+    "argv, field, want",
+    [
+        (["loop", "--term", "w(" * 1000 + "f(c)" + ")" * 1000], ["start"],
+         "w(" * 1000 + "f(c)" + ")" * 1000),
+        (["mint", "--term", f"w(f({DEEP_C}))"], ["subterm"], f"f({DEEP_C})"),
+        (["loop-chain", "--term", f"f({DEEP_C})", "--length", "2"],
+         ["witness", "entries", 1, "substitution", "x"], DEEP_C),
+        (["chain-derive", "--witness", "w.json"], ["links", 0, "term"], f"f({DEEP_C})"),
+    ],
+    ids=["loop", "mint", "loop-chain", "chain-derive"],
+)
+def test_a_report_prints_its_terms_at_any_depth(capsys, tmp_path, argv, field, want):
+    """A term a report prints beside its traces is written on the traces'
+    explicit stack, so 1,000 levels print: a loop's start, a minimal
+    looping subterm, a witness binding and a derivation link's term."""
+    (tmp_path / "s.trs").write_text(WRAP_TRS)
+    write_json(tmp_path, "w.json", {"entries": [{"rule": 0, "substitution": {"x": DEEP_C}}] * 2})
+    argv = [str(tmp_path / arg) if arg == "w.json" else arg for arg in argv]
+    code, report = run_json(capsys, [argv[0], str(tmp_path / "s.trs"), *argv[1:]])
+    assert code == 0
+    for key in field:
+        report = report[key]
+    assert report == want
 
 
 # --- chain witnesses -------------------------------------------------------
@@ -775,6 +805,14 @@ TOO_DEEP = "error: nested too deeply to read\n"
             "",
         ),
         ({"s.trs": DEEP_TRS}, ["dps", "s.trs"], 0, "status: ok\ncount: 0\npairs: []\n", ""),
+        (
+            {"s.trs": f"(VAR x)\n(RULES {DEEP_LHS} -> f(x))\n"},
+            ["dps", "s.trs"],
+            0,
+            f"status: ok\ncount: 1\npairs:\n  - rule: 0\n    position: ε\n    lhs: {DEEP_LHS}\n"
+            "    rhs_sub: f(x)\n",
+            "",
+        ),
         ({"p.json": DEEP_PROGRAM}, ["pvs0-eval", "p.json", "--input", "1"], 2, "", TOO_DEEP),
         ({"p.json": DEEP_PROGRAM}, ["pvs0-terminates", "p.json", "--input", "1"], 2, "", TOO_DEEP),
         ({"p.json": DEEP_PROGRAM}, ["pvs0-contexts", "p.json"], 2, "", TOO_DEEP),
@@ -786,8 +824,8 @@ TOO_DEEP = "error: nested too deeply to read\n"
             TOO_DEEP,
         ),
     ],
-    ids=["normalize", "reach", "dps", "pvs0-eval", "pvs0-terminates", "pvs0-contexts",
-         "chain-verify"],
+    ids=["normalize", "reach", "dps", "dps-deep-lhs", "pvs0-eval", "pvs0-terminates",
+         "pvs0-contexts", "chain-verify"],
 )
 def test_input_too_deep_to_read_is_bad_input(capsys, tmp_path, files, argv, code, out, err):
     """JSON nested deeper than its reader reaches is bad input.  Terms and

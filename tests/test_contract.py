@@ -5,8 +5,11 @@ a fuel and a chain length, runs ``cli.run_command`` on them and checks what
 it printed against its exit code:
 
 - exit 0: every printed trace or certificate reads back with
-  ``parse_trace`` and replays with ``check_trace``, and a witness reads back
-  and verifies at the same fuel;
+  ``parse_trace`` and replays with ``check_trace``; a loop's ``start`` is
+  its trace's; ``dps`` pairs read back as the system's pairs; a witness
+  reads back and verifies at the same fuel, and ``chain-verify
+  --innermost`` and ``chain-derive`` on it exit 0 at that fuel with traces
+  that replay, each derivation link's ``term`` its trace's ``start``;
 - exit 1: the status is ``not-found``, ``fuel-exhausted`` or ``failure``
   with a construction reason, ``"fuel"`` echoes the budget, and a partial
   ``fuel-exhausted`` trace replays;
@@ -15,11 +18,14 @@ it printed against its exit code:
   in the input size plus fuel times the largest right-hand side, which
   catches output exponential in the number of steps without a timer.
 
-Terms are drawn over each system's own symbols, so they read.  A run whose
-draw from 0..9 is 0 drops one character of its term, which makes the term
-unreadable on purpose, and must exit 2.  Hypothesis favours 0, so with
-hypothesis 6.155 that is 156 of the 800 runs: they exit 0 in 292 runs
-(37 %), 1 in 352 (44 %) and 2 in the 156 unreadable ones (19.5 %).
+Terms are drawn over each system's own symbols, so they read.  A run other
+than ``dps`` whose draw from 0..9 is 0 drops one character of its term,
+which makes the term unreadable on purpose, and must exit 2.  Hypothesis
+favours 0, so with hypothesis 6.155 that is 152 of the 800 runs: they exit
+0 in 322 runs (40.25 %), 1 in 326 (40.75 %) and 2 in the 152 unreadable
+ones (19 %).  A run whose last draw from 0..9 is 3, 78 of the 800, runs
+once more as text, with no ``--json``: it must exit as the JSON run did,
+with the same stderr.
 
 Known defects are strict xfails on concrete inputs, each naming the
 ROADMAP item whose mend flips it.
@@ -29,6 +35,7 @@ import contextlib
 import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +47,9 @@ from rdp import (
     RelationMode,
     check_certificate,
     check_trace,
+    dep_pairs_alt,
     normalize,
+    to_standard,
     verify_chain_prefix,
 )
 from rdp.cli import run_command
@@ -72,7 +81,7 @@ SYSTEMS = {
     "eq": eq_system,
 }
 KNOWN_DEFECTS = {"hg": hg_system, "dup": dup_system}  # item 9: shared terms print unshared
-COMMANDS = ("normalize", "reach", "loop", "mint", "loop-chain")
+COMMANDS = ("normalize", "reach", "loop", "mint", "loop-chain", "dps")
 # The reasons a fuel-bounded construction gives for a failure; a link that
 # is not chained adds the link verdict's status after the colon.
 CONSTRUCTION_REASONS = {
@@ -119,20 +128,27 @@ def _replays(trs, data, mode=None):
     return trace
 
 
-def _keeps_the_contract(path, trs, command, term, target, mode, fuel, length, unreadable=False):
+def _keeps_the_contract(
+    path, trs, command, term, target, mode, fuel, length, unreadable=False, as_text=False
+):
     """Run one command and check its output against the contract; a term
-    ``unreadable`` on purpose must exit 2."""
-    argv = [command, path, "--fuel", str(fuel), "--json"]
+    ``unreadable`` on purpose must exit 2.  A run ``as_text`` is run once
+    more without ``--json`` and must exit and fail the same way."""
+    argv = [command, path, "--fuel", str(fuel)]
     if command == "reach":
         argv += ["--from", term, "--to", target, "--mode", mode.value]
-    else:
+    elif command != "dps":
         argv += ["--term", term]
     if command == "normalize":
         argv += ["--mode", mode.value]
     if command == "loop-chain":
         argv += ["--length", str(length)]
-    code, out, err = _run(argv)
+    code, out, err = _run(argv + ["--json"])
     assert code == 2 or not unreadable, code
+    if as_text:
+        text_code, text_out, text_err = _run(argv)
+        assert (text_code, text_err) == (code, err)
+        assert text_out == "" if code == 2 else text_out.startswith("status: ")
 
     size = len(term) + (len(target) if command == "reach" else 0)
     rhs = max(len(term_to_str(rule.rhs)) for rule in trs.rules)
@@ -146,6 +162,17 @@ def _keeps_the_contract(path, trs, command, term, target, mode, fuel, length, un
         return
     assert err == ""
     report = json.loads(out)
+    if command == "dps":
+        assert (code, report["status"]) == (0, "ok")
+        pairs = dep_pairs_alt(trs)
+        assert report["count"] == len(pairs) == len(report["pairs"])
+        for dp, printed in zip(pairs, report["pairs"]):
+            std = to_standard(trs, dp)
+            where = (printed["rule"], parse_position(printed["position"]))
+            assert where == (dp.rule_index, dp.position)
+            assert parse_term(printed["lhs"], trs) == std.lhs
+            assert parse_term(printed["rhs_sub"], trs) == std.rhs_sub
+        return
     assert report["fuel"] == fuel
     status = report["status"]
     if code == 1:
@@ -171,6 +198,7 @@ def _keeps_the_contract(path, trs, command, term, target, mode, fuel, length, un
         assert trace.start == start and trace.end == parse_term(target, trs)
     elif command == "loop":
         assert status == "loop-found"
+        assert report["start"] == report["trace"]["start"]
         assert check_certificate(trs, LoopCertificate(_replays(trs, report["trace"])))
     elif command == "mint":
         assert status == "mint-found"
@@ -182,6 +210,28 @@ def _keeps_the_contract(path, trs, command, term, target, mode, fuel, length, un
         witness = parse_chain_witness(json.dumps(report["witness"]), trs)
         assert len(witness.entries) == length
         assert verify_chain_prefix(trs, witness, True, fuel).status == "verified"
+        _derives_the_chain(path, trs, report["witness"], fuel, length)
+
+
+def _derives_the_chain(path, trs, witness, fuel, length):
+    """A printed witness verifies as an innermost chain through the CLI at the
+    same fuel, and denotes derivations that replay from its links' terms."""
+    witness_path = Path(f"{path}.witness.json")
+    witness_path.write_text(json.dumps(witness))
+    argv = [path, "--witness", str(witness_path), "--fuel", str(fuel), "--json"]
+    code, out, err = _run(["chain-verify", *argv, "--innermost"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["status"], report["entries"]) == ("verified", length)
+    for data in report["traces"]:
+        _replays(trs, data)
+    code, out, err = _run(["chain-derive", *argv])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["status"], len(report["links"])) == ("verified", length - 1)
+    for link in report["links"]:
+        assert link["term"] == link["trace"]["start"]
+        _replays(trs, link["trace"], RelationMode.INNERMOST)
 
 
 def _reached(system, term, mode, steps):
@@ -196,8 +246,9 @@ def _reached(system, term, mode, steps):
 @st.composite
 def _runs(draw):
     """A run over the system's own symbols, whose term loses one character,
-    and reads no more, when a draw from 0..9 is 0."""
+    and reads no more, when a draw from 0..9 is 0 (``dps`` reads no term)."""
     name = draw(st.sampled_from(sorted(SYSTEMS)))
+    command = draw(st.sampled_from(COMMANDS))
     system = SYSTEMS[name]()
     term = draw(terms_over(system.signature.symbols, with_c=False))
     mode = draw(st.sampled_from(list(RelationMode)))
@@ -208,19 +259,20 @@ def _runs(draw):
         )
     )
     text = term_to_str(term)
-    unreadable = draw(st.integers(0, 9)) == 0
+    unreadable = command != "dps" and draw(st.integers(0, 9)) == 0
     if unreadable:
         at = draw(st.integers(0, len(text) - 1))
         text = text[:at] + text[at + 1 :]
     return (
         name,
-        draw(st.sampled_from(COMMANDS)),
+        command,
         text,
         term_to_str(target),
         mode,
         draw(st.integers(0, 40)),
         draw(st.integers(1, 4)),
         unreadable,
+        draw(st.integers(0, 9)) == 3,
     )
 
 

@@ -203,6 +203,21 @@ def test_terms_and_systems_of_any_depth_read_and_work():
     assert dep_pairs_alt(trs) == [DepPairAlt(0, (1,) * n)]
 
 
+def test_systems_and_witnesses_of_any_depth_round_trip():
+    """A right-hand side and a witness binding 100,000 levels deep are
+    written on an explicit stack and read back."""
+    n = 100_000
+    rhs = "s(" * n + "f(x)" + ")" * n
+    trs = parse_trs(f"(VAR x)\n(RULES\n  f(x) -> {rhs}\n)")
+    text = format_trs(trs)
+    assert text == f"(VAR x)\n(RULES\n  f(x) -> {rhs}\n)\n"
+    assert parse_trs(text) == trs
+    witness = ChainWitness(((DepPairAlt(2, (2,)), Substitution({X: nat(n), Y: ap(Z0)})),))
+    data = witness_to_json(witness)
+    assert data["entries"][0]["substitution"] == {"x": "s(" * n + "0" + ")" * n, "y": "0"}
+    assert parse_chain_witness(json.dumps(data), ack_system()) == witness
+
+
 def test_var_section_may_follow_the_rules():
     assert parse_trs("(RULES\n  f(x) -> x\n)\n(VAR x)") == parse_trs("(VAR x)\n(RULES f(x) -> x)")
 

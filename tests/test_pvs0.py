@@ -88,6 +88,19 @@ def test_guard_eval_add_and_le():
     assert guard_eval(op, ((4,), (3,))) == (0,)
 
 
+@pytest.mark.xfail(
+    raises=RecursionError,
+    strict=True,
+    reason="ROADMAP item 6: each guard node compiles to a closure that calls "
+    "its operands' closures, one Python frame per level",
+)
+def test_a_guard_of_any_depth_evaluates():
+    body = GComp(0, 0)
+    for _ in range(5000):
+        body = GAdd(body, GConst(1))
+    assert guard_eval(OperatorDef(1, GTuple((body,))), ((0,),)) == (5000,)
+
+
 def test_guard_eval_arity_mismatch():
     op = OperatorDef(1, GTuple((GConst(0),)))
     with pytest.raises(Pvs0Error):

@@ -5,11 +5,15 @@ from hypothesis import given
 
 from rdp import (
     App,
+    DepPair,
     FuelExhausted,
     InvalidPositionError,
     RelationMode,
     ROOT,
+    Rule,
     Signature,
+    Step,
+    Substitution,
     Symbol,
     Var,
     format_position,
@@ -22,7 +26,7 @@ from rdp import (
     trs_of,
     vars_of,
 )
-from rdp.terms import _walk, iter_vars, symbols_of, vars_in_order
+from rdp.terms import _walk, _write_shared, iter_vars, symbols_of, vars_in_order
 
 from helpers import (
     A2,
@@ -47,7 +51,7 @@ TERMS = terms_over([A2, S1, Z0, F1, G2], max_leaves=6)
 
 
 def s_tower(depth, leaf):
-    """``s^depth(leaf)``, built without recursion; too deep to print."""
+    """``s^depth(leaf)``, built without recursion; too deep for ``term_to_str``."""
     for _ in range(depth):
         leaf = ap(S1, leaf)
     return leaf
@@ -357,6 +361,19 @@ def test_term_to_str():
     assert term_to_str(ap(Z0)) == "0"
     assert term_to_str(ack(ap(S1, X), ap(Z0))) == "a(s(x),0)"
     assert term_to_str(Y) == "y"
+
+
+def test_reprs_print_at_any_depth():
+    """The repr of a term, and of a rule, step, pair or substitution that
+    holds one, is the text the explicit-stack writer gives, 100,000 levels
+    deep, where ``term_to_str`` fails near 330."""
+    tower = s_tower(100_000, X)
+    text = "s(" * 100_000 + "x" + ")" * 100_000
+    assert repr(tower) == _write_shared(tower, {}) == text
+    assert repr(Step(ROOT, 0, Substitution({X: tower}), tower)) == f"--0@ε--> {text}"
+    assert repr(Substitution({Y: tower})) == f"{{y -> {text}}}"
+    assert repr(Rule(ap(F1, tower), X, 0)) == f"f({text}) -> x"
+    assert repr(DepPair(ap(F1, tower), tower)) == f"<f({text}), {text}>"
 
 
 def test_position_text_round_trip():
