@@ -16,7 +16,8 @@ a witness already validated.
 Checking is fuel-bounded and evidence-carrying in both directions: chain
 links come with replayable non-root traces, nontermination evidence is an
 exact innermost cycle, and from a cycle a verified chain of any requested
-length can be extracted.
+length can be extracted.  During construction a link is verified by the
+search ``chain-verify`` runs, on the two ends construction built.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .rewriting import (
     RelationMode,
     Step,
     TRS,
+    _redex_table,
     check_trace,
     defined_symbols,
     derives,
@@ -382,14 +384,19 @@ def find_mint_subterm(
 
     Each subterm is searched when the walk leaves it, after its arguments, so
     no proper subterm of the reported one carries one within the same fuel.
+    Only subterms with a redex at or below them are searched: the others have
+    no innermost step, so no cycle, and the walk costs time linear in them.
     """
+    table = _redex_table(trs, term, {})
     # The subterms the walk is inside, each with the step to it (0 at the root).
     inside: list[tuple[Term, int]] = []
     for node, path in chain(_walk(term), [(None, ())]):  # at depth 0: leave all
         while len(inside) > len(path):
-            cert = detect_innermost_loop(trs, inside[-1][0], fuel)
-            if cert is not None:
-                return tuple(i for _, i in inside[1:]), cert
+            matches, below, _ = table.get(id(inside[-1][0]), ((), False, None))  # none: a variable
+            if matches or below:
+                cert = detect_innermost_loop(trs, inside[-1][0], fuel)
+                if cert is not None:
+                    return tuple(i for _, i in inside[1:]), cert
             inside.pop()
         inside.append((node, path[-1][1] if path else 0))
     return None
@@ -402,9 +409,8 @@ def dp_and_sub_from_nrnf(
 
     Matches the lowest-index rule at the root (the substitution is normal:
     no lhs is a variable, so it binds only proper subterms of the
-    nr-normal term), reduces, and locates a certified
-    subterm of the reduct.  Returns the pair, the substitution, and that
-    subterm.
+    nr-normal term), reduces, and locates a certified subterm of the
+    reduct.  Returns the pair, the substitution, and that subterm.
     """
     if isinstance(term, Var) or not is_nr_normal_form(trs, term):
         raise ConstructionFailure("not-nr-normal")
@@ -422,25 +428,19 @@ def dp_and_sub_from_nrnf(
     return dp, sigma, subterm_at(reduct, pos)
 
 
-def _pair_below(trs: TRS, term: Term, fuel: int) -> tuple[DepPairAlt, Substitution, Term]:
-    """Normalize ``term`` below the root, then extract as dp_and_sub_from_nrnf does."""
+def _entry_from(trs: TRS, u: Term, fuel: int, link: bool) -> tuple[DepPairAlt, Substitution, Term]:
+    """Normalize ``u`` below the root to ``t``, then extract as dp_and_sub_from_nrnf
+    does.  With ``link``, ``u`` is the entry before's instantiated rhs subterm and
+    ``t`` the new entry's instantiated lhs, both lhs instances nr-normal where they
+    were extracted: the link is the one search ``check_chained`` runs there."""
     try:
-        t = normalize(trs, term, RelationMode.NON_ROOT_INNERMOST, fuel).end
+        t = normalize(trs, u, RelationMode.NON_ROOT_INNERMOST, fuel).end
     except FuelExhausted:
         raise ConstructionFailure("fuel-exhausted-normalizing") from None
-    return dp_and_sub_from_nrnf(trs, t, fuel)
-
-
-def _chained_step(
-    trs: TRS, dp: DepPairAlt, sigma: Substitution, u: Term, fuel: int
-) -> tuple[DepPairAlt, Substitution, Term]:
-    """The entry after (dp, sigma), whose instantiated rhs subterm ``u`` carries a
-    certificate, returned with its own certified subterm once the link is verified."""
-    dp2, sigma2, u2 = _pair_below(trs, u, fuel)
-    verdict = check_chained(trs, dp, sigma, dp2, sigma2, innermost=True, fuel=fuel)
-    if verdict.status != VERIFIED:
-        raise ConstructionFailure(f"link-not-chained:{verdict.status}")
-    return dp2, sigma2, u2
+    entry = dp_and_sub_from_nrnf(trs, t, fuel)
+    if link and derives(trs, u, t, RelationMode.NON_ROOT_INNERMOST, fuel) is None:
+        raise ConstructionFailure(f"link-not-chained:{NOT_FOUND}")
+    return entry
 
 
 def next_dp_and_sub(
@@ -453,8 +453,9 @@ def next_dp_and_sub(
 
     Checks the preconditions within fuel (the instantiated rhs subterm
     carries a certificate, the instantiated lhs is nr-normal), normalizes
-    the subterm below the root, extracts the next pair, and only returns it
-    after the link has been verified chained.
+    the subterm below the root, extracts the next pair, and returns it once
+    the link is verified by the search ``chain-verify`` runs, on the two ends
+    construction built.
     """
     pair = to_standard(trs, dp)
     if not is_nr_normal_form(trs, sigma.apply(pair.lhs)):
@@ -462,8 +463,7 @@ def next_dp_and_sub(
     u = sigma.apply(pair.rhs_sub)
     if detect_innermost_loop(trs, u, fuel) is None:
         raise ConstructionFailure("no-loop-certificate")
-    dp2, sigma2, _ = _chained_step(trs, dp, sigma, u, fuel)
-    return dp2, sigma2
+    return _entry_from(trs, u, fuel, link=True)[:2]
 
 
 def chain_from_loop(
@@ -474,7 +474,8 @@ def chain_from_loop(
     Entry 0 comes from the certified term's minimal looping subterm.  Each
     later entry grows from the certified subterm its predecessor's
     extraction located, so the preconditions of next_dp_and_sub hold by
-    construction, and each link is verified as it is added.
+    construction.  Each link is verified as it is added, by the search
+    ``chain-verify`` runs, on the two ends construction built.
     """
     if k < 1:
         raise ValueError("chain length must be at least 1")
@@ -483,10 +484,8 @@ def chain_from_loop(
     found = find_mint_subterm(trs, cert.trace.start, fuel)
     if found is None:
         raise ConstructionFailure("no-mint-within-fuel")
-    pos, _ = found
-    dp, sigma, u = _pair_below(trs, subterm_at(cert.trace.start, pos), fuel)
-    entries = [(dp, sigma)]
-    for _ in range(k - 1):
-        dp, sigma, u = _chained_step(trs, dp, sigma, u, fuel)
+    entries, u = [], subterm_at(cert.trace.start, found[0])
+    for i in range(k):
+        dp, sigma, u = _entry_from(trs, u, fuel, link=i > 0)
         entries.append((dp, sigma))
     return ChainWitness(tuple(entries))

@@ -15,9 +15,11 @@ lengths 1..8 and fuels low enough to stop growth at every stage, it must
 give the original's witness or fail with the original's error.
 
 ``find_mint_subterm`` now walks the term once, post-order, with an explicit
-stack.  On the criterion-3 shapes in random inert contexts, alone and side
-by side, at fuels 0..12, it must find the original's subterm and
-certificate, or None when that does.
+stack, and searches only the subterms with a redex at or below them.  On
+the criterion-3 shapes in random inert contexts, alone, side by side, and
+beside a constructor tower ``s^j(c)`` with j up to 50, at fuels 0..12, it
+must find the subterm and certificate of the original, which searches every
+subterm, or None when that does.
 
 ``detect_innermost_loop`` now runs on one redex table per search.  On the
 loop, nest, detour and growing systems and the criterion-3 shapes, from
@@ -58,6 +60,7 @@ from helpers import (
     G1,
     NEAR0,
     P1,
+    S1,
     X,
     Y,
     ack_system,
@@ -228,7 +231,10 @@ def test_chain_from_loop_fails_like_the_oracle(fuel, reason):
 @given(st.randoms(use_true_random=False), st.integers(0, 12))
 def test_find_mint_subterm_matches_the_oracle_in_inert_contexts(rng, fuel):
     trs, start = random_looping_instance(rng)
-    for term in (start, ap(B2, start, start)):
+    tower = ap(C0)
+    for _ in range(rng.randint(0, 50)):
+        tower = ap(S1, tower)
+    for term in (start, ap(B2, start, start), ap(B2, tower, start), ap(B2, start, tower)):
         got = find_mint_subterm(trs, term, fuel)
         assert got == oracle_find_mint_subterm(trs, term, fuel)
 
