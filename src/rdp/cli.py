@@ -162,13 +162,14 @@ def _cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
             "last": term_to_str(err.trace.end),
             "trace": formats.trace_to_json(err.trace),
         }, 1
+    printed = formats.trace_to_json(trace)
     return {
         "status": "normalized",
         "mode": mode.value,
         "fuel": args.fuel,
-        "normal_form": term_to_str(trace.end),
+        "normal_form": printed["steps"][-1]["term"] if trace.steps else printed["start"],
         "length": len(trace.steps),
-        "trace": formats.trace_to_json(trace),
+        "trace": printed,
     }, 0
 
 

@@ -317,19 +317,19 @@ def trace_to_json(trace: DerivationTrace) -> dict:
     way a rope edits text (Boehm, Atkinson & Plass, "Ropes: an alternative
     to strings", 1995): its text is ``text[:s] + contractum + text[e:]``,
     where ``[s, e)`` is the redex's span in the text before.  ``starts[d]``
-    and ``tails[d]`` are where the node at depth ``d`` of the position before
-    starts and how many characters follow it; a step keeps them on the
-    prefix the two positions share and adds the rest from the lengths of
-    the arguments beside the path, kept per node ``id`` (``terms._size``).
-    The σ bindings are slices of the redex's span, and the contractum copies
-    them in turn.  Any other step (a trace read back, a hand-built result)
-    is written whole.  So a step costs Python work for the levels above its
-    redex and the nodes it builds, and a memory copy for the rest.  Node
-    ids stay valid because the trace keeps every term alive.
+    is where the node at depth ``d`` of the position before starts; a step
+    keeps it on the prefix the two positions share and adds the rest from
+    the lengths of the arguments left of the path, kept per node ``id``
+    (``terms._size``).  ``e`` follows from the lengths of the redex's
+    arguments, and the σ bindings are slices of its span, which the
+    contractum copies in turn.  Any other step (a trace read back, a
+    hand-built result) is written whole.  So a step costs Python work for
+    the levels above its redex and the nodes it builds, and a memory copy
+    for the rest.  Node ids stay valid: the trace keeps every term alive.
     """
     term = trace.start
     text = start = _write_shared(term, {})
-    pos, starts, tails = ROOT, [0], [0]
+    pos, starts = ROOT, [0]
     sizes: dict[int, int] = {}
     steps = []
     for step in trace.steps:
@@ -338,7 +338,7 @@ def trace_to_json(trace: DerivationTrace) -> dict:
         same = min(len(pos), len(new))  # the depth down to which new follows pos
         if pos[:same] != new[:same]:
             same = next(d for d, (i, j) in enumerate(zip(pos, new)) if i != j)
-        del starts[same + 1 :], tails[same + 1 :]
+        del starts[same + 1 :]
         q, r, spliced = term, result, True
         for depth, i in enumerate(new):
             if (
@@ -361,15 +361,14 @@ def trace_to_json(trace: DerivationTrace) -> dict:
                 for a in args[: i - 1]:
                     at += _size(a, sizes)
                 starts.append(at)
-                at = tails[depth] + 1 + len(args) - i
-                for a in args[i:]:
-                    at += _size(a, sizes)
-                tails.append(at)
             q, r = args[i - 1], theirs[i - 1]
         known: dict[int, str] = {}
         if spliced:
             want = {id(t) for _, t in sigma if t.__class__ is App and t.args}
-            todo, seen = [(q, starts[-1])], set()
+            todo, seen, end = [], set(), starts[-1] + len(q.sym.name) + (1 if q.args else 0)
+            for a in q.args:  # the redex's arguments, and where its text ends
+                todo.append((a, end))
+                end += _size(a, sizes) + 1
             while want and todo:  # down the redex to the σ values, each distinct node once
                 node, at = todo.pop()
                 key = id(node)
@@ -382,10 +381,10 @@ def trace_to_json(trace: DerivationTrace) -> dict:
                     for a in node.args:
                         todo.append((a, at))
                         at += _size(a, sizes) + 1
-            text = text[: starts[-1]] + _write_shared(r, known) + text[len(text) - tails[-1] :]
+            text = text[: starts[-1]] + _write_shared(r, known) + text[end:]
             pos = new
         else:
-            text, pos, starts, tails = _write_shared(result, {}), ROOT, [0], [0]
+            text, pos, starts = _write_shared(result, {}), ROOT, [0]
         term = result
         steps.append(
             {

@@ -11,8 +11,8 @@ A path is a list of ``(parent, i)`` pairs from the root: ``_walk`` yields any
 tree's nodes (PVS0 trees too) with theirs, ``_split_at`` descends to one
 position and returns its path, ``_plug`` rebuilds around one; none recurses.
 
-``_write_shared`` prints on an explicit stack every term rdp shows but two
-``normalize`` fields, copying the nodes whose text the caller has, by ``id``.
+``_write_shared`` prints on an explicit stack every term rdp shows but one
+``normalize`` field, copying the nodes whose text the caller has, by ``id``.
 ``formats.trace_to_json`` splices a trace's terms with it and ``_size``.
 """
 
@@ -292,8 +292,8 @@ def _walk(root: object, kids: Callable[[object], tuple] = _args) -> Iterator[tup
 def term_to_str(term: Term) -> str:
     """Render a term by recursion, which fails near 330 levels; constants print
     bare, like ``0`` rather than ``0()``.  Its one caller left in ``src/rdp`` is
-    ``cli._cmd_normalize``, where a deep end still fails short: printed, it would
-    bring its trace, megabytes on the benchmark's growing-fuel runs."""
+    ``last`` in a fuel-exhausted ``cli._cmd_normalize``, where a deep end still
+    fails short: printed, it would bring its trace, megabytes at growing fuel."""
     if isinstance(term, Var):
         return term.name
     if not term.args:

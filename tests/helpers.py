@@ -245,6 +245,21 @@ def terms_over(symbols, max_leaves: int = 10, with_c: bool = True):
     )
 
 
+# Witness entries that are mostly no dependency pair: rule 0 at the root (one
+# in some systems, the loop system's among them), a position no rule 0
+# right-hand side has, and a rule no hand-built system has.
+NOT_PAIRS = (DepPairAlt(0, ()), DepPairAlt(0, (9,)), DepPairAlt(7, ()))
+
+
+def witness_entries(values, pairs):
+    """Hypothesis strategy: a witness entry, one of ``pairs`` with x and y
+    bound to ``values``."""
+    sigma = st.tuples(st.sampled_from(values), st.sampled_from(values)).map(
+        lambda xy: Substitution({X: xy[0], Y: xy[1]})
+    )
+    return st.tuples(st.sampled_from(pairs), sigma)
+
+
 # Hypothesis strategy: terms over the Ackermann-style signature with two
 # variables.  Small on purpose; depth is bounded by the leaf budget.
 ack_terms = st.recursive(

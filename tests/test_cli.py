@@ -1,5 +1,6 @@
 import errno
 import gc
+import hashlib
 import json
 import os
 import threading
@@ -143,6 +144,44 @@ def test_normalize_deep_growth_is_an_honest_failure(capsys, grow_trs_path):
     assert report["fuel"] == 450
 
 
+S_1000 = "s(" * 1000 + "0" + ")" * 1000  # 1,000 levels, built as text
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize(
+    "system, term, normal_form, length",
+    [
+        ("ack", S_1000, S_1000, 0),
+        ("ack", "a(0," + "s(" * 999 + "0" + ")" * 1000, S_1000, 1),
+        ("grow", DEEP_TERM, DEEP_TERM, 0),
+    ],
+    ids=["ack-normal-form", "ack-one-step", "grow-normal-form"],
+)
+def test_a_deep_normal_form_prints(
+    capsys, ack_trs_path, grow_trs_path, system, term, normal_form, length, as_json
+):
+    """``normal_form`` is the trace's last term, printed once with the trace,
+    so a normal form past the recursive printer's 330 levels prints.  The
+    expected texts are built as strings: pytest can hang formatting a
+    ``RecursionError`` raised deep in a term."""
+    path = {"ack": ack_trs_path, "grow": grow_trs_path}[system]
+    code = run_command(["normalize", path, "--term", term] + (["--json"] if as_json else []))
+    out = capsys.readouterr().out
+    assert code == 0
+    if as_json:
+        report = json.loads(out)
+        trace = report["trace"]
+        assert (report["status"], report["length"]) == ("normalized", length)
+        assert report["normal_form"] == normal_form
+        assert (trace["steps"][-1]["term"] if trace["steps"] else trace["start"]) == normal_form
+    else:
+        lines = out.splitlines()
+        assert lines[:2] == ["status: normalized", "mode: full"]
+        assert f"normal_form: {normal_form}" in lines and f"length: {length}" in lines
+        last = [line for line in lines if line.lstrip().startswith(("start: ", "term: "))][-1]
+        assert last.split(": ", 1)[1] == normal_form
+
+
 def test_reach_prints_a_derivation_deeper_than_the_recursive_printer(capsys, grow_trs_path):
     """The trace printer has no depth limit: a derivation that ends 401
     levels deep is verified and printed whole."""
@@ -179,6 +218,44 @@ def test_reach_verified_and_not_found(capsys, ack_trs_path):
     )
     assert code == 1
     assert report["status"] == "not-found"
+
+
+DETOUR_TRS = (
+    "(VAR x)\n(RULES\n  fork -> k(k(k(k(far))))\n  fork -> near\n  k(x) -> x\n"
+    "  f(near) -> f(fork)\n  f(far) -> f(fork)\n)\n"
+)
+A_3_3 = "a(s(s(s(0))),s(s(s(0))))"
+
+
+@pytest.mark.parametrize(
+    "system, argv, digest",
+    [
+        ("ack", ["normalize", "--term", A_3_3, "--mode", "innermost"],
+         "44c5c40e69b8d6ee23f494a047ebdf7d068c62e2e9fe5cc5cabff92254b8de96"),
+        ("ack", ["normalize", "--term", A_3_3, "--mode", "full"],
+         "e2b487b4fc1c6abe274d66bea606ebcb8e82ae6c3627b1053be9b6e460c27c29"),
+        ("grow", ["reach", "--from", "g(x)", "--to", "g(" + "s(" * 400 + "x" + ")" * 401,
+                  "--fuel", "500"],
+         "d08e19f21d67022068209f03b8410a3f4b4dbd7e511049076f16a6961698a5c4"),
+        ("detour", ["loop", "--term", "f(fork)"],
+         "c62d8094a47542255ff7be53c515a3cb05859b4034c020f95d34c00523383995"),
+        ("detour", ["loop-chain", "--term", "f(fork)", "--length", "3"],
+         "3ca3a810756e51656d6c87e4efd7d0cb23af899ebdb8d9296743fe5739efb960"),
+    ],
+    ids=["normalize-innermost", "normalize-full", "reach-400", "loop", "loop-chain"],
+)
+def test_a_pinned_report_prints_the_same_bytes(
+    capsys, tmp_path, monkeypatch, ack_trs_path, grow_trs_path, system, argv, digest
+):
+    """The sha256 of five ``--json`` reports, the ones CI pins, so that a
+    printer change that moves a byte fails here too."""
+    monkeypatch.delenv("RDP_FUEL", raising=False)
+    (tmp_path / "detour.trs").write_text(DETOUR_TRS)
+    path = {"ack": ack_trs_path, "grow": grow_trs_path, "detour": str(tmp_path / "detour.trs")}
+    code = run_command([argv[0], path[system], *argv[1:], "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --- loop, mint, loop-chain ------------------------------------------------
@@ -792,7 +869,7 @@ TOO_DEEP = "error: nested too deeply to read\n"
     [
         (
             {"s.trs": GROW_TRS},
-            ["normalize", "s.trs", "--term", DEEP_TERM, "--fuel", "5"],
+            ["normalize", "s.trs", "--term", f"g({DEEP_TERM})", "--fuel", "5"],
             1,
             "status: failure\ndetail: recursion-depth-exceeded\nfuel: 5\n",
             "",
@@ -830,7 +907,8 @@ TOO_DEEP = "error: nested too deeply to read\n"
 def test_input_too_deep_to_read_is_bad_input(capsys, tmp_path, files, argv, code, out, err):
     """JSON nested deeper than its reader reaches is bad input.  Terms and
     systems are read at any depth and answered as usual; the normalize
-    failure comes from the term printer, the one term depth limit left."""
+    failure comes from the recursive printer of a fuel-exhausted run's
+    ``last``, the one term depth limit left."""
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert run_command([str(tmp_path / arg) if arg in files else arg for arg in argv]) == code

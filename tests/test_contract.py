@@ -27,7 +27,22 @@ ones (19 %).  A run whose last draw from 0..9 is 3, 78 of the 800, runs
 once more as text, with no ``--json``: it must exit as the JSON run did,
 with the same stderr.
 
-A second derandomized test runs ``pvs0-eval``, ``pvs0-terminates`` and
+A second derandomized test runs ``chain-verify``, with and without
+``--innermost``, and ``chain-derive`` on witnesses drawn over the same
+systems, chained or not, at fuels 0..40:
+
+- exit 0: ``verified``, every printed trace reads back and replays, and
+  each derivation link's ``term`` is its trace's ``start``;
+- exit 1: only ``not-found``, ``precondition-failed`` or ``failure``, with
+  the fuel; the traces ``chain-verify`` prints before a failed link replay;
+- exit 2: exactly when an entry is no dependency pair, on one stderr line
+  under 1 KB.
+
+With hypothesis 6.155 the 900 runs of its 300 witnesses exit 0 in 345
+(38.33 %), 1 in 384 (42.67 %) and 2 in 171 (19 %), the 57 witnesses with
+an entry that is no pair.
+
+A third derandomized test runs ``pvs0-eval``, ``pvs0-terminates`` and
 ``pvs0-contexts`` on programs of the criterion-7 generator, written with
 ``oracle_program_to_json``, on inputs of the program's width and fuels
 0..40:
@@ -60,12 +75,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdp import (
+    ChainWitness,
     FuelExhausted,
     LoopCertificate,
     RelationMode,
     check_certificate,
     check_trace,
     dep_pairs_alt,
+    is_dep_pair_alt,
+    match,
     normalize,
     to_standard,
     verify_chain_prefix,
@@ -78,11 +96,13 @@ from rdp.formats import (
     parse_trace,
     parse_trs,
     parse_value,
+    witness_to_json,
 )
 from rdp.pvs0 import Pvs0Program, Rec, Vr, calling_contexts, chi_eval
 from rdp.terms import parse_position, subterm_at, term_to_str
 
 from helpers import (
+    NOT_PAIRS,
     X,
     Y,
     ack_system,
@@ -97,6 +117,7 @@ from helpers import (
     oracle_program_to_json,
     random_pvs0_program,
     terms_over,
+    witness_entries,
 )
 
 SYSTEMS = {
@@ -337,6 +358,88 @@ def test_a_duplicating_rule_prints_within_the_bound(systems, name, term, mode, f
 )
 def test_a_deep_normalize_answers_fuel_exhausted(systems):
     _keeps_the_contract(*systems["grow"], "normalize", "g(x)", "", RelationMode.FULL, 400, 1)
+
+
+# --- the chain-witness commands ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def witness_path(tmp_path_factory):
+    """The file each witness run writes its witness to."""
+    return tmp_path_factory.mktemp("witness-contract") / "witness.json"
+
+
+def _keeps_the_witness_contract(path, trs, witness_path, witness, fuel):
+    """Run ``chain-verify``, with and without ``--innermost``, and
+    ``chain-derive`` on ``witness`` and check each output against the
+    contract; a witness with an entry that is no dependency pair must exit 2."""
+    witness_path.write_text(json.dumps(witness_to_json(witness)))
+    pairs_only = all(is_dep_pair_alt(trs, dp) for dp, _ in witness.entries)
+    argv = [path, "--witness", str(witness_path), "--fuel", str(fuel), "--json"]
+    for command in (["chain-verify"], ["chain-verify", "--innermost"], ["chain-derive"]):
+        code, out, err = _run(command + argv)
+        assert (code == 2) == (not pairs_only), (command, code)
+        if code == 2:
+            assert out == ""
+            assert err.endswith("\n") and err.count("\n") == 1, err
+            assert len(err.encode()) < 1024
+            continue
+        assert err == ""
+        report = json.loads(out)
+        assert report["fuel"] == fuel
+        if code == 1:
+            assert report["status"] in ("not-found", "precondition-failed", "failure"), report
+        else:
+            assert (code, report["status"], report["entries"]) == (0, "verified", len(witness))
+        if command[0] == "chain-verify" and report["status"] != "failure":
+            for data in report["traces"]:  # a failed link's prefix replays too
+                _replays(trs, data)
+        elif code == 0:
+            assert len(report["links"]) == max(len(witness) - 1, 0)
+            for link in report["links"]:
+                assert link["term"] == link["trace"]["start"]
+                _replays(trs, link["trace"], RelationMode.INNERMOST)
+
+
+@st.composite
+def _witness_runs(draw):
+    """A witness of one to six entries over one system, with x and y bound to
+    a few small terms over the system's own symbols, and a fuel.  Half of the
+    witnesses are chained from their first entry on, for as long as the rhs
+    subterm of the entry before, normalized below its root, is an instance
+    of some pair's lhs; the entries after that stay as drawn.  When a draw
+    from 0..4 is 0, one entry names one of ``NOT_PAIRS`` instead."""
+    name = draw(st.sampled_from(sorted(SYSTEMS)))
+    system = SYSTEMS[name]()
+    values = draw(
+        st.lists(terms_over(system.signature.symbols, 4, with_c=False), min_size=1, max_size=3)
+    )
+    pairs = dep_pairs_alt(system)
+    entries = draw(st.lists(witness_entries(values, pairs), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        for i in range(1, len(entries)):
+            dp, sigma = entries[i - 1]
+            rhs_sub = subterm_at(system.rules[dp.rule_index].rhs, dp.position)
+            reached = _reached(system, sigma.apply(rhs_sub), RelationMode.NON_ROOT_INNERMOST, 40)
+            options = [
+                (pair, found)
+                for pair in pairs
+                if (found := match(system.rules[pair.rule_index].lhs, reached)) is not None
+            ]
+            if not options:
+                break
+            entries[i] = draw(st.sampled_from(options))
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = (draw(st.sampled_from(NOT_PAIRS)), entries[i][1])
+    return name, ChainWitness(tuple(entries)), draw(st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_witness_runs())
+def test_every_chain_witness_command_keeps_the_contract(systems, witness_path, run):
+    name, witness, fuel = run
+    _keeps_the_witness_contract(*systems[name], witness_path, witness, fuel)
 
 
 # --- the PVS0 commands -------------------------------------------------------

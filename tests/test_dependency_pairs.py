@@ -589,6 +589,26 @@ def test_a_constructor_tower_is_matched_a_bounded_number_of_times(
     assert calls[0] <= 20 * n
 
 
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 15: each m^j(c) on the spine is searched, and each search "
+    "re-matches its whole spine at every innermost step",
+)
+def test_a_redex_spine_is_matched_a_quadratic_number_of_times(monkeypatch):
+    """On ``f(m^n(c))`` under ``f(x) -> f(x)``, ``m(x) -> x``, ``k -> c`` every
+    ``m^j(c)`` has a redex, and none loops.  The root's own loop search makes
+    about n²/2 ``_matches`` calls (5,152 at n = 100); the whole mint search
+    makes 177,054, cubic in n."""
+    n = 100
+    trs = parse_trs("(VAR x)\n(RULES\n  f(x) -> f(x)\n  m(x) -> x\n  k -> c\n)\n")
+    term = parse_term("f(" + "m(" * n + "c" + ")" * (n + 1), trs)
+    calls = _count_calls(monkeypatch, rewriting, "_matches")
+    pos, _ = find_mint_subterm(trs, term)
+    assert pos == ()
+    assert calls[0] <= 2 * n * n
+
+
 CRITERION_3_SHAPES = {
     "self": (trs_of((ap(F1, X), ap(F1, X))), ap(F1, ap(C0))),
     "alternate": (trs_of((ap(D1, X), ap(E1, X)), (ap(E1, X), ap(D1, X))), ap(D1, ap(C0))),

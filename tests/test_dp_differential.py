@@ -34,11 +34,9 @@ from hypothesis import strategies as st
 from rdp import (
     ChainWitness,
     ConstructionFailure,
-    DepPairAlt,
     InvalidDepPairError,
     PreconditionFailed,
     RelationMode,
-    Substitution,
     chain_from_loop,
     dep_pairs_alt,
     derivation_from_chain,
@@ -59,10 +57,10 @@ from helpers import (
     FORK0,
     G1,
     NEAR0,
+    NOT_PAIRS,
     P1,
     S1,
     X,
-    Y,
     ack_system,
     ap,
     detour_system,
@@ -81,10 +79,10 @@ from helpers import (
     oracle_term_pos_dps_alt,
     random_looping_instance,
     terms_over,
+    witness_entries,
 )
 
 FUEL = 500
-NOT_PAIRS = (DepPairAlt(0, ()), DepPairAlt(0, (9,)), DepPairAlt(7, ()))
 SYSTEMS = {
     "ack": (ack_system(), (nat(0), nat(1))),
     "loop": (loop_system(), (ap(C0),)),
@@ -93,19 +91,12 @@ SYSTEMS = {
 }
 
 
-def _entries(trs, values, pairs):
-    sigma = st.tuples(st.sampled_from(values), st.sampled_from(values)).map(
-        lambda xy: Substitution({X: xy[0], Y: xy[1]})
-    )
-    return st.tuples(st.sampled_from(pairs), sigma)
-
-
 @st.composite
 def any_witness(draw):
     """A witness of valid and invalid pairs, chained or not."""
     trs, values = SYSTEMS[draw(st.sampled_from(sorted(SYSTEMS)))]
     pairs = dep_pairs_alt(trs) + list(NOT_PAIRS)
-    entries = draw(st.lists(_entries(trs, values, pairs), max_size=6))
+    entries = draw(st.lists(witness_entries(values, pairs), max_size=6))
     return trs, ChainWitness(tuple(entries))
 
 
@@ -115,7 +106,7 @@ def chained_witness(draw):
     instantiated rhs subterm reaches at its root after normalizing below it."""
     trs, values = SYSTEMS[draw(st.sampled_from(sorted(SYSTEMS)))]
     length = draw(st.integers(0, 6))
-    entries = [draw(_entries(trs, values, dep_pairs_alt(trs)))]
+    entries = [draw(witness_entries(values, dep_pairs_alt(trs)))]
     rng = draw(st.randoms(use_true_random=False))
     for _ in range(length - 1):
         dp, sigma = entries[-1]
