@@ -528,12 +528,20 @@ def _run_command(argv: list[str]) -> int:
             message = f"[Errno {err.errno}] {err.strerror}: {_cut(repr(err.filename))}"
         print(f"error: {message}", file=sys.stderr)
         return 2
-    print(json.dumps(report, indent=2) if args.json else _render_text(report))
+    try:
+        print(json.dumps(report, indent=2) if args.json else _render_text(report))
+    except BrokenPipeError:  # the reader stopped early; the verdict stands
+        pass
     return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run_command(sys.argv[1:] if argv is None else argv)
+    code = run_command(sys.argv[1:] if argv is None else argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # keep the interpreter's exit flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

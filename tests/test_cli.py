@@ -3,10 +3,14 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import rdp
 from rdp.cli import run_command
 
 LOOP_TRS = "(VAR x)\n(RULES\n  f(x) -> f(x)\n  k -> c\n)\n"
@@ -182,6 +186,21 @@ def test_a_deep_normal_form_prints(
         assert last.split(": ", 1)[1] == normal_form
 
 
+@pytest.mark.parametrize("mode", ["innermost", "full"])
+def test_a_long_derivation_normalizes(capsys, ack_trs_path, mode):
+    """a(3,4) takes 10,307 steps in innermost and in full mode.  Each
+    command pauses the cyclic collector, which would otherwise walk every
+    term the trace keeps alive again and again."""
+    code, report = run_json(
+        capsys,
+        ["normalize", ack_trs_path, "--term", "a(s(s(s(0))),s(s(s(s(0)))))",
+         "--fuel", "20000", "--mode", mode],
+    )
+    assert code == 0
+    assert (report["status"], report["length"]) == ("normalized", 10_307)
+    assert report["normal_form"] == "s(" * 125 + "0" + ")" * 125
+
+
 def test_reach_prints_a_derivation_deeper_than_the_recursive_printer(capsys, grow_trs_path):
     """The trace printer has no depth limit: a derivation that ends 401
     levels deep is verified and printed whole."""
@@ -258,6 +277,29 @@ def test_a_pinned_report_prints_the_same_bytes(
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--json"], 0), ([], 0), (["--json", "--fuel", "2000"], 1)],
+    ids=["json", "text", "fuel-exhausted"],
+)
+def test_a_closed_pipe_keeps_the_exit_code(ack_trs_path, flags, code):
+    """A reader that stops after 100 bytes, as ``| head -c 100`` does,
+    changes neither the verdict's exit code nor stderr.  Each report of
+    a(3,3) is larger than a pipe holds, so the command is still writing it
+    when the pipe closes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rdp.__file__).parent.parent)}
+    env.pop("RDP_FUEL", None)
+    argv = ["normalize", ack_trs_path, "--term", A_3_3, "--mode", "innermost", *flags]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rdp.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err.decode()) == (code, "")
+
+
 # --- loop, mint, loop-chain ------------------------------------------------
 
 
@@ -329,6 +371,8 @@ def test_loop_chain_length_below_one_is_bad_input(
         (["mint", "--term", "g(x)"], 10_000),
         (["loop-chain", "--term", "g(x)", "--length", "2"], 10_000),
         (["reach", "--from", "g(x)", "--to", "x", "--fuel", "2000"], 2000),
+        # 40,000 levels: one argv string is limited to 131,072 bytes on Linux.
+        (["reach", "--from", "s(" * 40_000 + "x" + ")" * 40_000, "--to", "x"], 10_000),
     ],
 )
 def test_searches_on_growing_terms_answer_not_found(

@@ -61,6 +61,11 @@ must exit 2.  With hypothesis 6.155 the 600 runs exit 0 in 307 (51.17 %),
 
 Known defects are strict xfails on concrete inputs, each naming the
 ROADMAP item whose mend flips it.
+
+A last test reads the package's own source: the contract's "never a
+``RecursionError``" is kept with explicit stacks, not with a raised
+recursion limit, a larger thread stack or a handler that turns a depth
+failure into bad input.
 """
 
 import contextlib
@@ -74,6 +79,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdp
 from rdp import (
     ChainWitness,
     FuelExhausted,
@@ -537,3 +543,35 @@ def test_nested_recs_list_their_contexts_within_the_bound(program_path):
         body = Rec(body)
     program = Pvs0Program(1, (0,), (1,), (), (), body)
     _keeps_the_pvs0_contract(program_path, program, "pvs0-contexts", "", 0)
+
+
+def test_src_carries_no_depth_workaround():
+    """No module of the package changes the recursion limit or the thread
+    stack size, or carries the recursive readers' depth handler.
+
+    Two depth handlers are left: the one in ``cli.py``, now only for the
+    last term of a fuel-exhausted ``normalize``, which the recursive
+    ``term_to_str`` still prints, and for a guard nested too deeply to
+    evaluate; and in ``formats.py`` the one ``json.loads`` call, in
+    ``_load_json``, which translates the JSON decoder's own depth limit.
+    Traces, and every other term a report, a file or a repr shows, print on
+    one explicit stack, ``terms._write_shared``.  Terms, programs and guards
+    are read, and programs evaluated, with explicit stacks; the other passes
+    over PVS0 trees (repr among them), the minimal looping subterm search
+    and the successor core's walk over the positions that may fire ride one
+    walk without recursion, ``terms._walk``.
+    """
+    src = Path(rdp.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for name in ("setrecursionlimit", "stack_size", "_depth_is_bad_input"):
+            assert name not in text, f"{path.name} names {name}"
+        if path.name not in ("cli.py", "formats.py"):
+            assert "RecursionError" not in text, f"{path.name} names RecursionError"
+    where, function = [], None
+    for line in (src / "formats.py").read_text().splitlines():
+        if line.startswith("def "):
+            function = line[len("def "):].split("(")[0]
+        if "RecursionError" in line:
+            where.append(function)
+    assert where == ["_load_json"]

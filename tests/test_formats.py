@@ -28,6 +28,7 @@ from rdp import (
     Var,
     Vr,
     dep_pairs_alt,
+    derives,
     format_trs,
     match,
     normalize,
@@ -186,7 +187,8 @@ def test_input_too_deep_to_read_is_a_parse_error():
 
 def test_terms_and_systems_of_any_depth_read_and_work():
     """A term and a right-hand side 100,000 levels deep are read, and then
-    hashed, compared, matched, instantiated and searched for pairs."""
+    hashed, compared, matched, instantiated, searched for pairs and
+    rewritten."""
     n = 100_000
     term = parse_term("s(" * n + "0" + ")" * n, ack_system())
     trs = parse_trs("(VAR x)\n(RULES\n  f(x) -> " + "s(" * n + "f(x)" + ")" * n + "\n)")
@@ -201,6 +203,7 @@ def test_terms_and_systems_of_any_depth_read_and_work():
     assert match(rhs, term) is None
     assert vars_of(rhs) == {X} and vars_of(term) == frozenset()
     assert dep_pairs_alt(trs) == [DepPairAlt(0, (1,) * n)]
+    assert derives(trs, ap(Symbol("f", 1), X), X, RelationMode.FULL, 1) is None
 
 
 def test_systems_and_witnesses_of_any_depth_round_trip():

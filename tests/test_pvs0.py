@@ -266,6 +266,7 @@ def test_terminates_on_minimal_fuel():
 
 def test_terminates_on_ackermann(ack_program):
     assert terminates_on(ack_program, (2, 3), 100) == 10
+    assert terminates_on(ack_program, (3, 4), 10_000) == 127
 
 
 def test_terminates_on_unknown_for_loop():
