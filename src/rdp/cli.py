@@ -491,8 +491,8 @@ def run_command(argv: list[str]) -> int:
     The cyclic garbage collector is paused for the whole command: parsing,
     the handler, and writing the report.  What a command builds (terms,
     traces, substitutions, reports) holds no reference cycles, so reference
-    counting frees it all, while each full collection would walk every term
-    a long trace keeps alive.  The collector is switched back on afterwards
+    counting frees it all, while each full collection would walk every step
+    and every node a long derivation keeps alive.  The collector is switched back on afterwards
     only if it was on before, on every path out, exceptions included.  The
     switch is process-wide: a command that starts while another runs finds
     the collector off and leaves it to the first, so it may lose the pause

@@ -319,9 +319,9 @@ def derivation_from_chain(
         (term_i, acc), (term_next, _) = denoted[i], denoted[i + 1]
         dp_next, sigma_next = witness.entries[i + 1]
         rule = trs.rules[dp_next.rule_index]
-        closing = Step(acc, rule.index, sigma_next.restrict(vars_of(rule.lhs)), term_next)
+        closing = Step(acc, rule, sigma_next.restrict(vars_of(rule.lhs)))
         steps = embed_trace(term_i, acc, link).steps + (closing,)
-        trace = DerivationTrace(term_i, steps, RelationMode.INNERMOST)
+        trace = DerivationTrace(term_i, steps, RelationMode.INNERMOST, term_next)
         if not check_trace(trs, trace):
             raise ConstructionFailure("derivation-replay-failed")
         out.append((term_i, trace))
@@ -346,9 +346,9 @@ def detect_innermost_loop(
     whose terms grow forever are never caught.
     """
     expansions = explore(trs, term, RelationMode.INNERMOST, fuel)
-    edges: dict[Term, list[tuple[Step, bool | None]]] = {}
+    edges: dict[Term, list[tuple[Step, Term, bool | None]]] = {}
 
-    def steps_from(u: Term) -> Iterator[tuple[Step, bool | None]]:
+    def steps_from(u: Term) -> Iterator[tuple[Step, Term, bool | None]]:
         while u not in edges:  # u is admitted, so the exploration expands it
             v, tagged = next(expansions)
             edges[v] = tagged
@@ -360,18 +360,17 @@ def detect_innermost_loop(
     on_path: dict[Term, int] = {term: 0}
     while path:
         node, remaining, _ = path[-1]
-        step, admitted = next(remaining, (None, None))
+        step, v, admitted = next(remaining, (None, None, None))
         if step is None:
             path.pop()
             del on_path[node]
             done.add(node)
             continue
-        v = step.result
         if admitted is None or v in done:  # refused by the fuel, or searched
             continue
         if v in on_path:
             steps = tuple(s for _, _, s in path[on_path[v] + 1 :]) + (step,)
-            return LoopCertificate(DerivationTrace(v, steps, RelationMode.INNERMOST))
+            return LoopCertificate(DerivationTrace(v, steps, RelationMode.INNERMOST, v))
         on_path[v] = len(path)
         path.append((v, steps_from(v), step))
     return None
@@ -417,7 +416,8 @@ def dp_and_sub_from_nrnf(
     step = reduce_at(trs, term, ROOT, RelationMode.FULL)
     if step is None:
         raise ConstructionFailure("no-root-rule")
-    sigma, reduct = step.substitution, step.result
+    sigma = step.substitution
+    reduct = sigma.apply(step.rule.rhs)  # the root step's result
     found = find_mint_subterm(trs, reduct, fuel)
     if found is None:
         raise ConstructionFailure("no-mint-within-fuel")

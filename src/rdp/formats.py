@@ -5,12 +5,13 @@ variables and a ``(RULES l -> r ...)`` section, in either order.  The
 signature is inferred from use, with a consistent-arity check.  Terms,
 systems and programs are read at any depth on explicit stacks, the first two
 straight from the text; program expressions print in one pass of the walk.
-Traces are written at any depth too, each step spliced into the text of
-the step before where its result allows (``trace_to_json``); rules and
-witness bindings are written whole on the same explicit stack.  Chain
-witnesses and traces travel as JSON both ways; programs are read from JSON
-and never written back.  The depth limit of the one ``json.loads`` call is
-the only one on reading.  TRS files, traces and witnesses round-trip:
+Traces are written at any depth too: ``trace_to_json`` and ``parse_trace``
+replay each step from its position, rule and substitution on one zipper,
+``_Splice``, which splices the step's contractum into the text of the term
+before; rules and witness bindings are written whole on the same explicit
+stack.  Chain witnesses and traces travel as JSON both ways; programs are
+read from JSON and never written back.  The depth limit of the one
+``json.loads`` call is the only one on reading.  TRS files, traces and witnesses round-trip:
 parse(print(x)) is x.
 """
 
@@ -50,8 +51,9 @@ from .rewriting import (
     RuleRestrictionError,
     Step,
     TRS,
+    _put,
 )
-from .substitution import Substitution
+from .substitution import Substitution, match
 from .terms import (
     ROOT,
     _SHOW,
@@ -62,6 +64,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _cut,
     _size,
     _walk,
     _write_shared,
@@ -308,96 +311,181 @@ def parse_substitution(data: Any, trs: TRS) -> Substitution:
     return Substitution(bindings)
 
 
+class _Splice:
+    """A term rewritten step by step, kept as a zipper (Huet, JFP 7(5), 1997)
+    together with its text, which each step edits the way a rope does (Boehm,
+    Atkinson & Plass, "Ropes: an alternative to strings", 1995).
+
+    ``frames`` holds ``[node, i, start, args]`` for each ancestor of ``pos``,
+    the position of the last step: the node, the argument the path goes on
+    through, where the node's text starts, and None until an argument
+    changes, then the arguments as they are now.  A node is rebuilt only
+    when the path leaves it.  ``focus`` is the node at ``pos``, and its text
+    starts at ``at``.  ``place`` is ``pos`` printed, and ``spans[d]`` the
+    length of its first ``d`` indices printed.  Text lengths are kept per
+    node ``id`` (``terms._size``) in ``sizes``, whose nodes ``keep`` holds, so
+    that no id is reused while it is kept.
+    """
+
+    def __init__(self, term: Term):
+        self.text = _write_shared(term, {})
+        self.frames: list[list] = []
+        self.focus, self.at, self.pos = term, 0, ROOT
+        self.place, self.spans = "ε", [0]
+        self.sizes: dict[int, int] = {}
+        self.keep: list[Term] = []
+
+    def _leave(self) -> tuple[Term, int]:
+        """Pop the lowest frame: its node, rebuilt if an argument changed,
+        and where the node's text starts."""
+        frames = self.frames
+        node, _, start, args = frames.pop()
+        if args is not None:
+            node = App(node.sym, tuple(args))
+            if frames:
+                _put(frames[-1], node)
+        return node, start
+
+    def seek(self, pos: Position, step: int) -> Term:
+        """Move to ``pos``, where trace step ``step`` rewrites, and return the
+        subterm there.  The path climbs to the prefix ``pos`` shares with the
+        position before and goes down from there, each node placed by the
+        lengths of the arguments left of the path."""
+        old, frames, sizes, keep = self.pos, self.frames, self.sizes, self.keep
+        same = min(len(old), len(pos))  # the depth down to which pos follows old
+        if old[:same] != pos[:same]:
+            same = next(d for d, (i, j) in enumerate(zip(old, pos)) if i != j)
+        # Leave the frames below the shared prefix, and the one at its end too
+        # when pos ends there: the redex is then the node that frame holds.
+        while len(frames) > (same if same == len(pos) else same + 1):
+            self.focus, self.at = self._leave()
+        node, at, changed = self.focus, self.at, None
+        if len(frames) > same:  # the node at depth ``same`` stays open: on through another argument
+            node, _, at, changed = frames.pop()
+        for depth in range(same, len(pos)):
+            i = pos[depth]
+            args = changed or (node.args if node.__class__ is App else ())
+            if not 0 < i <= len(args):
+                stop = (
+                    f"{node.name} is a variable"
+                    if node.__class__ is Var
+                    else f"{node.sym!r} has no argument {i}"
+                )
+                raise InvalidPositionError(
+                    f"trace step {step}: position {_cut(format_position(pos))} "
+                    f"invalid at depth {depth}: {_cut(stop)}"
+                )
+            frames.append([node, i, at, changed])
+            at += len(node.sym.name) + i
+            for a in args[: i - 1]:
+                at += _size(a, sizes, keep)
+            node, changed = args[i - 1], None
+        self.focus, self.at, self.pos = node, at, pos
+        if same < len(old) or same < len(pos):
+            spans = self.spans
+            del spans[same + 1 :]
+            place = [self.place[: spans[same]]] if same else []
+            for i in pos[same:]:
+                place.append(str(i))
+                spans.append(spans[-1] + len(place[-1]) + (len(spans) > 1))
+            self.place = ".".join(place) or "ε"
+        return node
+
+    def rewrite(self, rule: Rule, sigma: Substitution) -> dict[str, str]:
+        """Put ``sigma.apply(rule.rhs)`` where ``seek`` stands, writing only
+        the contractum into the text, and return the text of each σ binding
+        by variable name.  The redex's span ends after its length, and a
+        binding equal to the redex's subterm at its variable's first place
+        in ``rule.lhs`` is a slice of that span; any other binding is
+        written whole.  The contractum's text is the rhs's with those texts
+        at its variables.  The contractum holds σ's own nodes, so a binding
+        that a later step finds again is the same object, and equal at once."""
+        redex, at, text, sizes, keep = self.focus, self.at, self.text, self.sizes, self.keep
+        places, pieces = rule._shape
+        texts: dict[str, str] = {}
+        for var, value in sigma.items():
+            if value.__class__ is Var or not value.args:
+                texts[var.name] = value.name if value.__class__ is Var else value.sym.name
+                continue
+            path = places.get(var.name)
+            if path is not None:
+                node, start = redex, at
+                for i in path:  # down the redex to the variable's place, if it has it
+                    args = node.args if node.__class__ is App else ()
+                    if i > len(args):
+                        break
+                    start += len(node.sym.name) + i
+                    for a in args[: i - 1]:
+                        start += _size(a, sizes, keep)
+                    node = args[i - 1]
+                else:
+                    if node is value or (
+                        node.__class__ is App
+                        and node.args == value.args
+                        and (node.sym is value.sym or node.sym == value.sym)
+                    ):
+                        texts[var.name] = piece = text[start : start + _size(node, sizes, keep)]
+                        if node is not value:
+                            sizes[id(value)] = len(piece)
+                            keep.append(value)
+                        continue
+            texts[var.name] = _write_shared(value, {})
+        contractum = sigma.apply(rule.rhs)
+        written = "".join(
+            [p if p.__class__ is str else texts.get(p.name, p.name) for p in pieces]
+        )
+        self.text = text[:at] + written + text[at + _size(redex, sizes, keep) :]
+        if contractum.__class__ is App and contractum.args:
+            sizes[id(contractum)] = len(written)
+            keep.append(contractum)
+        if self.frames:
+            _put(self.frames[-1], contractum)
+        self.focus = contractum
+        return texts
+
+    def term(self) -> Term:
+        """The whole term as it now is; the path is left up to the root."""
+        while self.frames:
+            self.focus, self.at = self._leave()
+        self.pos, self.place, self.spans = ROOT, "ε", [0]
+        return self.focus
+
+
 def trace_to_json(trace: DerivationTrace) -> dict:
     """The trace with every term printed whole, at any depth.
 
-    A step whose result is the term before rewritten at its position by
-    identity (the same symbol object at each level down to it, every
-    argument off the position the same object) is printed by splicing, the
-    way a rope edits text (Boehm, Atkinson & Plass, "Ropes: an alternative
-    to strings", 1995): its text is ``text[:s] + contractum + text[e:]``,
-    where ``[s, e)`` is the redex's span in the text before.  ``starts[d]``
-    is where the node at depth ``d`` of the position before starts; a step
-    keeps it on the prefix the two positions share and adds the rest from
-    the lengths of the arguments left of the path, kept per node ``id``
-    (``terms._size``).  ``e`` follows from the lengths of the redex's
-    arguments, and the σ bindings are slices of its span, which the
-    contractum copies in turn.  Any other step (a trace read back, a
-    hand-built result) is written whole.  So a step costs Python work for
-    the levels above its redex and the nodes it builds, and a memory copy
-    for the rest.  Node ids stay valid: the trace keeps every term alive.
+    The terms are replayed from (position, rule, substitution) alone, as
+    ``DerivationTrace.terms`` replays them, and each step writes only its
+    contractum into the text before (``_Splice``): the σ bindings that are
+    subterms of the redex are copied from that text, and the position's
+    text shares its prefix with the position before.  So a step costs
+    Python work for the levels its path moves and the nodes it builds, and
+    a memory copy for the rest.  A position the term does not have raises
+    InvalidPositionError naming the step.
     """
-    term = trace.start
-    text = start = _write_shared(term, {})
-    pos, starts = ROOT, [0]
-    sizes: dict[int, int] = {}
+    splice = _Splice(trace.start)
+    start = splice.text
     steps = []
-    for step in trace.steps:
-        new, result = step.position, step.result
-        sigma = _by_name(step.substitution)
-        same = min(len(pos), len(new))  # the depth down to which new follows pos
-        if pos[:same] != new[:same]:
-            same = next(d for d, (i, j) in enumerate(zip(pos, new)) if i != j)
-        del starts[same + 1 :]
-        q, r, spliced = term, result, True
-        for depth, i in enumerate(new):
-            if (
-                q.__class__ is not App
-                or r.__class__ is not App
-                or r.sym is not q.sym
-                or not 0 < i <= len(q.args)
-            ):
-                spliced = False
-                break
-            args, theirs = q.args, r.args
-            if len(args) == 2:  # the common case first: the one argument beside the path
-                spliced = args[2 - i] is theirs[2 - i]
-            elif len(args) > 2:
-                spliced = all(args[j] is theirs[j] for j in range(len(args)) if j != i - 1)
-            if not spliced:
-                break
-            if depth >= same:  # below the shared prefix: place the node by its siblings
-                at = starts[depth] + len(q.sym.name) + i
-                for a in args[: i - 1]:
-                    at += _size(a, sizes)
-                starts.append(at)
-            q, r = args[i - 1], theirs[i - 1]
-        known: dict[int, str] = {}
-        if spliced:
-            want = {id(t) for _, t in sigma if t.__class__ is App and t.args}
-            todo, seen, end = [], set(), starts[-1] + len(q.sym.name) + (1 if q.args else 0)
-            for a in q.args:  # the redex's arguments, and where its text ends
-                todo.append((a, end))
-                end += _size(a, sizes) + 1
-            while want and todo:  # down the redex to the σ values, each distinct node once
-                node, at = todo.pop()
-                key = id(node)
-                if key in want:
-                    known[key] = text[at : at + _size(node, sizes)]
-                    want.discard(key)
-                elif node.__class__ is App and node.args and key not in seen:
-                    seen.add(key)
-                    at += len(node.sym.name) + 1
-                    for a in node.args:
-                        todo.append((a, at))
-                        at += _size(a, sizes) + 1
-            text = text[: starts[-1]] + _write_shared(r, known) + text[end:]
-            pos = new
-        else:
-            text, pos, starts = _write_shared(result, {}), ROOT, [0]
-        term = result
+    for k, step in enumerate(trace.steps):
+        splice.seek(step.position, k)
+        texts = splice.rewrite(step.rule, step.substitution)
         steps.append(
             {
-                "position": format_position(new),
-                "rule_index": step.rule_index,
-                "substitution": {v.name: _write_shared(t, known) for v, t in sigma},
-                "term": text,
+                "position": splice.place,
+                "rule_index": step.rule.index,
+                "substitution": {name: texts[name] for name in sorted(texts)},
+                "term": splice.text,
             }
         )
     return {"start": start, "mode": trace.mode.value, "steps": steps}
 
 
 def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
+    """Read a trace and replay it: each step's rule must match at its
+    position, its substitution must be that matcher, and its ``"term"`` must
+    be the replayed result.  Both are compared as text first and parsed
+    only when the texts differ.  Whether each step is one ``mode`` allows is
+    left to ``check_trace``."""
     try:
         mode = next((m for m in RelationMode if m.value == data["mode"]), None)
         if mode is None:
@@ -408,20 +496,34 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
         raise ParseError(f"malformed trace: {err}") from None
     if not isinstance(raw_steps, list):
         raise ParseError(f"malformed trace: steps must be a list, got {_SHOW.repr(raw_steps)}")
+    splice = _Splice(start)
     steps = []
-    for raw in raw_steps:
+    for k, raw in enumerate(raw_steps):
         try:
-            steps.append(
-                Step(
-                    _position_field(raw),
-                    _int_field(raw, "rule_index"),
-                    parse_substitution(raw["substitution"], trs),
-                    _term_field(raw, "term", trs),
-                )
-            )
+            position = _position_field(raw)
+            index = _int_field(raw, "rule_index")
+            raw_sigma, printed = raw["substitution"], raw["term"]
+            if not isinstance(printed, str):
+                raise TypeError(f"'term' must be a term string, found {_SHOW.repr(printed)}")
+            redex = splice.seek(position, k)
         except (KeyError, TypeError, InvalidPositionError) as err:
             raise ParseError(f"malformed trace step: {err}") from None
-    return DerivationTrace(start, tuple(steps), mode)
+        if not 0 <= index < len(trs.rules):
+            raise ParseError(f"trace step {k}: the system has no rule {index}")
+        rule = trs.rules[index]
+        sigma = match(rule.lhs, redex)
+        if sigma is None:
+            raise ParseError(
+                f"trace step {k}: rule {index} does not match at "
+                f"{_cut(format_position(position))}"
+            )
+        if splice.rewrite(rule, sigma) != raw_sigma:
+            if parse_substitution(raw_sigma, trs) != sigma:
+                raise ParseError(f"trace step {k}: the substitution is not rule {index}'s matcher")
+        if splice.text != printed and parse_term(printed, trs) != splice.term():
+            raise ParseError(f"trace step {k}: the term is not the step's result")
+        steps.append(Step(position, rule, sigma))
+    return DerivationTrace(start, tuple(steps), mode, splice.term())
 
 
 # --- chain witnesses -------------------------------------------------------

@@ -15,16 +15,22 @@ matching rules and whether a redex lies below, then rides the walk of
 search keeps one such table for all the terms it expands, so each expansion
 matches only the nodes it has not seen and skips every subterm without a
 redex; on a term that grows by a node per step, fuel buys work linearly.
-``normalize`` always takes the first of those steps.  Its one walk keeps a
-path of ``[parent, i, hint args]``, rebuilds the parents in place around
-each contractum and resumes there instead of rescanning from the root.
-Under ``full`` and ``non-root`` it tries a node on the way down
-(leftmost-outermost) and, after a step, re-checks only the redex's
-ancestors within the depth of the deepest left-hand side (all of them when
-some left-hand side is non-linear).  Under the innermost modes it tries a
-node on the way up (leftmost-innermost) and never enters a contractum's
-variable parts, which are normal.  Its traces are the ones the original
-definitions, which rescanned the whole term per step, produced.
+``normalize`` always takes the first of those steps.  Its one walk is a
+zipper over the current term: a path of frames that rebuilds a parent only
+when the walk leaves it, and resumes after each contractum instead of
+rescanning from the root.  Under ``full`` and ``non-root`` it tries a node
+on the way down (leftmost-outermost) and, after a step, rebuilds and
+re-checks only the redex's ancestors within the depth of the deepest
+left-hand side (all of them when some left-hand side is non-linear).
+Under the innermost modes it tries a node on the way up (leftmost-innermost)
+and never enters a contractum's variable parts, which are normal.  Its
+traces are the ones the original definitions, which rescanned the whole
+term per step, produced.
+
+A step records the choice a checker recomputes, its position, rule and
+substitution, and not the term it makes (as CPF records a step for CeTA,
+Thiemann & Sternagel, TPHOLs 2009).  A trace keeps its start and its end;
+``DerivationTrace.terms`` and ``check_trace`` replay the terms between.
 
 The one boolean question, whether a redex is nr-normal, which replay and
 the dependency-pair checks ask, has its own walk: it visits each distinct
@@ -41,6 +47,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .substitution import Substitution, match
@@ -55,12 +62,15 @@ from .terms import (
     Var,
     _args,
     _index,
+    _pieces,
     _plug,
     _split_at,
     _walk,
     _write_shared,
     format_position,
     iter_vars,
+    replace_at,
+    subterm_at,
     symbols_of,
     vars_of,
 )
@@ -118,6 +128,17 @@ class Rule:
     def __repr__(self) -> str:
         return f"{_write_shared(self.lhs, {})} -> {_write_shared(self.rhs, {})}"
 
+    @cached_property
+    def _shape(self) -> tuple[dict[str, Position], list]:
+        """Where each variable of the lhs first occurs, by name, and the rhs's
+        text in pieces (``terms._pieces``): what the trace printer reads of
+        a rule at every step, worked out once per rule."""
+        places: dict[str, Position] = {}
+        for node, path in _walk(self.lhs):
+            if node.__class__ is Var:
+                places.setdefault(node.name, tuple(map(_index, path)))
+        return places, _pieces(self.rhs)
+
 
 @dataclass(frozen=True)
 class TRS:
@@ -171,36 +192,45 @@ def defined_symbols(trs: TRS) -> frozenset[Symbol]:
     return trs._defined
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
-    """One reduction: rule ``rule_index`` fired at ``position`` with ``substitution``."""
+    """One reduction: ``rule`` fired at ``position`` with ``substitution``.
+
+    A step is the choice a checker recomputes, not the term it makes: the
+    result is the term before with ``substitution.apply(rule.rhs)`` at
+    ``position``, which replay rebuilds (``DerivationTrace.terms``,
+    ``check_step``)."""
 
     position: Position
-    rule_index: int
+    rule: Rule
     substitution: Substitution
-    result: Term
+
+    @property
+    def rule_index(self) -> int:
+        return self.rule.index
 
     def __repr__(self) -> str:
-        return (
-            f"--{self.rule_index}@{format_position(self.position)}--> "
-            f"{_write_shared(self.result, {})}"
-        )
+        return f"{self.rule.index}@{format_position(self.position)} {self.substitution!r}"
 
 
 @dataclass(frozen=True)
 class DerivationTrace:
+    """``start`` rewritten by ``steps`` under ``mode`` to ``end``; the terms
+    between are not kept, and ``terms`` replays them."""
+
     start: Term
     steps: tuple[Step, ...]
     mode: RelationMode
-
-    @property
-    def end(self) -> Term:
-        return self.steps[-1].result if self.steps else self.start
+    end: Term
 
     def terms(self) -> Iterator[Term]:
-        yield self.start
+        """Each term of the derivation, ``start`` first, each step's result
+        rebuilt from the term before; ``end`` is not consulted."""
+        term = self.start
+        yield term
         for step in self.steps:
-            yield step.result
+            term = replace_at(term, step.position, step.substitution.apply(step.rule.rhs))
+            yield term
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -210,8 +240,8 @@ class DerivationTrace:
 #
 # Paths are those of ``terms``, one ``(parent, i)`` per step down, and ``_plug``
 # rebuilds a term around a contractum from one.  ``iter_successors`` rides
-# ``_walk``; ``_leftmost`` keeps its own path, ``[parent, i, hint args]``, and
-# rebuilds its parents in place around each contractum.
+# ``_walk``; ``_leftmost`` keeps its own path, a zipper whose frames rebuild
+# a parent only when the walk leaves it.
 
 
 def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
@@ -266,17 +296,17 @@ def _may_fire(mode: RelationMode, at_root: bool, redex_below: Callable[[], bool]
     return not (mode.innermost and redex_below())
 
 
-def is_nr_normal_form(trs: TRS, term: Term, normal: set[int] | None = None) -> bool:
+def is_nr_normal_form(trs: TRS, term: Term, normal: dict[int, App] | None = None) -> bool:
     """True when every proper subterm of ``term`` is a normal form.
 
     This is the innermost side condition: a redex may fire only when it is
     nr-normal.  One walk on a plain stack visits each distinct node below
     the root once, however often it is shared, and stops at the first one a
-    rule matches.  ``normal`` holds the ids of nodes already found normal,
-    which the walk skips, and gains every node it visits when the answer is
-    True; its caller keeps those nodes alive, as a trace does its terms.
+    rule matches.  ``normal`` maps the ids of nodes already found normal to
+    the nodes, which the walk skips, and gains every node it visits when the
+    answer is True; holding the nodes keeps their ids from being reused.
     """
-    seen: set[int] = set()
+    seen: dict[int, App] = {}
     known = () if normal is None else normal
     stack = list(_args(term))
     while stack:
@@ -284,17 +314,18 @@ def is_nr_normal_form(trs: TRS, term: Term, normal: set[int] | None = None) -> b
         if node.__class__ is App and id(node) not in seen and id(node) not in known:
             if _matches(trs, node):
                 return False
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(node.args)
     if normal is not None:
-        normal |= seen
+        normal.update(seen)
     return True
 
 
 def iter_successors(
     trs: TRS, term: Term, mode: RelationMode, table: dict[int, tuple] | None = None
-) -> Iterator[Step]:
-    """One-step reducts under ``mode``, ordered by (position pre-order, rule index).
+) -> Iterator[tuple[Step, Term]]:
+    """One-step reducts under ``mode``, each as ``(step, result)``, ordered by
+    (position pre-order, rule index).
 
     The walk first adds the nodes of ``term`` that the redex ``table`` (see
     ``_redex_table``) lacks, then reads every node's matches from it and
@@ -312,55 +343,66 @@ def iter_successors(
             if matches and _may_fire(mode, not path, lambda: below):
                 pos = tuple(map(_index, path))
                 for rule, sigma in matches:
-                    yield Step(pos, rule.index, sigma, _plug(path, sigma.apply(rule.rhs)))
+                    yield Step(pos, rule, sigma), _plug(path, sigma.apply(rule.rhs))
 
 
 def successors(trs: TRS, term: Term, mode: RelationMode) -> list[Step]:
-    return list(iter_successors(trs, term, mode))
-
-
-def _steps_at(
-    trs: TRS, term: Term, pos: Position, mode: RelationMode, normal: set[int] | None = None
-) -> Iterator[Step]:
-    """Every step ``mode`` allows at ``pos`` in ``term``, by rule index; an
-    invalid ``pos`` raises InvalidPositionError when the first is asked for.
-    ``normal`` is as for ``is_nr_normal_form``."""
-    path, sub = _split_at(term, pos)
-    if isinstance(sub, Var):
-        return
-    if _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub, normal)):
-        for rule, sigma in _matches(trs, sub):
-            yield Step(pos, rule.index, sigma, _plug(path, sigma.apply(rule.rhs)))
+    """The steps of ``iter_successors``, without their results."""
+    return [step for step, _ in iter_successors(trs, term, mode)]
 
 
 def reduce_at(
     trs: TRS, term: Term, pos: Position, mode: RelationMode
 ) -> Step | None:
-    """The lowest-rule-index step at ``pos`` valid under ``mode``, if any."""
-    return next(_steps_at(trs, term, pos, mode), None)
+    """The lowest-rule-index step at ``pos`` valid under ``mode``, if any; an
+    invalid ``pos`` raises InvalidPositionError."""
+    sub = subterm_at(term, pos)
+    if sub.__class__ is App and _may_fire(mode, not pos, lambda: not is_nr_normal_form(trs, sub)):
+        for rule, sigma in _matches(trs, sub):
+            return Step(pos, rule, sigma)
+    return None
 
 
-def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
+def _put(frame: list, child: Term) -> None:
+    """Set the argument that a zipper frame ``[node, i, _, args]`` goes on
+    through, the ``i``-th, to ``child``: ``args``, None while no argument of
+    ``node`` has changed, becomes the list of its arguments as they now are."""
+    args = frame[3]
+    if args is None:
+        args = frame[3] = list(frame[0].args)
+    args[frame[1] - 1] = child
+
+
+def _leftmost(
+    trs: TRS, term: Term, mode: RelationMode, fuel: int
+) -> tuple[list[Step], Term, bool]:
     """The derivation under ``mode`` that always fires the first position in
-    pre-order where a step may fire, resuming the walk after each step.
+    pre-order where a step may fire, for at most ``fuel`` steps: the steps,
+    the term they reach, and whether a step was left to take there.
 
-    The path holds ``[parent, i, hint args]``; a step rebuilds its parents
-    in place around the contractum.  Outermost, a node is tried when the
-    walk enters it; innermost, when the walk leaves it (leaves too), since
-    the first redex in post-order is the leftmost innermost one.  Positions
-    tried before may not fire, and a step changes only the redex's
-    ancestors among them.  Innermost, those are tried when left anyway, and
-    a hint that is a variable (of the rule's rhs, in a contractum) marks a
-    normal subterm, never entered.  Outermost, a linear lhs matches afresh
-    only where the change lies at its non-variable positions, so the
-    ancestors within ``trs._reach`` levels (all of them when some lhs is
-    non-linear) are tried again, top-down; the first that may fire is next.
+    The walk is a zipper over the current term (Huet, "The Zipper", JFP
+    7(5), 1997): one frame ``[parent, i, hint args, args]`` per ancestor,
+    where ``args`` is None until an argument changes and then the list of
+    the arguments as they are now.  A step puts its contractum into its
+    parent's list, and a parent is rebuilt only when the walk leaves it, so
+    the steps below one ancestor rebuild it once.  Outermost, a node is
+    tried when the walk enters it; innermost, when the walk leaves it
+    (leaves too), since the first redex in post-order is the leftmost
+    innermost one.  Positions tried before may not fire, and a step changes
+    only the redex's ancestors among them.  Innermost, those are tried when
+    left anyway, and a hint that is a variable (of the rule's rhs, in a
+    contractum) marks a normal subterm, never entered.  Outermost, a linear
+    lhs matches afresh only where the change lies at its non-variable
+    positions, so the ancestors within ``trs._reach`` levels (all of them
+    when some lhs is non-linear) are rebuilt and tried again, top-down; the
+    first that may fire is next.
     """
     inner, reach = mode.innermost, trs._reach
     # The walk tries a node only when nothing below it may fire, so
     # _may_fire's answer turns on the root alone: a node below the root
     # may fire under every mode, and the root as this says.
     fires_at_root = _may_fire(mode, True, lambda: False)
+    steps: list[Step] = []
     path: list[list] = []
     node, hint, down, fired = term, term, True, []
     while True:
@@ -373,16 +415,26 @@ def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
         ):
             fired = _matches(trs, node)
         if fired:
+            if len(steps) >= fuel:
+                while path:  # leave every frame: the term the steps reached
+                    parent, _, _, args = path.pop()
+                    node = parent if args is None else App(parent.sym, tuple(args))
+                    if path and args is not None:
+                        _put(path[-1], node)
+                return steps, node, True
             rule, sigma = fired[0]
-            node = contractum = sigma.apply(rule.rhs)
-            for top in reversed(path):
-                parent, i, _ = top
-                args = parent.args
-                node = top[0] = App(parent.sym, (*args[: i - 1], node, *args[i:]))
-            yield Step(tuple(map(_index, path)), rule.index, sigma, node)
-            node, hint, down, fired = contractum, rule.rhs if inner else contractum, True, []
-            if not inner:
+            steps.append(Step(tuple(map(_index, path)), rule, sigma))
+            node = sigma.apply(rule.rhs)
+            hint, down, fired = rule.rhs if inner else node, True, []
+            if path:
+                _put(path[-1], node)
+            if not inner and path:
                 lowest = 0 if reach is None else max(len(path) - reach, 0)
+                for depth in range(len(path) - 1, lowest - 1, -1):
+                    frame = path[depth]
+                    frame[0], frame[3] = App(frame[0].sym, tuple(frame[3])), None
+                    if depth:
+                        _put(path[depth - 1], frame[0])
                 for depth in range(lowest, len(path)):
                     if depth or fires_at_root:
                         fired = _matches(trs, path[depth][0])
@@ -391,21 +443,25 @@ def _leftmost(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
                             del path[depth:]
                             break
         elif down and node.__class__ is App and node.args and hint.__class__ is not Var:
-            path.append([node, 1, hint.args])
+            path.append([node, 1, hint.args, None])
             node, hint = node.args[0], hint.args[0]
         elif down:
             down = False  # leave the node, so an innermost walk tries it
         elif path:
             top = path[-1]
-            parent, i, hints = top
+            parent, i, hints, args = top
             if i < len(parent.args):
                 top[1] = i + 1
                 node, hint, down = parent.args[i], hints[i], True
             else:
                 del path[-1]
+                if args is not None:
+                    parent = App(parent.sym, tuple(args))
+                    if path:
+                        _put(path[-1], parent)
                 node = hint = parent
         else:
-            return
+            return steps, node, False
 
 
 def normalize(
@@ -420,24 +476,23 @@ def normalize(
     raises FuelExhausted (carrying the partial trace) if no normal form is
     reached within ``fuel`` steps.
     """
-    steps: list[Step] = []
-    for step in _leftmost(trs, term, mode):
-        if len(steps) >= fuel:
-            raise FuelExhausted(DerivationTrace(term, tuple(steps), mode))
-        steps.append(step)
-    return DerivationTrace(term, tuple(steps), mode)
+    steps, end, more = _leftmost(trs, term, mode, fuel)
+    trace = DerivationTrace(term, tuple(steps), mode, end)
+    if more:
+        raise FuelExhausted(trace)
+    return trace
 
 
 def explore(
     trs: TRS, start: Term, mode: RelationMode, fuel: int
-) -> Iterator[tuple[Term, list[tuple[Step, bool | None]]]]:
+) -> Iterator[tuple[Term, list[tuple[Step, Term, bool | None]]]]:
     """Breadth-first exploration from ``start``, one expanded term at a time.
 
-    Yields each expanded term with its steps in successor order, each tagged
-    True when its result was admitted just now, False when it was admitted
-    before, and None when it is new but refused because ``fuel`` terms are
-    already admitted.  Refused terms are never expanded; what a refusal
-    means is the caller's fuel rule.
+    Yields each expanded term with its steps in successor order, each as
+    ``(step, result, admitted)``: admitted is True when the result was
+    admitted just now, False when it was admitted before, and None when it
+    is new but refused because ``fuel`` terms are already admitted.  Refused
+    terms are never expanded; what a refusal means is the caller's fuel rule.
 
     One redex table serves the whole search.  A successor shares all but
     the rebuilt path and the contractum with the term it came from, so each
@@ -449,17 +504,16 @@ def explore(
     table: dict[int, tuple] = {}
     while queue:
         u = queue.popleft()
-        tagged: list[tuple[Step, bool | None]] = []
-        for step in iter_successors(trs, u, mode, table):
-            v = step.result
+        tagged: list[tuple[Step, Term, bool | None]] = []
+        for step, v in iter_successors(trs, u, mode, table):
             if v in admitted:
-                tagged.append((step, False))
+                tagged.append((step, v, False))
             elif len(admitted) >= fuel:
-                tagged.append((step, None))
+                tagged.append((step, v, None))
             else:
                 admitted.add(v)
                 queue.append(v)
-                tagged.append((step, True))
+                tagged.append((step, v, True))
         yield u, tagged
 
 
@@ -476,15 +530,14 @@ def derives(
     None means not found within fuel, never unreachability.
     """
     if source == target:
-        return DerivationTrace(source, (), mode)
+        return DerivationTrace(source, (), mode, source)
     parent: dict[Term, tuple[Term, Step]] = {}
     for u, tagged in explore(trs, source, mode, fuel):
-        for step, fresh in tagged:
+        for step, v, fresh in tagged:
             if fresh is None:
                 return None
             if not fresh:
                 continue
-            v = step.result
             parent[v] = (u, step)
             if v == target:
                 steps: list[Step] = []
@@ -493,33 +546,50 @@ def derives(
                     node, st = parent[node]
                     steps.append(st)
                 steps.reverse()
-                return DerivationTrace(source, tuple(steps), mode)
+                return DerivationTrace(source, tuple(steps), mode, v)
     return None
 
 
 def check_step(
-    trs: TRS, source: Term, step: Step, mode: RelationMode, normal: set[int] | None = None
-) -> bool:
-    """Replay one step: it must be one of the steps ``mode`` allows at its
-    position, so its substitution is the matcher of its rule there.
-    ``normal`` is as for ``is_nr_normal_form``."""
+    trs: TRS, source: Term, step: Step, mode: RelationMode, normal: dict[int, App] | None = None
+) -> Term | None:
+    """Replay one step: the result, if the step is one of the steps ``mode``
+    allows at its position in ``source`` (its rule one of ``trs``'s that
+    match there, its substitution their matcher), else None.  ``normal`` is
+    as for ``is_nr_normal_form``."""
     try:
-        return step in _steps_at(trs, source, step.position, mode, normal)
+        path, sub = _split_at(source, step.position)
     except InvalidPositionError:
-        return False
+        return None
+    if sub.__class__ is App and _may_fire(
+        mode, not step.position, lambda: not is_nr_normal_form(trs, sub, normal)
+    ):
+        given = step.substitution
+        for rule, sigma in _matches(trs, sub):
+            if rule == step.rule and sigma == given:
+                # The result holds the step's own bindings, so that a later step
+                # that binds them again compares them by identity; those equal to
+                # a node found normal are known normal too.
+                if normal is not None:
+                    for var, value in sigma.items():
+                        if id(value) in normal:
+                            normal[id(given.get(var))] = given.get(var)
+                return _plug(path, given.apply(rule.rhs))
+    return None
 
 
 def check_trace(trs: TRS, trace: DerivationTrace) -> bool:
-    """Replay a whole trace under its recorded mode.  The nodes found normal
-    stay known for the steps after, so an innermost replay walks the normal
-    part below each redex only where the step before built it."""
-    normal: set[int] = set()  # the trace keeps these nodes alive
+    """Replay a whole trace under its recorded mode, then compare the term
+    it reaches with its ``end``.  The nodes found normal stay known for the
+    steps after, so an innermost replay walks the normal part below each
+    redex only where the step before built it."""
+    normal: dict[int, App] = {}
     current = trace.start
     for step in trace.steps:
-        if not check_step(trs, current, step, trace.mode, normal):
+        current = check_step(trs, current, step, trace.mode, normal)
+        if current is None:
             return False
-        current = step.result
-    return True
+    return current == trace.end
 
 
 def embed_trace(context: Term, pos: Position, trace: DerivationTrace) -> DerivationTrace:
@@ -527,11 +597,8 @@ def embed_trace(context: Term, pos: Position, trace: DerivationTrace) -> Derivat
 
     Validity under the same mode is preserved because both the matching and
     the innermost side condition only look at the redex subterm, which the
-    embedding does not change.
+    embedding does not change.  Only the start and the end are plugged.
     """
     path, _ = _split_at(context, pos)
-    steps = tuple(
-        Step(pos + s.position, s.rule_index, s.substitution, _plug(path, s.result))
-        for s in trace.steps
-    )
-    return DerivationTrace(_plug(path, trace.start), steps, trace.mode)
+    steps = tuple(Step(pos + s.position, s.rule, s.substitution) for s in trace.steps)
+    return DerivationTrace(_plug(path, trace.start), steps, trace.mode, _plug(path, trace.end))

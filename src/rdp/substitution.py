@@ -27,22 +27,26 @@ class Substitution:
         get = self._map.get
         if term.__class__ is not App:
             return get(term, term)
-        # Applications being rebuilt, innermost last: (node, arguments built so far).
-        stack: list[tuple[App, list[Term]]] = [(term, [])]
+        # The applications above the one being rebuilt: (node, its arguments
+        # still to visit, those built so far).
+        stack: list[tuple[App, Iterator[Term], list[Term]]] = []
+        node, todo, built = term, iter(term.args), []
         while True:
-            node, built = stack[-1]
-            if len(built) < len(node.args):
-                arg = node.args[len(built)]
-                if arg.__class__ is App and arg.args:
-                    stack.append((arg, []))
+            for arg in todo:
+                if arg.__class__ is not App:
+                    built.append(get(arg, arg))
+                elif arg.args:  # rebuild it first, then come back to the rest of todo
+                    stack.append((node, todo, built))
+                    node, todo, built = arg, iter(arg.args), []
+                    break
                 else:
-                    built.append(get(arg, arg) if arg.__class__ is Var else arg)
-                continue
-            stack.pop()
-            result = App(node.sym, tuple(built))
-            if not stack:
-                return result
-            stack[-1][1].append(result)
+                    built.append(arg)
+            else:
+                result = App(node.sym, tuple(built))
+                if not stack:
+                    return result
+                node, todo, built = stack.pop()
+                built.append(result)
 
     def get(self, var: Var) -> Term:
         return self._map.get(var, var)

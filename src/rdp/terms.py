@@ -13,7 +13,8 @@ position and returns its path, ``_plug`` rebuilds around one; none recurses.
 
 ``_write_shared`` prints on an explicit stack every term rdp shows but one
 ``normalize`` field, copying the nodes whose text the caller has, by ``id``.
-``formats.trace_to_json`` splices a trace's terms with it and ``_size``.
+``formats.trace_to_json`` splices each step's contractum with it into the
+text before, placed by ``_size``.
 """
 
 from __future__ import annotations
@@ -345,17 +346,46 @@ def _write_shared(term: Term, known: dict[int, str]) -> str:
     return "".join(out)
 
 
-def _size(node: Term, sizes: dict[int, int]) -> int:
+def _pieces(term: Term) -> list:
+    """``term``'s text as ``_write_shared`` writes it, in pieces: strings, and
+    each variable occurrence left as the variable, for a caller that puts a
+    text in its place."""
+    pieces: list = []
+    part: list[str] = []
+    todo: list = [term]  # as in _write_shared
+    while todo:
+        node = todo.pop()
+        cls = node.__class__
+        if cls is str:
+            part.append(node)
+        elif cls is Var:
+            pieces += ["".join(part), node]
+            part = []
+        elif node.args:
+            part += (node.sym.name, "(")
+            rest = [","] * (2 * len(node.args) - 1)
+            rest[::2] = node.args[::-1]
+            todo += [")", *rest]
+        else:
+            part.append(node.sym.name)
+    pieces.append("".join(part))
+    return pieces
+
+
+def _size(node: Term, sizes: dict[int, int], keep: list[Term]) -> int:
     """The length of ``node``'s text, kept in ``sizes`` by ``id`` for each
     node with arguments it computes; a pass bottom-up that stops at nodes
     already kept, as ``App.__hash__`` does: a node that waits for its
-    arguments is summed again once they are kept."""
+    arguments is summed again once they are kept.  Every node it adds is
+    ``node`` or below it, and ``node`` goes into ``keep``, which holds them
+    alive, so no id in ``sizes`` is reused while ``keep`` lives."""
     if node.__class__ is Var:
         return len(node.name)
     if not node.args:
         return len(node.sym.name)
     size = sizes.get(id(node))
     if size is None:
+        keep.append(node)
         stack = [node]
         while stack:
             top = stack[-1]

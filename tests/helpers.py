@@ -350,7 +350,8 @@ def random_pvs0_program(rng: random.Random) -> Pvs0Program:
 # into the ParseError the readers they were replaced by raise.
 # ``oracle_node_repr`` restates the dataclass-generated ``repr`` of PVS0
 # nodes, which recursed once per level.  ``oracle_trace_to_json`` prints
-# every term of a trace whole with the recursive ``term_to_str``.
+# every term of a trace whole with the recursive ``term_to_str``, each
+# replayed by recursion (``oracle_replay``) from the step's rule and σ.
 
 
 def _depth_is_bad_input(parse: Callable) -> Callable:
@@ -362,6 +363,16 @@ def _depth_is_bad_input(parse: Callable) -> Callable:
         except RecursionError:
             raise ParseError("nested too deeply to read") from None
     return guarded
+
+
+def oracle_replay(trace: DerivationTrace) -> list[Term]:
+    """Every term of ``trace``, each step's result rebuilt by recursion from
+    the term before, its rule and its substitution."""
+    out = [trace.start]
+    for step in trace.steps:
+        contractum = oracle_apply(step.substitution, step.rule.rhs)
+        out.append(oracle_replace_at(out[-1], step.position, contractum))
+    return out
 
 
 def oracle_trace_to_json(trace: DerivationTrace) -> dict:
@@ -376,9 +387,9 @@ def oracle_trace_to_json(trace: DerivationTrace) -> dict:
                     v.name: term_to_str(t)
                     for v, t in sorted(step.substitution.items(), key=lambda vt: vt[0].name)
                 },
-                "term": term_to_str(step.result),
+                "term": term_to_str(result),
             }
-            for step in trace.steps
+            for step, result in zip(trace.steps, oracle_replay(trace)[1:])
         ],
     }
 
@@ -420,8 +431,11 @@ def oracle_replace_at(term: Term, pos: Position, replacement: Term) -> Term:
     return App(term.sym, new_args)
 
 
-def oracle_iter_successors(trs: TRS, term: Term, mode: RelationMode) -> Iterator[Step]:
-    """One-step reducts under ``mode``, ordered by (position pre-order, rule index)."""
+def oracle_iter_successors(
+    trs: TRS, term: Term, mode: RelationMode
+) -> Iterator[tuple[Step, Term]]:
+    """One-step reducts under ``mode`` as ``(step, result)``, ordered by
+    (position pre-order, rule index)."""
     for pos in positions_of(term):
         if mode.non_root and pos == ():
             continue
@@ -434,12 +448,11 @@ def oracle_iter_successors(trs: TRS, term: Term, mode: RelationMode) -> Iterator
             sigma = match(rule.lhs, sub)
             if sigma is None:
                 continue
-            result = oracle_replace_at(term, pos, sigma.apply(rule.rhs))
-            yield Step(pos, rule.index, sigma, result)
+            yield Step(pos, rule, sigma), oracle_replace_at(term, pos, sigma.apply(rule.rhs))
 
 
 def oracle_successors(trs: TRS, term: Term, mode: RelationMode) -> list[Step]:
-    return list(oracle_iter_successors(trs, term, mode))
+    return [step for step, _ in oracle_iter_successors(trs, term, mode)]
 
 
 def oracle_reduce_at(
@@ -456,25 +469,42 @@ def oracle_reduce_at(
     for rule in trs.rules:
         sigma = match(rule.lhs, sub)
         if sigma is not None:
-            result = oracle_replace_at(term, pos, sigma.apply(rule.rhs))
-            return Step(pos, rule.index, sigma, result)
+            return Step(pos, rule, sigma)
     return None
 
 
-def oracle_check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> bool:
-    """Replay one step: position, rule, substitution, side condition, result."""
+def oracle_check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> Term | None:
+    """Replay one step: position, rule, substitution, side condition; the
+    result, or None."""
     try:
         frames, sub = _split_at(source, step.position)
     except InvalidPositionError:
-        return False
-    if not 0 <= step.rule_index < len(trs.rules):
-        return False
+        return None
+    if not 0 <= step.rule_index < len(trs.rules) or trs.rules[step.rule_index] != step.rule:
+        return None
     if not _may_fire(mode, not step.position, lambda: not is_nr_normal_form(trs, sub)):
-        return False
+        return None
     rule = trs.rules[step.rule_index]
     if step.substitution.apply(rule.lhs) != sub:
-        return False
-    return _plug(frames, step.substitution.apply(rule.rhs)) == step.result
+        return None
+    return _plug(frames, step.substitution.apply(rule.rhs))
+
+
+def oracle_leftmost(
+    trs: TRS, term: Term, mode: RelationMode, fuel: int = DEFAULT_FUEL
+) -> tuple[list[Step], list[Term], bool]:
+    """The leftmost-lowest derivation for at most ``fuel`` steps, rescanning
+    each term from the root: its steps, its terms, and whether a step was
+    left to take at the last."""
+    steps: list[Step] = []
+    terms = [term]
+    for _ in range(max(fuel, 0)):
+        found = next(oracle_iter_successors(trs, terms[-1], mode), None)
+        if found is None:
+            return steps, terms, False
+        steps.append(found[0])
+        terms.append(found[1])
+    return steps, terms, next(oracle_iter_successors(trs, terms[-1], mode), None) is not None
 
 
 def oracle_normalize(
@@ -485,17 +515,11 @@ def oracle_normalize(
     Each step consumes one unit of fuel; raises FuelExhausted (carrying the
     partial trace) if no normal form is reached within ``fuel`` steps.
     """
-    steps: list[Step] = []
-    current = term
-    for _ in range(max(fuel, 0)):
-        step = next(oracle_iter_successors(trs, current, mode), None)
-        if step is None:
-            return DerivationTrace(term, tuple(steps), mode)
-        steps.append(step)
-        current = step.result
-    if next(oracle_iter_successors(trs, current, mode), None) is None:
-        return DerivationTrace(term, tuple(steps), mode)
-    raise FuelExhausted(DerivationTrace(term, tuple(steps), mode))
+    steps, terms, more = oracle_leftmost(trs, term, mode, fuel)
+    trace = DerivationTrace(term, tuple(steps), mode, terms[-1])
+    if more:
+        raise FuelExhausted(trace)
+    return trace
 
 
 def oracle_derives(
@@ -511,14 +535,13 @@ def oracle_derives(
     None means not found within fuel, never unreachability.
     """
     if source == target:
-        return DerivationTrace(source, (), mode)
+        return DerivationTrace(source, (), mode, source)
     parent: dict[Term, tuple[Term, Step]] = {}
     visited: set[Term] = {source}
     queue: deque[Term] = deque([source])
     while queue:
         u = queue.popleft()
-        for step in oracle_iter_successors(trs, u, mode):
-            v = step.result
+        for step, v in oracle_iter_successors(trs, u, mode):
             if v in visited:
                 continue
             if len(visited) >= fuel:
@@ -532,7 +555,7 @@ def oracle_derives(
                     node, st = parent[node]
                     steps.append(st)
                 steps.reverse()
-                return DerivationTrace(source, tuple(steps), mode)
+                return DerivationTrace(source, tuple(steps), mode, v)
             queue.append(v)
     return None
 
@@ -550,8 +573,7 @@ def oracle_descendants(
     truncated = False
     while queue:
         u = queue.popleft()
-        for step in oracle_iter_successors(trs, u, mode):
-            v = step.result
+        for _, v in oracle_iter_successors(trs, u, mode):
             if v in visited:
                 continue
             if len(visited) >= fuel:
@@ -571,7 +593,7 @@ def explored(
     refused = False
     for u, tagged in explore(trs, start, mode, fuel):
         reached.append(u)
-        refused = refused or any(fresh is None for _, fresh in tagged)
+        refused = refused or any(fresh is None for _, _, fresh in tagged)
     return frozenset(reached), refused
 
 
@@ -585,14 +607,13 @@ def oracle_detect_innermost_loop(
     means no cycle was found within fuel, and in particular nonterminating
     systems whose terms grow forever are never caught.
     """
-    edges: dict[Term, list[Step]] = {}
+    edges: dict[Term, list[tuple[Step, Term]]] = {}
     admitted: set[Term] = {term}
     queue: deque[Term] = deque([term])
     while queue:
         u = queue.popleft()
-        edges[u] = oracle_successors(trs, u, RelationMode.INNERMOST)
-        for step in edges[u]:
-            v = step.result
+        edges[u] = list(oracle_iter_successors(trs, u, RelationMode.INNERMOST))
+        for _, v in edges[u]:
             if v not in admitted and len(admitted) < fuel:
                 admitted.add(v)
                 queue.append(v)
@@ -607,21 +628,20 @@ def oracle_detect_innermost_loop(
         color[root] = GRAY
         while stack:
             node, it = stack[-1]
-            step = next(it, None)  # type: ignore[call-overload]
+            step, v = next(it, (None, None))  # type: ignore[call-overload]
             if step is None:
                 color[node] = BLACK
                 stack.pop()
                 if path_steps:
                     path_steps.pop()
                 continue
-            v = step.result
             if v not in edges:
                 continue
             if color[v] == GRAY:
                 cycle_from = next(i for i, (n, _) in enumerate(stack) if n == v)
                 steps = tuple(path_steps[cycle_from:]) + (step,)
                 return LoopCertificate(
-                    DerivationTrace(v, steps, RelationMode.INNERMOST)
+                    DerivationTrace(v, steps, RelationMode.INNERMOST, v)
                 )
             if color[v] == WHITE:
                 color[v] = GRAY

@@ -49,6 +49,7 @@ from rdp import (
     verify_chain_prefix,
 )
 from rdp.cli import run_command
+from rdp.rewriting import iter_successors
 
 from helpers import (
     G2,
@@ -146,11 +147,9 @@ def _connected_derivation(trs, witness, fuel=2000) -> bool:
             return False
         if not check_trace(trs, trace):
             return False
-        current = trace.start
-        for step in trace.steps:
+        for current, step in zip(trace.terms(), trace.steps):
             if step.position not in positions_of(current):
                 return False
-            current = step.result
         if i + 1 < len(links) and links[i + 1][0] != trace.end:
             return False
     return True
@@ -269,6 +268,7 @@ def test_05_relation_algebra():
         trs, term, const_apps, funcs = _random_instance(rng)
         instances += 1
         full = successors(trs, term, RelationMode.FULL)
+        non_root_results = [v for _, v in iter_successors(trs, term, RelationMode.NON_ROOT)]
         inner = successors(trs, term, RelationMode.INNERMOST)
         non_root = successors(trs, term, RelationMode.NON_ROOT)
         nri = successors(trs, term, RelationMode.NON_ROOT_INNERMOST)
@@ -278,8 +278,8 @@ def test_05_relation_algebra():
         for step in inner:
             check(is_nr_normal_form(trs, subterm_at(term, step.position)))
         if isinstance(term, App):
-            for step in non_root:
-                check(isinstance(step.result, App) and step.result.sym == term.sym)
+            for result in non_root_results:
+                check(isinstance(result, App) and result.sym == term.sym)
 
         all_positions = positions_of(term)
         for pos in all_positions:

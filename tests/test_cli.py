@@ -190,7 +190,7 @@ def test_a_deep_normal_form_prints(
 def test_a_long_derivation_normalizes(capsys, ack_trs_path, mode):
     """a(3,4) takes 10,307 steps in innermost and in full mode.  Each
     command pauses the cyclic collector, which would otherwise walk every
-    term the trace keeps alive again and again."""
+    step and node the derivation keeps alive again and again."""
     code, report = run_json(
         capsys,
         ["normalize", ack_trs_path, "--term", "a(s(s(s(0))),s(s(s(s(0)))))",
@@ -247,33 +247,42 @@ A_3_3 = "a(s(s(s(0))),s(s(s(0))))"
 
 
 @pytest.mark.parametrize(
-    "system, argv, digest",
+    "system, argv, exit_code, digest",
     [
-        ("ack", ["normalize", "--term", A_3_3, "--mode", "innermost"],
+        ("ack", ["normalize", "--term", A_3_3, "--mode", "innermost"], 0,
          "44c5c40e69b8d6ee23f494a047ebdf7d068c62e2e9fe5cc5cabff92254b8de96"),
-        ("ack", ["normalize", "--term", A_3_3, "--mode", "full"],
+        ("ack", ["normalize", "--term", A_3_3, "--mode", "full"], 0,
          "e2b487b4fc1c6abe274d66bea606ebcb8e82ae6c3627b1053be9b6e460c27c29"),
+        ("ack", ["normalize", "--term", A_3_3, "--mode", "non-root"], 0,
+         "9c3d0b45c1aafc0b911158bb73b18384da6ee0114717f733779238c479600c52"),
+        ("ack", ["normalize", "--term", A_3_3, "--mode", "non-root-innermost"], 0,
+         "e3c7ee96885fdcdaa6adfc18f1f01f475446b9606e11524f4dddbac7dec8d6da"),
+        ("ack", ["normalize", "--term", A_3_3, "--mode", "innermost", "--fuel", "2000"], 1,
+         "461c3b92e817ae83f21aa7c2dd3ce65f332ae751b84866dd48b94be2d9ffdef0"),
         ("grow", ["reach", "--from", "g(x)", "--to", "g(" + "s(" * 400 + "x" + ")" * 401,
-                  "--fuel", "500"],
+                  "--fuel", "500"], 0,
          "d08e19f21d67022068209f03b8410a3f4b4dbd7e511049076f16a6961698a5c4"),
-        ("detour", ["loop", "--term", "f(fork)"],
+        ("detour", ["loop", "--term", "f(fork)"], 0,
          "c62d8094a47542255ff7be53c515a3cb05859b4034c020f95d34c00523383995"),
-        ("detour", ["loop-chain", "--term", "f(fork)", "--length", "3"],
+        ("detour", ["loop-chain", "--term", "f(fork)", "--length", "3"], 0,
          "3ca3a810756e51656d6c87e4efd7d0cb23af899ebdb8d9296743fe5739efb960"),
     ],
-    ids=["normalize-innermost", "normalize-full", "reach-400", "loop", "loop-chain"],
+    ids=["normalize-innermost", "normalize-full", "normalize-non-root",
+         "normalize-non-root-innermost", "normalize-fuel-exhausted", "reach-400", "loop",
+         "loop-chain"],
 )
 def test_a_pinned_report_prints_the_same_bytes(
-    capsys, tmp_path, monkeypatch, ack_trs_path, grow_trs_path, system, argv, digest
+    capsys, tmp_path, monkeypatch, ack_trs_path, grow_trs_path, system, argv, exit_code, digest
 ):
-    """The sha256 of five ``--json`` reports, the ones CI pins, so that a
-    printer change that moves a byte fails here too."""
+    """The sha256 of eight ``--json`` reports, so that a printer or walk
+    change that moves a byte fails here: among them the normalize walk in
+    all four modes and on its fuel-exhausted path, whose exit code is 1."""
     monkeypatch.delenv("RDP_FUEL", raising=False)
     (tmp_path / "detour.trs").write_text(DETOUR_TRS)
     path = {"ack": ack_trs_path, "grow": grow_trs_path, "detour": str(tmp_path / "detour.trs")}
     code = run_command([argv[0], path[system], *argv[1:], "--json"])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

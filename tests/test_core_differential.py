@@ -2,11 +2,13 @@
 
 Every mode, every system, every position: successor lists, single-position
 reduction, the normal-form predicates, normalization traces (complete or
-cut off by fuel) and step replay, on honest and on tampered steps, must be
-exactly the ones the original definitions produce.
+cut off by fuel), the terms they replay to and their printed form, and step
+replay, on honest and on tampered steps, must be exactly the ones the
+original definitions produce.
 """
 
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from rdp import (
     FuelExhausted,
     RelationMode,
+    Rule,
     Step,
     Substitution,
     check_step,
@@ -28,6 +31,7 @@ from rdp import (
     successors,
     trace_to_json,
 )
+from rdp.rewriting import iter_successors
 
 from helpers import (
     C0,
@@ -40,6 +44,7 @@ from helpers import (
     ack_system,
     ack_terms,
     ap,
+    detour_system,
     dup_system,
     eq_system,
     explored,
@@ -54,6 +59,8 @@ from helpers import (
     oracle_derives,
     oracle_descendants,
     oracle_is_nr_normal_form,
+    oracle_iter_successors,
+    oracle_leftmost,
     oracle_normalize,
     oracle_reduce_at,
     oracle_successors,
@@ -91,8 +98,7 @@ def _eq_after_a_step(draw, trs, terms):
     step, as eq(eq(s(one),c), eq(s(s(0)),c)): once the walk takes that
     step, eq(x,x) matches high above it through its repeated variable."""
     u = draw(terms)
-    steps = oracle_successors(trs, u, RelationMode.FULL)
-    v = steps[0].result if steps else u
+    _, v = next(oracle_iter_successors(trs, u, RelationMode.FULL), (None, u))
     inner, outer = draw(terms), draw(terms)
     hole = draw(st.sampled_from(positions_of(inner)))
     pair = ap(EQ2, replace_at(inner, hole, u), replace_at(inner, hole, v))
@@ -133,8 +139,8 @@ def test_successor_core_matches_oracle(name, data):
     trs, terms = SYSTEMS[name]
     term = data.draw(terms)
     _assert_core_agrees(trs, term)
-    for step in successors(trs, term, RelationMode.FULL):
-        _assert_core_agrees(trs, step.result)
+    for _, result in iter_successors(trs, term, RelationMode.FULL):
+        _assert_core_agrees(trs, result)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -148,9 +154,9 @@ def test_nr_normal_form_matches_oracle_on_shared_terms(name, data):
     term = data.draw(terms)
     for mode in MODES:
         trace = _normalize_outcome(normalize, trs, term, mode, max(FUELS.get(name, range(11))))[1]
-        for step in trace.steps:
+        for step, result in zip(trace.steps, islice(trace.terms(), 1, None)):
             for depth in range(len(step.position) + 1):
-                sub = subterm_at(step.result, step.position[:depth])
+                sub = subterm_at(result, step.position[:depth])
                 assert is_nr_normal_form(trs, sub) == oracle_is_nr_normal_form(trs, sub)
         assert is_nr_normal_form(trs, term) == oracle_is_nr_normal_form(trs, term)
 
@@ -161,6 +167,33 @@ def test_nr_normal_form_matches_oracle_on_shared_terms(name, data):
 def test_normalize_matches_oracle_at_every_fuel(name, data):
     trs, terms = SYSTEMS[name]
     _assert_normalize_agrees(trs, data.draw(terms), FUELS.get(name, range(11)))
+
+
+# The walk and the printer against the oracles: ``detour`` besides the
+# systems above, and fuel up to 12, where outermost hg output has grown
+# about 7x per two fuel.  Derandomized, so that its time is fixed: drawn hg
+# terms alone took 1 to 9 s over six seeds at 30 examples.
+REPLAYED = {name: SYSTEMS[name] for name in ("ack", "hg", "dup", "eq", "nest")}
+REPLAYED["detour"] = (detour_system(), terms_over(detour_system().signature.symbols))
+
+
+@pytest.mark.parametrize("name", sorted(REPLAYED))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), fuel=st.integers(min_value=0, max_value=12))
+def test_the_walk_replays_and_prints_as_the_oracles(name, data, fuel):
+    """``normalize``'s zipper walk against the walk that rescans each term
+    from the root, in every mode: the same steps, end and fuel exhaustion;
+    the trace replays to the oracle's terms; and it prints as the recursive
+    printer prints each replayed term."""
+    trs, terms = REPLAYED[name]
+    term = data.draw(terms)
+    for mode in MODES:
+        outcome, trace = _normalize_outcome(normalize, trs, term, mode, fuel)
+        steps, reached, more = oracle_leftmost(trs, term, mode, fuel)
+        assert outcome == ("fuel-exhausted" if more else "normalized"), mode
+        assert (trace.steps, trace.end) == (tuple(steps), reached[-1]), mode
+        assert list(trace.terms()) == reached, mode
+        assert trace_to_json(trace) == oracle_trace_to_json(trace), mode
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -223,15 +256,19 @@ def test_ackermann_normal_forms_match_oracle(start):
 
 
 def _tampered(trs, source, step):
-    """The step, then copies with its rule, position, result or substitution
-    changed; a changed substitution binds only variables the step's own one
-    binds, since an extra binding is the one case where replay got stricter."""
+    """The step, then copies with its rule, position or substitution changed:
+    each rule of the system, and rules of another system that carry the
+    step's index or one the system lacks.  A changed substitution binds only
+    variables the step's own one binds, since an extra binding is the one
+    case where replay got stricter.  A step carries no result to change."""
     yield step
-    for index in range(-1, len(trs.rules) + 1):
-        yield replace(step, rule_index=index)
+    for rule in trs.rules:
+        yield replace(step, rule=rule)
+        yield replace(step, rule=Rule(rule.lhs, rule.rhs, step.rule_index))
+    for index in (-1, len(trs.rules)):
+        yield replace(step, rule=Rule(step.rule.lhs, step.rule.rhs, index))
     for pos in ((), step.position[:-1], step.position + (1,), step.position + (2,), (9,)):
         yield replace(step, position=pos)
-    yield replace(step, result=source)
     bindings = dict(step.substitution.items())
     for var in bindings:
         yield replace(step, substitution=Substitution({**bindings, var: ap(C0)}))
@@ -272,10 +309,10 @@ def test_check_step_rejects_a_substitution_binding_outside_the_lhs():
     only when its substitution is the matcher, so an extra binding, which
     changes neither the instantiated lhs nor the result, is refused."""
     trs = loop_system()
-    honest = Step((), 0, Substitution({X: ap(C0)}), fc())
+    honest = Step((), trs.rules[0], Substitution({X: ap(C0)}))
     padded = replace(honest, substitution=Substitution({X: ap(C0), Y: ap(F1, ap(C0))}))
     for mode in (RelationMode.FULL, RelationMode.INNERMOST):
-        assert check_step(trs, fc(), honest, mode)
-        assert oracle_check_step(trs, fc(), honest, mode)
-        assert oracle_check_step(trs, fc(), padded, mode)
-        assert not check_step(trs, fc(), padded, mode)
+        assert check_step(trs, fc(), honest, mode) == fc()
+        assert oracle_check_step(trs, fc(), honest, mode) == fc()
+        assert oracle_check_step(trs, fc(), padded, mode) == fc()
+        assert check_step(trs, fc(), padded, mode) is None

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -357,26 +358,15 @@ def test_derivation_from_chain_requires_verified_witness():
 
 
 def test_loop_certificate_shape_is_enforced():
-    good = DerivationTrace(
-        fc(), (Step((), 0, sub(x=ap(C0)), fc()),), RelationMode.INNERMOST
-    )
+    rule = loop_system().rules[0]
+    good = DerivationTrace(fc(), (Step((), rule, sub(x=ap(C0))),), RelationMode.INNERMOST, fc())
     LoopCertificate(good)
     with pytest.raises(ValueError):
-        LoopCertificate(DerivationTrace(fc(), (), RelationMode.INNERMOST))
+        LoopCertificate(DerivationTrace(fc(), (), RelationMode.INNERMOST, fc()))
     with pytest.raises(ValueError):
-        LoopCertificate(
-            DerivationTrace(
-                fc(), (Step((), 0, sub(x=ap(C0)), fc()),), RelationMode.FULL
-            )
-        )
+        LoopCertificate(replace(good, mode=RelationMode.FULL))
     with pytest.raises(ValueError):
-        LoopCertificate(
-            DerivationTrace(
-                ap(LOOP1, ap(C0)),
-                (Step((), 0, sub(), fc()),),
-                RelationMode.INNERMOST,
-            )
-        )
+        LoopCertificate(replace(good, start=ap(LOOP1, ap(C0)), steps=(Step((), rule, sub()),)))
 
 
 def test_detect_innermost_loop_self_loop():
@@ -546,9 +536,7 @@ def test_chain_from_loop_rejects_bad_arguments():
     with pytest.raises(ValueError):
         chain_from_loop(trs, cert, 0, 100)
     forged = LoopCertificate(
-        DerivationTrace(
-            fc(), (Step((), 0, Substitution(), fc()),), RelationMode.INNERMOST
-        )
+        DerivationTrace(fc(), (Step((), trs.rules[0], Substitution()),), RelationMode.INNERMOST, fc())
     )
     with pytest.raises(PreconditionFailed, match="does-not-replay"):
         chain_from_loop(trs, forged, 2, 100)

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import threading
 import tracemalloc
@@ -38,6 +39,10 @@ from rdp import (
     parse_trace,
     parse_trs,
     parse_value,
+    positions_of,
+    replace_at,
+    subterm_at,
+    successors,
     term_to_str,
     trace_to_json,
     trs_of,
@@ -45,6 +50,7 @@ from rdp import (
     witness_to_json,
 )
 from rdp import formats, terms
+from rdp.terms import InvalidPositionError
 from rdp.formats import parse_substitution, pvs0_expr_to_str, substitution_to_json
 from rdp.rewriting import TRS
 
@@ -489,9 +495,11 @@ def test_a_trace_of_any_depth_prints():
 
 def test_a_trace_step_writes_only_the_nodes_it_builds(monkeypatch):
     """Each step of g(x) -> g(s(x)) builds g and s over the previous argument,
-    so it writes those two symbol by symbol and copies its σ as text already
-    printed; under h(_, s^50(0)) the step is spliced into the text before,
-    so neither the rebuilt h nor the numeral beside it is written again."""
+    and writes them from the text of the rule's right-hand side around its σ
+    binding, copied as text already printed: after the start, no node is
+    written symbol by symbol.  Under h(_, s^50(0)) the step is spliced into
+    the text before, so neither the rebuilt h nor the numeral beside it is
+    written again."""
     written = []
 
     def counting(term, known):
@@ -507,13 +515,13 @@ def test_a_trace_step_writes_only_the_nodes_it_builds(monkeypatch):
     write = terms._write_shared
     monkeypatch.setattr(terms, "_write_shared", counting)
     monkeypatch.setattr(formats, "_write_shared", counting)
-    # (start, applications in it, applications each step writes)
-    for start, size, built in ((ap(G1, X), 1, 2), (ap(H2, ap(G1, X), nat(50)), 52, 2)):
+    # (start, applications in it)
+    for start, size in ((ap(G1, X), 1), (ap(H2, ap(G1, X), nat(50)), 52)):
         written.clear()
         trace = _trace(grow_system(), start, RelationMode.INNERMOST, 300)
         assert trace_to_json(trace) == oracle_trace_to_json(trace)
-        # every σ binding is copied; one call per step writes its contractum
-        assert [count for count in written if count] == [size] + [built] * 300
+        # the start is written whole, and no step writes a node
+        assert [count for count in written if count] == [size]
 
 
 def _oracle_deep(trace):
@@ -534,65 +542,110 @@ def _oracle_deep(trace):
 
 
 def test_the_printer_writes_whole_the_steps_it_cannot_splice():
-    """A step is spliced into the text before only when its result is the
-    term before rewritten at its position by identity; every other step,
-    and every edge of the splice, prints as the recursive printer does."""
+    """Every step prints as the recursive printer prints its replayed term.
+    A σ binding equal to the redex's subterm at its variable is copied from
+    the text before; a step whose rule does not match at its position,
+    whose σ is not the matcher, or whose binding lies outside the redex
+    writes the rest whole; a position the term lacks raises, naming the
+    step, as the replay does."""
     trs = ack_system()
+    zero, succ, rec = trs.rules
     start = ack(nat(1), ack(nat(0), nat(2)))
     inner = ack(nat(0), nat(2))
     sigma = Substitution({Y: nat(2)})
     cases = {}
-    # read back, a trace shares no node between its steps
+    # read back, a trace shares no node with the one it was printed from
     data = trace_to_json(normalize(trs, start, RelationMode.INNERMOST))
     cases["parsed"] = parse_trace(json.loads(json.dumps(data)), trs)
-    # a result that also changes the argument off the step's position
-    cases["off-position"] = DerivationTrace(
-        start, (Step((2,), 0, sigma, ack(nat(2), nat(3))),), RelationMode.INNERMOST
+    # a rule that does not match at the position: its σ binds no subterm there
+    cases["no-match"] = DerivationTrace(
+        start, (Step((2,), rec, Substitution({X: nat(4), Y: nat(1)})),), RelationMode.FULL, start
     )
-    # the argument off the position equal to the one before, but another object
-    cases["equal-off-position"] = DerivationTrace(
-        start, (Step((2,), 0, sigma, ack(nat(1), nat(3))),), RelationMode.INNERMOST
+    # the rule matches, but σ is not its matcher there
+    cases["not-the-matcher"] = DerivationTrace(
+        start, (Step((2,), zero, Substitution({Y: nat(3)})),), RelationMode.FULL, start
     )
-    # the symbol above the position equal to the one before, but another object
-    cases["equal-symbol"] = DerivationTrace(
-        start,
-        (Step((2,), 0, sigma, App(Symbol("a", 2), (start.args[0], nat(3)))),),
-        RelationMode.INNERMOST,
+    # the matcher's binding, equal to the redex's subterm but another object
+    cases["equal-binding"] = DerivationTrace(
+        start, (Step((2,), zero, sigma),), RelationMode.INNERMOST, start
     )
-    # a position that leaves the term before, and one that is not 1-based
-    cases["bad-position"] = DerivationTrace(
-        start,
-        (Step((2, 1, 1), 0, sigma, start), Step((0,), 0, sigma, start)),
-        RelationMode.FULL,
-    )
-    # a σ binding no subterm of the redex is: it is written whole
+    # a σ binding for a variable the lhs lacks: it is written whole
     foreign = Substitution({X: ack(nat(3), nat(3)), Y: inner.args[1]})
     cases["foreign-binding"] = DerivationTrace(
-        start, (Step((2,), 0, foreign, App(A2, (start.args[0], nat(3)))),), RelationMode.FULL
+        start, (Step((2,), zero, foreign),), RelationMode.FULL, start
     )
-    # root steps, the first of a trace among them, and steps that go up and down
-    # three steps at one position tuple object: the second is written whole,
-    # and the third is spliced into its text
+    # steps that go up and down, three of them at one position tuple object
     at, deep = (2, 2), ack(nat(1), ack(nat(0), inner))
-    one = ack(deep.args[0], ack(deep.args[1].args[0], nat(3)))
-    two = ack(nat(1), ack(nat(0), nat(4)))
-    three = ack(two.args[0], ack(two.args[1].args[0], nat(5)))
     cases["shared-position"] = DerivationTrace(
-        deep, tuple(Step(at, 0, sigma, t) for t in (one, two, three)), RelationMode.FULL
+        deep, tuple(Step(at, zero, s) for s in (sigma, Substitution({Y: nat(3)}), sigma)),
+        RelationMode.FULL, deep,
     )
+    cases["up-and-down"] = DerivationTrace(
+        deep,
+        tuple(Step(p, zero, sigma) for p in ((2, 2), (2,), (2, 1, 1), (1,), (2, 1, 1, 1), ())),
+        RelationMode.FULL, deep,
+    )
+    # root steps, the first of a trace among them
     cases["root"] = normalize(trs, ack(nat(1), nat(1)), RelationMode.FULL)
     cases["shared-root"] = _trace(hg_system(), ap(H2, X, X), RelationMode.FULL, 6)
     for name, trace in cases.items():
         assert trace_to_json(trace) == oracle_trace_to_json(trace), name
-    # The oracle prints each step on its own, in time quadratic in the length
-    # here (80 s for all 5,000 steps), so every 250th step and the last stand in.
+    # a position that leaves the term before, and one that is not 1-based
+    for bad in ((2, 1, 1, 1, 1), (0,)):
+        trace = DerivationTrace(start, (Step((2,), zero, sigma), Step(bad, zero, sigma)),
+                                RelationMode.FULL, start)
+        with pytest.raises(InvalidPositionError, match="^trace step 1: position"):
+            trace_to_json(trace)
+        with pytest.raises(InvalidPositionError):
+            oracle_trace_to_json(trace)
+    # The oracle prints each term on its own, in time quadratic in the length
+    # here (80 s for all 5,000 steps), so the steps after every 250th term and
+    # after the last but one stand in, each printed from the term before.
     trace = _trace(grow_system(), ap(G1, X), RelationMode.FULL, 5000)
     printed = trace_to_json(trace)
     picked = [*range(0, 5000, 250), 4999]
-    sample = DerivationTrace(trace.start, tuple(trace.steps[k] for k in picked), trace.mode)
-    want = _oracle_deep(sample)
-    assert printed["start"] == want["start"]
-    assert [printed["steps"][k] for k in picked] == want["steps"]
+    terms = list(trace.terms())
+    for k in picked:
+        want = _oracle_deep(DerivationTrace(terms[k], trace.steps[k : k + 1], trace.mode, terms[k + 1]))
+        assert printed["steps"][k] == want["steps"][0]
+    assert printed["start"] == "g(x)"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_trace_prints_as_its_replay_and_reads_back_or_is_refused(data):
+    """Steps drawn at random over the replayed terms, valid or not: a
+    successor of the term, or any rule at any position with its matcher,
+    with bindings taken from the term, or with fresh ones.  The printer
+    writes what the recursive printer writes of each replayed term, never
+    other text, and the reader gives the trace back exactly or refuses it
+    with a ParseError."""
+    trs = data.draw(st.sampled_from([ack_system(), hg_system(), eq_system(), detour_system()]))
+    start = term = data.draw(terms_over(trs.signature.symbols, 8))
+    steps = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        honest = successors(trs, term, RelationMode.FULL)
+        if honest and data.draw(st.integers(0, 3)):  # three in four steps honest
+            step = data.draw(st.sampled_from(honest))
+        else:
+            pos = data.draw(st.sampled_from(positions_of(term)))
+            rule = data.draw(st.sampled_from(trs.rules))
+            sigma = match(rule.lhs, subterm_at(term, pos))
+            if sigma is None or data.draw(st.booleans()):
+                inside = st.sampled_from(positions_of(term)).map(lambda p: subterm_at(term, p))
+                value = st.one_of(inside, terms_over(trs.signature.symbols, 3))
+                sigma = Substitution(data.draw(st.dictionaries(st.sampled_from([X, Y]), value)))
+            step = Step(pos, rule, sigma)
+        steps.append(step)
+        term = replace_at(term, step.position, step.substitution.apply(step.rule.rhs))
+    trace = DerivationTrace(start, tuple(steps), RelationMode.FULL, term)
+    printed = trace_to_json(trace)
+    assert printed == oracle_trace_to_json(trace)
+    try:
+        back = parse_trace(json.loads(json.dumps(printed)), trs)
+    except ParseError:
+        return
+    assert (back.end, trace_to_json(back)) == (term, printed)
 
 
 def test_parse_trace_errors():
@@ -616,6 +669,36 @@ def test_parse_trace_errors():
         step = {"position": position, "rule_index": 0, "substitution": {}, "term": "s(0)"}
         with pytest.raises(ParseError, match="malformed trace step: .*position"):
             parse_trace({"start": "a(0,0)", "mode": "full", "steps": [step]}, trs)
+
+
+def test_parse_trace_refuses_a_step_that_does_not_replay():
+    """Each step is replayed as it is read: a rule that does not match at its
+    position, a substitution that is not the matcher, or a term that is not
+    the replayed result is a parse error naming the step.  A term or a
+    binding printed with other blanks is read, since it differs only as text."""
+    trs = ack_system()
+    data = trace_to_json(normalize(trs, ack(nat(1), nat(1)), RelationMode.INNERMOST))
+    assert len(data["steps"]) == 4
+
+    def tampered(k, **fields):
+        out = json.loads(json.dumps(data))
+        out["steps"][k].update(fields)
+        return out
+
+    for k, fields, why in (
+        (1, {"rule_index": 0}, "trace step 1: rule 0 does not match at 2"),
+        (2, {"rule_index": 7}, "trace step 2: the system has no rule 7"),
+        (0, {"position": "1"}, "trace step 0: rule 2 does not match at 1"),
+        (1, {"substitution": {"x": "s(0)"}}, "trace step 1: the substitution is not"),
+        (3, {"term": "s(s(0))"}, "trace step 3: the term is not the step's result"),
+    ):
+        with pytest.raises(ParseError, match=f"^{re.escape(why)}"):
+            parse_trace(tampered(k, **fields), trs)
+    with pytest.raises(ParseError, match="unknown identifier 'b'"):
+        parse_trace(tampered(3, term="b"), trs)
+    spaced = tampered(0, term=data["steps"][0]["term"].replace(",", ", "),
+                      substitution={"x": " 0", "y": "0 "})
+    assert parse_trace(spaced, trs) == parse_trace(data, trs)
 
 
 def test_parse_trace_refuses_a_term_that_is_not_a_string():

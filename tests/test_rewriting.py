@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 
@@ -24,6 +26,7 @@ from rdp import (
     reduce_at,
     subterm_at,
     successors,
+    trace_to_json,
     trs_of,
 )
 from rdp import rewriting
@@ -127,7 +130,7 @@ def test_reduce_at_root_full():
     trs = ack_system()
     step = reduce_at(trs, ack(ap(Z0), nat(1)), (), FULL)
     assert step is not None
-    assert step.result == nat(2)
+    assert check_step(trs, ack(ap(Z0), nat(1)), step, FULL) == nat(2)
     assert step.rule_index == 0
     assert step.substitution == Substitution({Y: nat(1)})
 
@@ -137,7 +140,7 @@ def test_reduce_at_innermost_inner_position():
     t = ack(ap(Z0), ack(nat(1), nat(1)))
     step = reduce_at(trs, t, (2,), INN)
     assert step is not None
-    assert step.result == ack(ap(Z0), ack(ap(Z0), ack(nat(1), ap(Z0))))
+    assert check_step(trs, t, step, INN) == ack(ap(Z0), ack(ap(Z0), ack(nat(1), ap(Z0))))
 
 
 def test_reduce_at_innermost_blocks_unready_redex():
@@ -172,7 +175,7 @@ def test_successors_of_loop():
     trs = loop_system()
     steps = successors(trs, fc(), INN)
     assert len(steps) == 1
-    assert steps[0] == Step((), 0, Substitution({X: ap(C0)}), fc())
+    assert steps[0] == Step((), trs.rules[0], Substitution({X: ap(C0)}))
 
 
 def test_normalize_innermost_ackermann():
@@ -184,12 +187,16 @@ def test_normalize_innermost_ackermann():
 
 def test_call_by_value_keeps_arguments_already_normal():
     """A parent is rebuilt only around an argument that changed, so the
-    first step's result shares the normal first argument with the start."""
+    term the first step reaches, where the walk stops for fuel, shares the
+    normal first argument with the start."""
     trs = ack_system()
     t = ack(nat(2), ack(ap(Z0), ap(Z0)))
+    with pytest.raises(FuelExhausted) as err:
+        normalize(trs, t, INN, 1)
+    assert err.value.trace.steps[0].position == (2,)
+    assert err.value.trace.end == ack(nat(2), nat(1))
+    assert err.value.trace.end.args[0] is t.args[0]
     trace = normalize(trs, t, INN)
-    assert trace.steps[0].position == (2,)
-    assert trace.steps[0].result.args[0] is t.args[0]
     assert trace.end == nat(5)
     assert check_trace(trs, trace)
 
@@ -448,18 +455,46 @@ def test_nr_normal_check_of_hg_terms_is_linear_in_the_dag(monkeypatch):
         assert calls[0] <= _distinct_nodes(t)
 
 
+@pytest.mark.parametrize("mode", [INN, FULL], ids=lambda mode: mode.value)
+def test_a_step_builds_a_bounded_number_of_nodes(monkeypatch, mode):
+    """Counted work, not time.  The walk builds each contractum and rebuilds
+    a parent only when it leaves it (outermost, also the ancestors within
+    the deepest lhs, which it matches again), and the printer replays the
+    same way: on a(3,4) each builds at most 4 nodes per step, where
+    rebuilding every ancestor at every step built 55."""
+    trs, term = ack_system(), ack(nat(3), nat(4))
+    built = [0]
+    init = App.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(App, "__init__", counting)
+    trace = normalize(trs, term, mode, 20_000)
+    assert len(trace) == 10_307
+    assert built[0] <= 4 * len(trace)
+    built[0] = 0
+    trace_to_json(trace)
+    assert built[0] <= 4 * len(trace)
+
+
 def test_check_step_rejects_tampering():
     trs = ack_system()
     t = ack(ap(Z0), ap(Z0))
     step = successors(trs, t, FULL)[0]
-    assert check_step(trs, t, step, FULL)
-    wrong_result = Step(step.position, step.rule_index, step.substitution, nat(5))
-    assert not check_step(trs, t, wrong_result, FULL)
-    wrong_rule = Step(step.position, 2, step.substitution, step.result)
-    assert not check_step(trs, t, wrong_rule, FULL)
-    assert not check_step(trs, t, Step((9,), 0, step.substitution, step.result), FULL)
+    assert check_step(trs, t, step, FULL) == nat(1)
+    assert check_step(trs, t, replace(step, rule=trs.rules[2]), FULL) is None
+    # a rule of another system that carries the step's index
+    forged = Rule(step.rule.lhs, nat(5), step.rule_index)
+    assert check_step(trs, t, replace(step, rule=forged), FULL) is None
+    assert check_step(trs, t, replace(step, position=(9,)), FULL) is None
     # An invalid position in a term too deep to print is still just a rejection.
-    assert not check_step(trs, nat(1000), Step((2,), 0, step.substitution, step.result), FULL)
+    assert check_step(trs, nat(1000), replace(step, position=(2,)), FULL) is None
+    # A step carries no result: a wrong one is a wrong end, which replay refuses.
+    trace = DerivationTrace(t, (step,), FULL, nat(1))
+    assert check_trace(trs, trace)
+    assert not check_trace(trs, replace(trace, end=nat(5)))
 
 
 def test_check_step_enforces_mode():
@@ -474,8 +509,8 @@ def test_check_trace_replays_whole_derivations():
     trs = ack_system()
     trace = normalize(trs, ack(nat(1), nat(1)), INN, 1000)
     assert check_trace(trs, trace)
-    broken = DerivationTrace(nat(7), trace.steps, trace.mode)
-    assert not check_trace(trs, broken)
+    assert not check_trace(trs, replace(trace, start=nat(7)))
+    assert not check_trace(trs, replace(trace, end=nat(7)))
 
 
 def test_embed_trace_shifts_positions():

@@ -370,7 +370,8 @@ def test_reprs_print_at_any_depth():
     tower = s_tower(100_000, X)
     text = "s(" * 100_000 + "x" + ")" * 100_000
     assert repr(tower) == _write_shared(tower, {}) == text
-    assert repr(Step(ROOT, 0, Substitution({X: tower}), tower)) == f"--0@ε--> {text}"
+    step = Step(ROOT, Rule(ap(F1, X), X, 0), Substitution({X: tower}))
+    assert repr(step) == f"0@ε {{x -> {text}}}"
     assert repr(Substitution({Y: tower})) == f"{{y -> {text}}}"
     assert repr(Rule(ap(F1, tower), X, 0)) == f"f({text}) -> x"
     assert repr(DepPair(ap(F1, tower), tower)) == f"<f({text}), {text}>"
