@@ -52,7 +52,7 @@ from .rewriting import (
     derives,
     normalize,
 )
-from .terms import _SHOW, _cut, _write_shared, format_position, parse_position, subterm_at, term_to_str
+from .terms import _SHOW, _cut, _write, format_position, parse_position, subterm_at, term_to_str
 
 _MODES = {mode.value: mode for mode in RelationMode}
 _MODE_NAMES = "{" + ",".join(sorted(_MODES)) + "}"  # how --help shows --mode's values
@@ -132,8 +132,8 @@ def _cmd_dps(args: argparse.Namespace) -> tuple[dict, int]:
             {
                 "rule": dp.rule_index,
                 "position": format_position(dp.position),
-                "lhs": _write_shared(std.lhs, {}),
-                "rhs_sub": _write_shared(std.rhs_sub, {}),
+                "lhs": _write(std.lhs),
+                "rhs_sub": _write(std.rhs_sub),
             }
         )
     report: dict = {"status": "ok", "count": len(alts), "pairs": pairs}
@@ -141,7 +141,7 @@ def _cmd_dps(args: argparse.Namespace) -> tuple[dict, int]:
         distinct = standard_dep_pairs(trs, dedup=True)
         report["distinct_count"] = len(distinct)
         report["distinct"] = [
-            {"lhs": _write_shared(p.lhs, {}), "rhs_sub": _write_shared(p.rhs_sub, {})}
+            {"lhs": _write(p.lhs), "rhs_sub": _write(p.rhs_sub)}
             for p in distinct
         ]
     return report, 0
@@ -217,7 +217,7 @@ def _cmd_mint(args: argparse.Namespace) -> tuple[dict, int]:
         "status": "mint-found",
         "fuel": args.fuel,
         "position": format_position(pos),
-        "subterm": _write_shared(subterm_at(term, pos), {}),
+        "subterm": _write(subterm_at(term, pos)),
         "certificate": formats.trace_to_json(cert.trace),
     }, 0
 

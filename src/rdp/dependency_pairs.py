@@ -53,7 +53,7 @@ from .terms import (
     Term,
     Var,
     _walk,
-    _write_shared,
+    _write,
     format_position,
     replace_at,
     subterm_at,
@@ -109,7 +109,7 @@ class DepPair:
     rhs_sub: Term
 
     def __repr__(self) -> str:
-        return f"<{_write_shared(self.lhs, {})}, {_write_shared(self.rhs_sub, {})}>"
+        return f"<{_write(self.lhs)}, {_write(self.rhs_sub)}>"
 
 
 @dataclass(frozen=True)

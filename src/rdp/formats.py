@@ -6,13 +6,13 @@ signature is inferred from use, with a consistent-arity check.  Terms,
 systems and programs are read at any depth on explicit stacks, the first two
 straight from the text; program expressions print in one pass of the walk.
 Traces are written at any depth too: ``trace_to_json`` and ``parse_trace``
-replay each step from its position, rule and substitution on one zipper,
-``_Splice``, which splices the step's contractum into the text of the term
-before; rules and witness bindings are written whole on the same explicit
-stack.  Chain witnesses and traces travel as JSON both ways; programs are
-read from JSON and never written back.  The depth limit of the one
-``json.loads`` call is the only one on reading.  TRS files, traces and witnesses round-trip:
-parse(print(x)) is x.
+replay each step on ``_Splice``, the zipper of ``terms`` that ``check_trace``
+replays on, with the term's text, into which each step splices its
+contractum; rules and witness bindings are written whole on the same
+explicit stack.  Chain witnesses and traces travel as JSON both ways;
+programs are read from JSON and never written back.  The depth limit of the
+one ``json.loads`` call is the only one on reading.  TRS files, traces and
+witnesses round-trip: parse(print(x)) is x.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .rewriting import (
     RuleRestrictionError,
     Step,
     TRS,
-    _put,
 )
 from .substitution import Substitution, match
 from .terms import (
@@ -64,10 +63,11 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _Zipper,
     _cut,
     _size,
     _walk,
-    _write_shared,
+    _write,
     format_position,
     parse_position,
 )
@@ -282,7 +282,7 @@ def parse_trs(text: str) -> TRS:
 
 def format_trs(trs: TRS) -> str:
     var = " ".join(["(VAR", *sorted(v.name for v in trs.variables)])
-    rules = "".join(f"  {_write_shared(r.lhs, {})} -> {_write_shared(r.rhs, {})}\n" for r in trs.rules)
+    rules = "".join(f"  {_write(r.lhs)} -> {_write(r.rhs)}\n" for r in trs.rules)
     return f"{var})\n(RULES\n{rules})\n"
 
 
@@ -294,7 +294,7 @@ def _by_name(sigma: Substitution) -> list[tuple[Var, Term]]:
 
 
 def substitution_to_json(sigma: Substitution) -> dict[str, str]:
-    return {v.name: _write_shared(t, {}) for v, t in _by_name(sigma)}
+    return {v.name: _write(t) for v, t in _by_name(sigma)}
 
 
 def parse_substitution(data: Any, trs: TRS) -> Substitution:
@@ -311,76 +311,41 @@ def parse_substitution(data: Any, trs: TRS) -> Substitution:
     return Substitution(bindings)
 
 
-class _Splice:
-    """A term rewritten step by step, kept as a zipper (Huet, JFP 7(5), 1997)
-    together with its text, which each step edits the way a rope does (Boehm,
-    Atkinson & Plass, "Ropes: an alternative to strings", 1995).
+class _Splice(_Zipper):
+    """A term rewritten step by step on a ``terms._Zipper``, together with
+    its text, which each step edits the way a rope does (Boehm, Atkinson &
+    Plass, "Ropes: an alternative to strings", 1995).
 
-    ``frames`` holds ``[node, i, start, args]`` for each ancestor of ``pos``,
-    the position of the last step: the node, the argument the path goes on
-    through, where the node's text starts, and None until an argument
-    changes, then the arguments as they are now.  A node is rebuilt only
-    when the path leaves it.  ``focus`` is the node at ``pos``, and its text
-    starts at ``at``.  ``place`` is ``pos`` printed, and ``spans[d]`` the
-    length of its first ``d`` indices printed.  Text lengths are kept per
-    node ``id`` (``terms._size``) in ``sizes``, whose nodes ``keep`` holds, so
-    that no id is reused while it is kept.
+    ``starts[d]`` is where the text of the node at depth ``d`` of ``pos``
+    starts, the focus's last.  ``place`` is ``pos`` printed, and ``spans[d]``
+    the length of its first ``d`` indices printed.  Text lengths are kept
+    per node ``id`` (``terms._size``) in ``sizes``, whose nodes ``keep``
+    holds, so that no id is reused while it is kept.
     """
 
     def __init__(self, term: Term):
-        self.text = _write_shared(term, {})
-        self.frames: list[list] = []
-        self.focus, self.at, self.pos = term, 0, ROOT
-        self.place, self.spans = "ε", [0]
+        super().__init__(term)
+        self.text = _write(term)
+        self.starts, self.place, self.spans = [0], "ε", [0]
         self.sizes: dict[int, int] = {}
         self.keep: list[Term] = []
 
-    def _leave(self) -> tuple[Term, int]:
-        """Pop the lowest frame: its node, rebuilt if an argument changed,
-        and where the node's text starts."""
-        frames = self.frames
-        node, _, start, args = frames.pop()
-        if args is not None:
-            node = App(node.sym, tuple(args))
-            if frames:
-                _put(frames[-1], node)
-        return node, start
-
     def seek(self, pos: Position, step: int) -> Term:
         """Move to ``pos``, where trace step ``step`` rewrites, and return the
-        subterm there.  The path climbs to the prefix ``pos`` shares with the
-        position before and goes down from there, each node placed by the
-        lengths of the arguments left of the path."""
-        old, frames, sizes, keep = self.pos, self.frames, self.sizes, self.keep
-        same = min(len(old), len(pos))  # the depth down to which pos follows old
-        if old[:same] != pos[:same]:
-            same = next(d for d, (i, j) in enumerate(zip(old, pos)) if i != j)
-        # Leave the frames below the shared prefix, and the one at its end too
-        # when pos ends there: the redex is then the node that frame holds.
-        while len(frames) > (same if same == len(pos) else same + 1):
-            self.focus, self.at = self._leave()
-        node, at, changed = self.focus, self.at, None
-        if len(frames) > same:  # the node at depth ``same`` stays open: on through another argument
-            node, _, at, changed = frames.pop()
-        for depth in range(same, len(pos)):
-            i = pos[depth]
-            args = changed or (node.args if node.__class__ is App else ())
-            if not 0 < i <= len(args):
-                stop = (
-                    f"{node.name} is a variable"
-                    if node.__class__ is Var
-                    else f"{node.sym!r} has no argument {i}"
-                )
-                raise InvalidPositionError(
-                    f"trace step {step}: position {_cut(format_position(pos))} "
-                    f"invalid at depth {depth}: {_cut(stop)}"
-                )
-            frames.append([node, i, at, changed])
-            at += len(node.sym.name) + i
-            for a in args[: i - 1]:
+        subterm there.  Each node below the prefix ``pos`` shares with the
+        position before is placed by the lengths of the arguments left of
+        the path."""
+        old, starts, sizes, keep = self.pos, self.starts, self.sizes, self.keep
+        try:
+            same = super().seek(pos)
+        except InvalidPositionError as err:
+            raise InvalidPositionError(f"trace step {step}: {err}") from None
+        del starts[same + 1 :]
+        for node, i, _, args in self.frames[same:]:
+            at = starts[-1] + len(node.sym.name) + i
+            for a in (args or node.args)[: i - 1]:
                 at += _size(a, sizes, keep)
-            node, changed = args[i - 1], None
-        self.focus, self.at, self.pos = node, at, pos
+            starts.append(at)
         if same < len(old) or same < len(pos):
             spans = self.spans
             del spans[same + 1 :]
@@ -389,7 +354,7 @@ class _Splice:
                 place.append(str(i))
                 spans.append(spans[-1] + len(place[-1]) + (len(spans) > 1))
             self.place = ".".join(place) or "ε"
-        return node
+        return self.focus
 
     def rewrite(self, rule: Rule, sigma: Substitution) -> dict[str, str]:
         """Put ``sigma.apply(rule.rhs)`` where ``seek`` stands, writing only
@@ -400,7 +365,8 @@ class _Splice:
         written whole.  The contractum's text is the rhs's with those texts
         at its variables.  The contractum holds σ's own nodes, so a binding
         that a later step finds again is the same object, and equal at once."""
-        redex, at, text, sizes, keep = self.focus, self.at, self.text, self.sizes, self.keep
+        redex, at, text = self.focus, self.starts[-1], self.text
+        sizes, keep = self.sizes, self.keep
         places, pieces = rule._shape
         texts: dict[str, str] = {}
         for var, value in sigma.items():
@@ -429,7 +395,7 @@ class _Splice:
                             sizes[id(value)] = len(piece)
                             keep.append(value)
                         continue
-            texts[var.name] = _write_shared(value, {})
+            texts[var.name] = _write(value)
         contractum = sigma.apply(rule.rhs)
         written = "".join(
             [p if p.__class__ is str else texts.get(p.name, p.name) for p in pieces]
@@ -438,17 +404,13 @@ class _Splice:
         if contractum.__class__ is App and contractum.args:
             sizes[id(contractum)] = len(written)
             keep.append(contractum)
-        if self.frames:
-            _put(self.frames[-1], contractum)
-        self.focus = contractum
+        self.put(contractum)
         return texts
 
     def term(self) -> Term:
         """The whole term as it now is; the path is left up to the root."""
-        while self.frames:
-            self.focus, self.at = self._leave()
-        self.pos, self.place, self.spans = ROOT, "ε", [0]
-        return self.focus
+        self.starts, self.place, self.spans = [0], "ε", [0]
+        return super().term()
 
 
 def trace_to_json(trace: DerivationTrace) -> dict:

@@ -30,7 +30,9 @@ term per step, produced.
 A step records the choice a checker recomputes, its position, rule and
 substitution, and not the term it makes (as CPF records a step for CeTA,
 Thiemann & Sternagel, TPHOLs 2009).  A trace keeps its start and its end;
-``DerivationTrace.terms`` and ``check_trace`` replay the terms between.
+``DerivationTrace.terms`` and ``check_trace`` replay the terms between,
+``check_trace`` on the zipper of ``terms`` that the trace printer and
+reader ride too, so a step costs the levels its position moves.
 
 The one boolean question, whether a redex is nr-normal, which replay and
 the dependency-pair checks ask, has its own walk: it visits each distinct
@@ -60,13 +62,16 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _Zipper,
     _args,
     _index,
+    _leave,
     _pieces,
     _plug,
+    _put,
     _split_at,
     _walk,
-    _write_shared,
+    _write,
     format_position,
     iter_vars,
     replace_at,
@@ -126,7 +131,7 @@ class Rule:
             )
 
     def __repr__(self) -> str:
-        return f"{_write_shared(self.lhs, {})} -> {_write_shared(self.rhs, {})}"
+        return f"{_write(self.lhs)} -> {_write(self.rhs)}"
 
     @cached_property
     def _shape(self) -> tuple[dict[str, Position], list]:
@@ -240,8 +245,8 @@ class DerivationTrace:
 #
 # Paths are those of ``terms``, one ``(parent, i)`` per step down, and ``_plug``
 # rebuilds a term around a contractum from one.  ``iter_successors`` rides
-# ``_walk``; ``_leftmost`` keeps its own path, a zipper whose frames rebuild
-# a parent only when the walk leaves it.
+# ``_walk``; ``_leftmost`` keeps its own path of ``terms`` zipper frames,
+# and ``check_trace`` replays on a ``terms._Zipper``.
 
 
 def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
@@ -363,16 +368,6 @@ def reduce_at(
     return None
 
 
-def _put(frame: list, child: Term) -> None:
-    """Set the argument that a zipper frame ``[node, i, _, args]`` goes on
-    through, the ``i``-th, to ``child``: ``args``, None while no argument of
-    ``node`` has changed, becomes the list of its arguments as they now are."""
-    args = frame[3]
-    if args is None:
-        args = frame[3] = list(frame[0].args)
-    args[frame[1] - 1] = child
-
-
 def _leftmost(
     trs: TRS, term: Term, mode: RelationMode, fuel: int
 ) -> tuple[list[Step], Term, bool]:
@@ -380,22 +375,20 @@ def _leftmost(
     pre-order where a step may fire, for at most ``fuel`` steps: the steps,
     the term they reach, and whether a step was left to take there.
 
-    The walk is a zipper over the current term (Huet, "The Zipper", JFP
-    7(5), 1997): one frame ``[parent, i, hint args, args]`` per ancestor,
-    where ``args`` is None until an argument changes and then the list of
-    the arguments as they are now.  A step puts its contractum into its
-    parent's list, and a parent is rebuilt only when the walk leaves it, so
-    the steps below one ancestor rebuild it once.  Outermost, a node is
-    tried when the walk enters it; innermost, when the walk leaves it
-    (leaves too), since the first redex in post-order is the leftmost
-    innermost one.  Positions tried before may not fire, and a step changes
-    only the redex's ancestors among them.  Innermost, those are tried when
-    left anyway, and a hint that is a variable (of the rule's rhs, in a
-    contractum) marks a normal subterm, never entered.  Outermost, a linear
-    lhs matches afresh only where the change lies at its non-variable
-    positions, so the ancestors within ``trs._reach`` levels (all of them
-    when some lhs is non-linear) are rebuilt and tried again, top-down; the
-    first that may fire is next.
+    The walk is a zipper over the current term: one ``terms`` zipper frame
+    per ancestor, whose slot holds the hint's arguments.  A step puts its
+    contractum into its parent's frame, and a parent is rebuilt only when
+    the walk leaves it, so the steps below one ancestor rebuild it once.
+    Outermost, a node is tried when the walk enters it; innermost, when
+    the walk leaves it (leaves too), since the first redex in post-order is
+    the leftmost innermost one.  Positions tried before may not fire, and a
+    step changes only the redex's ancestors among them.  Innermost, those
+    are tried when left anyway, and a hint that is a variable (of the
+    rule's rhs, in a contractum) marks a normal subterm, never entered.
+    Outermost, a linear lhs matches afresh only where the change lies at
+    its non-variable positions, so the ancestors within ``trs._reach``
+    levels (all of them when some lhs is non-linear) are rebuilt and tried
+    again, top-down; the first that may fire is next.
     """
     inner, reach = mode.innermost, trs._reach
     # The walk tries a node only when nothing below it may fire, so
@@ -417,10 +410,7 @@ def _leftmost(
         if fired:
             if len(steps) >= fuel:
                 while path:  # leave every frame: the term the steps reached
-                    parent, _, _, args = path.pop()
-                    node = parent if args is None else App(parent.sym, tuple(args))
-                    if path and args is not None:
-                        _put(path[-1], node)
+                    node = _leave(path)
                 return steps, node, True
             rule, sigma = fired[0]
             steps.append(Step(tuple(map(_index, path)), rule, sigma))
@@ -449,17 +439,12 @@ def _leftmost(
             down = False  # leave the node, so an innermost walk tries it
         elif path:
             top = path[-1]
-            parent, i, hints, args = top
+            parent, i, hints, _ = top
             if i < len(parent.args):
                 top[1] = i + 1
                 node, hint, down = parent.args[i], hints[i], True
             else:
-                del path[-1]
-                if args is not None:
-                    parent = App(parent.sym, tuple(args))
-                    if path:
-                        _put(path[-1], parent)
-                node = hint = parent
+                node = hint = _leave(path)
         else:
             return steps, node, False
 
@@ -550,46 +535,52 @@ def derives(
     return None
 
 
-def check_step(
-    trs: TRS, source: Term, step: Step, mode: RelationMode, normal: dict[int, App] | None = None
-) -> Term | None:
-    """Replay one step: the result, if the step is one of the steps ``mode``
-    allows at its position in ``source`` (its rule one of ``trs``'s that
-    match there, its substitution their matcher), else None.  ``normal`` is
-    as for ``is_nr_normal_form``."""
+def _check(
+    trs: TRS, zipper: _Zipper, step: Step, mode: RelationMode, normal: dict[int, App]
+) -> bool:
+    """Replay ``step`` on ``zipper``: whether it is one of the steps ``mode``
+    allows at its position (its rule one of ``trs``'s that match there, its
+    substitution their matcher), and if so, with its contractum put there.
+    ``normal`` is as for ``is_nr_normal_form``."""
     try:
-        path, sub = _split_at(source, step.position)
+        zipper.seek(step.position)
     except InvalidPositionError:
-        return None
+        return False
+    sub = zipper.focus
     if sub.__class__ is App and _may_fire(
         mode, not step.position, lambda: not is_nr_normal_form(trs, sub, normal)
     ):
         given = step.substitution
         for rule, sigma in _matches(trs, sub):
             if rule == step.rule and sigma == given:
-                # The result holds the step's own bindings, so that a later step
-                # that binds them again compares them by identity; those equal to
-                # a node found normal are known normal too.
-                if normal is not None:
-                    for var, value in sigma.items():
-                        if id(value) in normal:
-                            normal[id(given.get(var))] = given.get(var)
-                return _plug(path, given.apply(rule.rhs))
-    return None
+                # The contractum holds the step's own bindings, so that a later
+                # step that binds them again compares them by identity; those
+                # equal to a node found normal are known normal too.
+                for var, value in sigma.items():
+                    if id(value) in normal:
+                        normal[id(given.get(var))] = given.get(var)
+                zipper.put(given.apply(rule.rhs))
+                return True
+    return False
+
+
+def check_step(trs: TRS, source: Term, step: Step, mode: RelationMode) -> Term | None:
+    """Replay one step: the result, if ``_check`` finds it one of the steps
+    ``mode`` allows at its position in ``source``, else None."""
+    zipper = _Zipper(source)
+    return zipper.term() if _check(trs, zipper, step, mode, {}) else None
 
 
 def check_trace(trs: TRS, trace: DerivationTrace) -> bool:
-    """Replay a whole trace under its recorded mode, then compare the term
-    it reaches with its ``end``.  The nodes found normal stay known for the
-    steps after, so an innermost replay walks the normal part below each
-    redex only where the step before built it."""
-    normal: dict[int, App] = {}
-    current = trace.start
+    """Replay a whole trace under its recorded mode on one zipper, then
+    compare the term it reaches with its ``end``.  The nodes found normal
+    stay known for the steps after, so an innermost replay walks the normal
+    part below each redex only where the step before built it."""
+    zipper, normal = _Zipper(trace.start), {}
     for step in trace.steps:
-        current = check_step(trs, current, step, trace.mode, normal)
-        if current is None:
+        if not _check(trs, zipper, step, trace.mode, normal):
             return False
-    return current == trace.end
+    return zipper.term() == trace.end
 
 
 def embed_trace(context: Term, pos: Position, trace: DerivationTrace) -> DerivationTrace:

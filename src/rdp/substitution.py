@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .terms import App, Term, Var, _write_shared
+from .terms import App, Term, Var, _write
 
 
 class Substitution:
@@ -71,7 +71,7 @@ class Substitution:
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{v.name} -> {_write_shared(t, {})}" for v, t in sorted(self._map.items(), key=lambda it: it[0].name)
+            f"{v.name} -> {_write(t)}" for v, t in sorted(self._map.items(), key=lambda it: it[0].name)
         )
         return "{" + inner + "}"
 

@@ -10,11 +10,13 @@ and a set or dict lookup of a term already hashed costs constant time.
 A path is a list of ``(parent, i)`` pairs from the root: ``_walk`` yields any
 tree's nodes (PVS0 trees too) with theirs, ``_split_at`` descends to one
 position and returns its path, ``_plug`` rebuilds around one; none recurses.
+``_Zipper`` keeps a path of frames open from step to step and rebuilds a
+node only when the path leaves it; ``check_trace``, the trace printer and
+the trace reader replay steps on it, and ``normalize``'s walk uses its frames.
 
-``_write_shared`` prints on an explicit stack every term rdp shows but one
-``normalize`` field, copying the nodes whose text the caller has, by ``id``.
-``formats.trace_to_json`` splices each step's contractum with it into the
-text before, placed by ``_size``.
+``_write`` prints on an explicit stack every term rdp shows but one
+``normalize`` field, from the text pieces of ``_pieces``; the trace printer
+writes each contractum from its rule's rhs pieces, placed by ``_size``.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class App:
         return True
 
     def __repr__(self) -> str:
-        return _write_shared(self, {})
+        return _write(self)
 
 
 # Store a field of an immutable App through its slot, past the __setattr__ that refuses.
@@ -215,6 +217,18 @@ def positions_of(term: Term) -> list[Position]:
     return [tuple(map(_index, path)) for _, path in _walk(term)]
 
 
+def _no_position(pos: Position, depth: int, node: Term) -> InvalidPositionError:
+    """The error for ``pos``, which stops at ``node``, at ``depth``."""
+    stop = (
+        f"{node.name} is a variable"
+        if node.__class__ is Var
+        else f"{node.sym!r} has no argument {pos[depth]}"
+    )
+    return InvalidPositionError(
+        f"position {_cut(format_position(pos))} invalid at depth {depth}: {_cut(stop)}"
+    )
+
+
 # A path is a list of ``(parent, i)`` pairs, root first: each ancestor of a
 # subterm and the 1-based index of the argument the path goes on through.
 def _split_at(term: Term, pos: Position) -> tuple[list[tuple[App, int]], Term]:
@@ -223,14 +237,7 @@ def _split_at(term: Term, pos: Position) -> tuple[list[tuple[App, int]], Term]:
     current = term
     for depth, i in enumerate(pos):
         if not isinstance(current, App) or not 1 <= i <= len(current.args):
-            stop = (
-                f"{current.name} is a variable"
-                if isinstance(current, Var)
-                else f"{current.sym!r} has no argument {i}"
-            )
-            raise InvalidPositionError(
-                f"position {_cut(format_position(pos))} invalid at depth {depth}: {_cut(stop)}"
-            )
+            raise _no_position(pos, depth, current)
         path.append((current, i))
         current = current.args[i - 1]
     return path, current
@@ -252,6 +259,80 @@ def subterm_at(term: Term, pos: Position) -> Term:
 def replace_at(term: Term, pos: Position, replacement: Term) -> Term:
     """``term`` with the subterm at ``pos`` replaced by ``replacement``."""
     return _plug(_split_at(term, pos)[0], replacement)
+
+
+# A zipper frame is ``[node, i, slot, args]``: an ancestor of the focus, the
+# 1-based index of the argument the path goes on through, a slot its walk
+# keeps there, and None until an argument changes, then the list of the
+# arguments as they now are.  A node is rebuilt only when the path leaves it.
+def _put(frame: list, child: Term) -> None:
+    """Set the argument that ``frame`` goes on through to ``child``."""
+    args = frame[3]
+    if args is None:
+        args = frame[3] = list(frame[0].args)
+    args[frame[1] - 1] = child
+
+
+def _leave(frames: list[list]) -> Term:
+    """Pop the lowest frame and return its node, rebuilt if an argument
+    changed and then put into the frame above."""
+    node, _, _, args = frames.pop()
+    if args is not None:
+        node = App(node.sym, tuple(args))
+        if frames:
+            _put(frames[-1], node)
+    return node
+
+
+class _Zipper:
+    """A term with a focus that steps move (Huet, "The Zipper", JFP 7(5),
+    1997): ``focus`` is the subterm at ``pos``, and ``frames`` holds one
+    frame per ancestor of it, root first, its slot None.  A move costs the
+    levels it climbs and descends, and rebuilds only the changed nodes the
+    path leaves."""
+
+    def __init__(self, term: Term):
+        self.frames: list[list] = []
+        self.focus, self.pos = term, ROOT
+
+    def seek(self, pos: Position) -> int:
+        """Move the focus to ``pos`` and return the length of the prefix it
+        shares with the position before: the path climbs to that prefix and
+        descends from there.  A position the term lacks raises
+        InvalidPositionError, after which the zipper is not used again."""
+        old, frames = self.pos, self.frames
+        same = min(len(old), len(pos))  # the depth down to which pos follows old
+        if old[:same] != pos[:same]:
+            same = next(d for d, (i, j) in enumerate(zip(old, pos)) if i != j)
+        # Leave the frames below the shared prefix, and the one at its end too
+        # when pos ends there: the focus is then the node that frame holds.
+        while len(frames) > (same if same == len(pos) else same + 1):
+            self.focus = _leave(frames)
+        node, changed = self.focus, None
+        if len(frames) > same:  # the node at depth ``same`` stays open: on through another argument
+            node, _, _, changed = frames.pop()
+        for depth in range(same, len(pos)):
+            i = pos[depth]
+            args = changed or (node.args if node.__class__ is App else ())
+            if not 0 < i <= len(args):
+                raise _no_position(pos, depth, node)
+            frames.append([node, i, None, changed])
+            node, changed = args[i - 1], None
+        self.focus, self.pos = node, pos
+        return same
+
+    def put(self, node: Term) -> None:
+        """Replace the subterm at the focus by ``node``."""
+        self.focus = node
+        if self.frames:
+            _put(self.frames[-1], node)
+
+    def term(self) -> Term:
+        """The whole term as it now is; every frame is left, up to the root."""
+        while self.frames:
+            self.focus = _leave(self.frames)
+        self.pos = ROOT
+        return self.focus
 
 
 def iter_vars(term: Term) -> Iterator[Var]:
@@ -302,32 +383,25 @@ def term_to_str(term: Term) -> str:
     return f"{term.sym.name}({','.join(term_to_str(a) for a in term.args)})"
 
 
-def _write_shared(term: Term, known: dict[int, str]) -> str:
-    """``term``'s text, as ``term_to_str`` has it, on one explicit stack at any depth.
+def _write(term: Term) -> str:
+    """``term``'s text, as ``term_to_str`` has it, on one explicit stack at any depth."""
+    return "".join([p if p.__class__ is str else p.name for p in _pieces(term)])
 
-    A node whose ``id`` is in ``known`` is copied as the text found there,
-    and only the other nodes are written symbol by symbol; a node met twice
-    is written twice.
-    """
-    if term.__class__ is Var:
-        return term.name
-    if not term.args:
-        return term.sym.name
-    found = known.get(id(term))
-    if found is not None:
-        return found
-    out: list[str] = []
+
+def _pieces(term: Term) -> list:
+    """``term``'s text in pieces: strings, and each variable occurrence left
+    as the variable, for a caller that puts a text in its place."""
+    pieces: list = []
+    part: list[str] = []
     todo: list = [term]  # terms to write, and the "," and ")" between and after arguments
     while todo:
         node = todo.pop()
         cls = node.__class__
         if cls is App:
             args = node.args
+            part.append(node.sym.name)
             if args:
-                found = known.get(id(node))
-                if found is not None:
-                    out.append(found)
-                    continue
+                part.append("(")
                 todo.append(")")
                 if len(args) == 1:
                     todo.append(args[0])
@@ -335,39 +409,11 @@ def _write_shared(term: Term, known: dict[int, str]) -> str:
                     rest = [","] * (2 * len(args) - 1)
                     rest[::2] = args[::-1]
                     todo += rest
-                out.append(node.sym.name)
-                out.append("(")
-            else:
-                out.append(node.sym.name)
         elif cls is str:
-            out.append(node)
-        else:
-            out.append(node.name)
-    return "".join(out)
-
-
-def _pieces(term: Term) -> list:
-    """``term``'s text as ``_write_shared`` writes it, in pieces: strings, and
-    each variable occurrence left as the variable, for a caller that puts a
-    text in its place."""
-    pieces: list = []
-    part: list[str] = []
-    todo: list = [term]  # as in _write_shared
-    while todo:
-        node = todo.pop()
-        cls = node.__class__
-        if cls is str:
             part.append(node)
-        elif cls is Var:
+        else:
             pieces += ["".join(part), node]
             part = []
-        elif node.args:
-            part += (node.sym.name, "(")
-            rest = [","] * (2 * len(node.args) - 1)
-            rest[::2] = node.args[::-1]
-            todo += [")", *rest]
-        else:
-            part.append(node.sym.name)
     pieces.append("".join(part))
     return pieces
 

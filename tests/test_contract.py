@@ -555,7 +555,7 @@ def test_src_carries_no_depth_workaround():
     evaluate; and in ``formats.py`` the one ``json.loads`` call, in
     ``_load_json``, which translates the JSON decoder's own depth limit.
     Traces, and every other term a report, a file or a repr shows, print on
-    one explicit stack, ``terms._write_shared``.  Terms, programs and guards
+    one explicit stack, ``terms._write``.  Terms, programs and guards
     are read, and programs evaluated, with explicit stacks; the other passes
     over PVS0 trees (repr among them), the minimal looping subterm search
     and the successor core's walk over the positions that may fire ride one

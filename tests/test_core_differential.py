@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdp import (
+    DerivationTrace,
     FuelExhausted,
     RelationMode,
     Rule,
     Step,
     Substitution,
     check_step,
+    check_trace,
     derives,
     is_nr_normal_form,
     normalize,
@@ -287,13 +289,49 @@ def _assert_replay_agrees(trs, source, steps):
                 )
 
 
+def _oracle_check_trace(trs, trace):
+    """The original ``check_trace``: ``oracle_check_step`` folded over the
+    steps, then the term reached compared with ``end``."""
+    current = trace.start
+    for step in trace.steps:
+        current = oracle_check_step(trs, current, step, trace.mode)
+        if current is None:
+            return False
+    return current == trace.end
+
+
+def _assert_trace_replay_agrees(trs, trace, k, modes):
+    """``check_trace`` against the fold under each of ``modes``: the trace,
+    the trace with a wrong end, and the trace with its step ``k`` replaced
+    by each tampered copy, so that the steps after it replay on a term the
+    step changed otherwise or not at all."""
+    variants = [trace]
+    if trace.steps:
+        variants.append(replace(trace, end=trace.start))
+        source = next(islice(trace.terms(), k, None))
+        for candidate in _tampered(trs, source, trace.steps[k]):
+            steps = (*trace.steps[:k], candidate, *trace.steps[k + 1 :])
+            variants.append(replace(trace, steps=steps))
+    for variant in variants:
+        for mode in modes:
+            checked = replace(variant, mode=mode)
+            assert check_trace(trs, checked) == _oracle_check_trace(trs, checked), (
+                checked.steps,
+                mode,
+            )
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_check_step_matches_oracle_on_successors_and_traces(name, data):
     """Every full-mode successor (so also steps a stricter mode refuses) and
     every step of a normalization trace in each mode, honest or tampered,
-    replays exactly when the original ``check_step`` says it does."""
+    replays exactly when the original ``check_step`` says it does.  Whole
+    traces replay on one zipper exactly when the original steps fold to
+    their end: each normalization trace, and a walk through random
+    full-mode successors under every mode, whose positions climb, descend
+    and reopen a frame, each also with one step tampered."""
     trs, terms = SYSTEMS[name]
     term = data.draw(terms)
     _assert_replay_agrees(trs, term, successors(trs, term, RelationMode.FULL))
@@ -302,6 +340,18 @@ def test_check_step_matches_oracle_on_successors_and_traces(name, data):
         trace = _normalize_outcome(normalize, trs, term, mode, fuel)[1]
         for source, step in zip(trace.terms(), trace.steps):
             _assert_replay_agrees(trs, source, [step])
+        k = data.draw(st.integers(min_value=0, max_value=max(len(trace) - 1, 0)))
+        _assert_trace_replay_agrees(trs, trace, k, [mode])
+    steps, current = [], term
+    for _ in range(data.draw(st.integers(min_value=0, max_value=fuel))):
+        choices = list(iter_successors(trs, current, RelationMode.FULL))
+        if not choices:
+            break
+        step, current = data.draw(st.sampled_from(choices))
+        steps.append(step)
+    walk = DerivationTrace(term, tuple(steps), RelationMode.FULL, current)
+    k = data.draw(st.integers(min_value=0, max_value=max(len(walk) - 1, 0)))
+    _assert_trace_replay_agrees(trs, walk, k, MODES)
 
 
 def test_check_step_rejects_a_substitution_binding_outside_the_lhs():

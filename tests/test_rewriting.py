@@ -23,6 +23,7 @@ from rdp import (
     embed_trace,
     is_nr_normal_form,
     normalize,
+    parse_trace,
     reduce_at,
     subterm_at,
     successors,
@@ -459,9 +460,9 @@ def test_nr_normal_check_of_hg_terms_is_linear_in_the_dag(monkeypatch):
 def test_a_step_builds_a_bounded_number_of_nodes(monkeypatch, mode):
     """Counted work, not time.  The walk builds each contractum and rebuilds
     a parent only when it leaves it (outermost, also the ancestors within
-    the deepest lhs, which it matches again), and the printer replays the
-    same way: on a(3,4) each builds at most 4 nodes per step, where
-    rebuilding every ancestor at every step built 55."""
+    the deepest lhs, which it matches again), and the checker, the printer
+    and the reader replay the same way: on a(3,4) each builds at most 4
+    nodes per step, where rebuilding every ancestor at every step built 55."""
     trs, term = ack_system(), ack(nat(3), nat(4))
     built = [0]
     init = App.__init__
@@ -475,7 +476,13 @@ def test_a_step_builds_a_bounded_number_of_nodes(monkeypatch, mode):
     assert len(trace) == 10_307
     assert built[0] <= 4 * len(trace)
     built[0] = 0
-    trace_to_json(trace)
+    assert check_trace(trs, trace)
+    assert built[0] <= 4 * len(trace)
+    built[0] = 0
+    printed = trace_to_json(trace)
+    assert built[0] <= 4 * len(trace)
+    built[0] = 0
+    assert parse_trace(printed, trs) == trace
     assert built[0] <= 4 * len(trace)
 
 

@@ -26,7 +26,7 @@ from rdp import (
     trs_of,
     vars_of,
 )
-from rdp.terms import _walk, _write_shared, iter_vars, symbols_of, vars_in_order
+from rdp.terms import _walk, _write, iter_vars, symbols_of, vars_in_order
 
 from helpers import (
     A2,
@@ -369,7 +369,7 @@ def test_reprs_print_at_any_depth():
     deep, where ``term_to_str`` fails near 330."""
     tower = s_tower(100_000, X)
     text = "s(" * 100_000 + "x" + ")" * 100_000
-    assert repr(tower) == _write_shared(tower, {}) == text
+    assert repr(tower) == _write(tower) == text
     step = Step(ROOT, Rule(ap(F1, X), X, 0), Substitution({X: tower}))
     assert repr(step) == f"0@ε {{x -> {text}}}"
     assert repr(Substitution({Y: tower})) == f"{{y -> {text}}}"
