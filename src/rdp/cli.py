@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every command reads its inputs from files and flags, prints one report
-(text by default, JSON with --json; both carry the same content), and
+(text by default, JSON with --json, byte for byte as ``json.dumps`` writes
+it with ``indent=2``; both carry the same content), and
 exits 0 on a verified or successful outcome, 1 on a not-found, unknown,
 or failed analysis, and 2 on unusable input.  Search budgets come from
 --fuel, the RDP_FUEL environment variable, or the built-in default of
@@ -479,6 +480,72 @@ def _render_text(obj: Any, indent: int = 0) -> str:
     return f"{pad}{_render_scalar(obj)}"
 
 
+_QUOTE, _INT = json.encoder.encode_basestring_ascii, int.__repr__  # what json.dumps writes them with
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+def _json(report: Any) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte, from one list of pieces
+    joined once: that call runs the encoder written in Python whenever an
+    indent is asked for, one generator per container and several string
+    operations per value."""
+    out: list[str] = []
+    _json_pieces(report, out, 0, {})
+    return "".join(out)
+
+
+def _json_pieces(
+    value: Any, out: list[str], level: int, levels: dict[int, tuple[str, str, str]]
+) -> None:
+    """Append the text of ``value``, nested ``level`` containers deep.  A
+    string, an exact int, a bool, None, a dict with string keys, a list and
+    a tuple are written here, as ``json`` writes them; anything else is
+    handed to ``json.dumps`` and indented to ``level``.  ``levels`` keeps,
+    by level, what opens, separates and closes the items of a container
+    there, each made once per report."""
+    cls = value.__class__
+    if cls is str:
+        out.append(_QUOTE(value))
+    elif cls is int:
+        out.append(_INT(value))
+    elif value is True or value is False or value is None:
+        out.append(_SCALARS[value])
+    elif cls is dict and all(key.__class__ is str for key in value) or cls is list or cls is tuple:
+        if not value:
+            out.append("{}" if cls is dict else "[]")
+            return
+        layout = levels.get(level)
+        if layout is None:
+            pad = "  " * level
+            layout = levels[level] = (f"\n{pad}  ", f",\n{pad}  ", f"\n{pad}")
+        opening, sep, closing = layout
+        first = len(out) + 1  # where the first item's separator goes, to be the opening
+        if cls is dict:
+            out.append("{")
+            for key, item in value.items():
+                kind = item.__class__
+                if kind is str:
+                    out += (sep, _QUOTE(key), ": ", _QUOTE(item))
+                elif kind is int:
+                    out += (sep, _QUOTE(key), ": ", _INT(item))
+                else:
+                    out += (sep, _QUOTE(key), ": ")
+                    _json_pieces(item, out, level + 1, levels)
+            out += (closing, "}")
+        else:
+            out.append("[")
+            for item in value:
+                if item.__class__ is str:
+                    out += (sep, _QUOTE(item))
+                else:
+                    out.append(sep)
+                    _json_pieces(item, out, level + 1, levels)
+            out += (closing, "]")
+        out[first] = opening
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + "  " * level))
+
+
 # Reading the collector's state and switching it are one step under this lock,
 # or a command could read "off" just before another switches it back on, then
 # switch it off for good.
@@ -529,7 +596,7 @@ def _run_command(argv: list[str]) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     try:
-        print(json.dumps(report, indent=2) if args.json else _render_text(report))
+        print(_json(report) if args.json else _render_text(report))
     except BrokenPipeError:  # the reader stopped early; the verdict stands
         pass
     return code

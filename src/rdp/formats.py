@@ -52,7 +52,7 @@ from .rewriting import (
     Step,
     TRS,
 )
-from .substitution import Substitution, match
+from .substitution import Substitution
 from .terms import (
     ROOT,
     _SHOW,
@@ -473,7 +473,7 @@ def parse_trace(data: Any, trs: TRS) -> DerivationTrace:
         if not 0 <= index < len(trs.rules):
             raise ParseError(f"trace step {k}: the system has no rule {index}")
         rule = trs.rules[index]
-        sigma = match(rule.lhs, redex)
+        sigma = rule._match(redex)
         if sigma is None:
             raise ParseError(
                 f"trace step {k}: rule {index} does not match at "

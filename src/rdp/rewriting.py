@@ -7,8 +7,9 @@ candidate steps are ordered by position in pre-order with ties broken by
 rule index, and breadth-first exploration visits terms in that order.
 
 One successor core answers every question about redexes.  Rules are
-indexed by the root symbol of their lhs, and every walk asks one rule,
-``_may_fire``, whether a position may fire under a mode.
+indexed by the root symbol of their lhs, each matches through its lhs
+compiled once into a flat table (``Rule._match``), and every walk asks one
+rule, ``_may_fire``, whether a position may fire under a mode.
 ``iter_successors`` first records in one bottom-up pass, per node, the
 matching rules and whether a redex lies below, then rides the walk of
 ``terms`` over that table to the positions that may fire.  A breadth-first
@@ -52,8 +53,11 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterator
 
-from .substitution import Substitution, match
+# ``match`` stays bound here too: the benchmark's tracer wraps a function in
+# every namespace that binds it, and its self-test reads this binding.
+from .substitution import Substitution, _holding, match  # noqa: F401
 from .terms import (
+    ROOT,
     _SHOW,
     App,
     InvalidPositionError,
@@ -143,6 +147,76 @@ class Rule:
             if node.__class__ is Var:
                 places.setdefault(node.name, tuple(map(_index, path)))
         return places, _pieces(self.rhs)
+
+    @cached_property
+    def _match(self) -> Callable[[Term], Substitution | None]:
+        """The lhs compiled into a matcher once per rule: ``rule._match(s)``
+        is ``match(rule.lhs, s)``, which interprets the lhs again at every
+        call (Maranget, "Compiling pattern matching to good decision
+        trees", ML Workshop 2008, for one pattern at a time).
+
+        The lhs becomes a flat table.  Slot 0 is the subject, and slot k
+        its node at the k-th non-variable position below the root, read
+        breadth-first: check k is ``(slot, i, sym, name)``, argument ``i``
+        of an earlier slot, which must be an application of ``sym``.  Each
+        variable is bound from ``(slot, i)`` at its first occurrence in the
+        order ``match`` meets them, so both bind the same nodes, and each
+        later occurrence is one pair of places whose subterms are equal.
+        """
+        lhs, checks = self.lhs, []
+        slot_of = {ROOT: 0}
+        level = [(ROOT, lhs)]
+        while level:
+            below = []
+            for pos, node in level:
+                for i, arg in enumerate(node.args):
+                    if arg.__class__ is App:
+                        checks.append((slot_of[pos], i, arg.sym, arg.sym.name))
+                        slot_of[pos + (i + 1,)] = len(checks)
+                        below.append((pos + (i + 1,), arg))
+            level = below
+        binds, repeats, first = [], [], {}
+        stack = [(ROOT, lhs)]
+        while stack:  # match's own order: pre-order, the last argument first
+            pos, node = stack.pop()
+            if node.__class__ is Var:
+                place = (slot_of[pos[:-1]], pos[-1] - 1)
+                if node in first:
+                    repeats.append((*first[node], *place))
+                else:
+                    first[node] = place
+                    binds.append((node, *place))
+            else:
+                stack += [(pos + (i,), arg) for i, arg in enumerate(node.args, 1)]
+        root = lhs.sym
+
+        def matcher(node: Term) -> Substitution | None:
+            if node.__class__ is not App:
+                return None
+            head = node.sym
+            if head is not root and head != root:
+                return None
+            slots = [node]
+            for slot, i, sym, name in checks:
+                arg = slots[slot].args[i]
+                if arg.__class__ is not App:
+                    return None
+                have = arg.sym
+                if have is not sym and (have.name != name or have != sym):
+                    return None
+                slots.append(arg)
+            for slot, i, other, j in repeats:
+                a, b = slots[slot].args[i], slots[other].args[j]
+                if a is not b and a != b:
+                    return None
+            bindings = {}
+            for var, slot, i in binds:
+                value = slots[slot].args[i]
+                if value.__class__ is not Var or value != var:  # no identity binding
+                    bindings[var] = value
+            return _holding(bindings)
+
+        return matcher
 
 
 @dataclass(frozen=True)
@@ -253,7 +327,7 @@ def _matches(trs: TRS, node: App) -> list[tuple[Rule, Substitution]]:
     """Rules matching at the root of ``node``, by rule index, with their substitutions."""
     out = []
     for rule in trs._by_root.get(node.sym.name, ()):
-        sigma = match(rule.lhs, node)
+        sigma = rule._match(node)
         if sigma is not None:
             out.append((rule, sigma))
     return out

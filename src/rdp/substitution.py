@@ -76,10 +76,24 @@ class Substitution:
         return "{" + inner + "}"
 
 
+_new = object.__new__
+
+
+def _holding(bindings: dict[Var, Term]) -> Substitution:
+    """A substitution that keeps ``bindings`` itself, which hold no identity
+    binding: what a compiled matcher (``rewriting.Rule._match``) returns."""
+    sigma = _new(Substitution)
+    sigma._map = bindings
+    return sigma
+
+
 def match(pattern: Term, subject: Term) -> Substitution | None:
     """The unique substitution with ``apply(sigma, pattern) == subject``, if any.
 
-    Non-linear patterns require equal subjects at repeated variables.
+    Non-linear patterns require equal subjects at repeated variables.  This
+    walk interprets ``pattern`` afresh at every call; the rewriting walks
+    run each rule's compiled matcher instead, and ``match`` is the oracle
+    it is tested against.
     """
     bindings: dict[Var, Term] = {}
     stack: list[tuple[Term, Term]] = [(pattern, subject)]

@@ -384,7 +384,12 @@ def term_to_str(term: Term) -> str:
 
 
 def _write(term: Term) -> str:
-    """``term``'s text, as ``term_to_str`` has it, on one explicit stack at any depth."""
+    """``term``'s text, as ``term_to_str`` has it, on one explicit stack at any
+    depth; a leaf is its name at once."""
+    if term.__class__ is Var:
+        return term.name
+    if not term.args:
+        return term.sym.name
     return "".join([p if p.__class__ is str else p.name for p in _pieces(term)])
 
 

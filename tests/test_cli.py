@@ -9,8 +9,11 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdp
+from rdp import cli
 from rdp.cli import run_command
 
 LOOP_TRS = "(VAR x)\n(RULES\n  f(x) -> f(x)\n  k -> c\n)\n"
@@ -1115,3 +1118,58 @@ def test_a_command_leaves_as_many_cycles_at_any_fuel(
     large = _cyclic_garbage(argv + ["--fuel", "1000"])
     capsys.readouterr()
     assert large == small
+
+
+# --- the report writer -------------------------------------------------------
+
+
+class _Text(str):
+    """A string that is not exactly a str, which json writes as one."""
+
+
+class _Count(int):
+    """As ``_Text``, for an int."""
+
+
+_STRINGS = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600 ab'),
+)
+_SCALARS = st.one_of(
+    _STRINGS,
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.builds(_Text, _STRINGS),
+    st.builds(_Count, st.integers()),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, kids, max_size=4),
+        st.dictionaries(st.one_of(_STRINGS, st.integers(), st.booleans(), st.none()), kids, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_VALUES)
+def test_the_report_writer_is_json_dumps_with_indent_2(value):
+    """Nested dicts, lists and tuples, empty ones too, strings with quotes,
+    backslashes, control and non-ASCII characters, ints of any size, bools
+    and None, and beside them what ``json`` writes another way (floats, dict
+    keys that are no string, subclasses of str and int): the same bytes."""
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_the_report_writer_refuses_what_json_refuses():
+    for value in ({"a": [1, object()]}, [{1j: 2}]):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(value)

@@ -14,8 +14,9 @@ it printed against its exit code:
   with a construction reason, ``"fuel"`` echoes the budget, and a partial
   ``fuel-exhausted`` trace replays;
 - exit 2: exactly one stderr line, under 1 KB;
-- always: no exception escapes, and the report stays under a bound linear
-  in the input size plus fuel times the largest right-hand side, which
+- always: no exception escapes, a JSON report is what ``json.dumps`` with
+  ``indent=2`` writes of it, and the report stays under a bound linear in
+  the input size plus fuel times the largest right-hand side, which
   catches output exponential in the number of steps without a timer.
 
 Terms are drawn over each system's own symbols, so they read.  A run other
@@ -36,7 +37,8 @@ systems, chained or not, at fuels 0..40:
 - exit 1: only ``not-found``, ``precondition-failed`` or ``failure``, with
   the fuel; the traces ``chain-verify`` prints before a failed link replay;
 - exit 2: exactly when an entry is no dependency pair, on one stderr line
-  under 1 KB.
+  under 1 KB;
+- always: a report is what ``json.dumps`` with ``indent=2`` writes of it.
 
 With hypothesis 6.155 the 900 runs of its 300 witnesses exit 0 in 345
 (38.33 %), 1 in 384 (42.67 %) and 2 in 171 (19 %), the 57 witnesses with
@@ -53,7 +55,8 @@ A third derandomized test runs ``pvs0-eval``, ``pvs0-terminates`` and
   not; ``count`` is the number of ``calling_contexts``;
 - exit 1: only ``undefined`` or ``unknown-within-fuel``, with the fuel;
 - exit 2: exactly one stderr line, under 1 KB;
-- always: the report stays under a bound linear in the program's JSON.
+- always: the report stays under a bound linear in the program's JSON,
+  and is what ``json.dumps`` with ``indent=2`` writes of it.
 
 An input whose draw from 0..9 is 0 is malformed or of the wrong width, and
 must exit 2.  With hypothesis 6.155 the 600 runs exit 0 in 307 (51.17 %),
@@ -175,6 +178,14 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _report(out):
+    """The ``--json`` report ``out`` read back, after checking that it is
+    what ``json.dumps`` with ``indent=2`` writes of it, with a newline."""
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    return report
+
+
 def _replays(trs, data, mode=None):
     """The printed trace ``data`` read back, after checking that it replays."""
     trace = parse_trace(data, trs)
@@ -216,7 +227,7 @@ def _keeps_the_contract(
         assert len(err.encode()) < 1024
         return
     assert err == ""
-    report = json.loads(out)
+    report = _report(out)
     if command == "dps":
         assert (code, report["status"]) == (0, "ok")
         pairs = dep_pairs_alt(trs)
@@ -276,13 +287,13 @@ def _derives_the_chain(path, trs, witness, fuel, length):
     argv = [path, "--witness", str(witness_path), "--fuel", str(fuel), "--json"]
     code, out, err = _run(["chain-verify", *argv, "--innermost"])
     assert (code, err) == (0, "")
-    report = json.loads(out)
+    report = _report(out)
     assert (report["status"], report["entries"]) == ("verified", length)
     for data in report["traces"]:
         _replays(trs, data)
     code, out, err = _run(["chain-derive", *argv])
     assert (code, err) == (0, "")
-    report = json.loads(out)
+    report = _report(out)
     assert (report["status"], len(report["links"])) == ("verified", length - 1)
     for link in report["links"]:
         assert link["term"] == link["trace"]["start"]
@@ -391,7 +402,7 @@ def _keeps_the_witness_contract(path, trs, witness_path, witness, fuel):
             assert len(err.encode()) < 1024
             continue
         assert err == ""
-        report = json.loads(out)
+        report = _report(out)
         assert report["fuel"] == fuel
         if code == 1:
             assert report["status"] in ("not-found", "precondition-failed", "failure"), report
@@ -478,7 +489,7 @@ def _keeps_the_pvs0_contract(path, program, command, text, fuel, unusable=False)
         assert len(err.encode()) < 1024
         return
     assert err == ""
-    report = json.loads(out)
+    report = _report(out)
     if command == "pvs0-contexts":
         assert (code, report["status"]) == (0, "ok")
         assert report["count"] == len(calling_contexts(program)) == len(report["contexts"])
