@@ -29,6 +29,10 @@ operator is checked, sorts included, and compiled once, when it is built.
 Trees of both languages are folded, checked, compared, hashed and printed
 on the walk of ``terms``, from one table of each class's subtrees, so any
 depth works; only evaluating a guard calls one closure per nesting level.
+
+The correspondence check encodes values as unary terms whose numerals each
+encoder builds once and shares, and matches every encoded sample with the
+dependency pair's rule's compiled matcher (``Rule._match``).
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from typing import Callable, Union
 
 from .dependency_pairs import DepPairAlt, to_standard
 from .rewriting import DEFAULT_FUEL, TRS, defined_symbols
-from .substitution import match
 from .terms import _SHOW, App, Term, _walk, format_position
 
 Value = tuple[int, ...]
@@ -296,6 +299,9 @@ class OperatorDef:
                 return lambda args: args[a][c]
             if cls is GTuple:
                 widths.add(len(kids))
+                if len(kids) == 2:  # every tuple of a width-2 program: no list built
+                    first, second = kids
+                    return lambda args: (first(args), second(args))
                 return lambda args: tuple([f(args) for f in kids])
             left, right = kids[0], kids[1]
             if cls is GAdd:
@@ -575,7 +581,12 @@ def unary_encoder(
 ) -> Callable[[Value], Term]:
     """Encode value tuples as ``root(succ^v1(zero), ..., succ^vk(zero))`` terms.
 
-    With no explicit root the TRS must have exactly one defined symbol.
+    With no explicit root the TRS must have exactly one defined symbol.  The
+    encoder keeps one list of numerals, ``tower[k]`` being ``succ(tower[k - 1])``,
+    and extends it only past the largest component seen so far, so an encoding
+    builds just its root node and every encoding shares its numerals: equal
+    components are one object, and comparing encodings mostly settles by
+    identity.  A negative component encodes as ``zero``.
     """
     if root is None:
         defined = sorted(defined_symbols(trs), key=lambda s: s.name)
@@ -596,18 +607,17 @@ def unary_encoder(
     if zero_sym is None or zero_sym.arity != 0:
         raise ValueError(f"need a constant {_SHOW.repr(zero)} in the signature")
 
-    def nat(n: int) -> Term:
-        t: Term = App(zero_sym, ())
-        for _ in range(n):
-            t = App(succ_sym, (t,))
-        return t
+    tower: list[Term] = [App(zero_sym, ())]
 
     def encode(value: Value) -> Term:
         if len(value) != root_sym.arity:
             raise Pvs0Error(
                 f"value width {len(value)} does not match arity of {_SHOW.repr(root_sym)}"
             )
-        return App(root_sym, tuple(nat(c) for c in value))
+        top = max(value, default=0)
+        while len(tower) <= top:
+            tower.append(App(succ_sym, (tower[-1],)))
+        return App(root_sym, tuple([tower[c] if c >= 0 else tower[0] for c in value]))
 
     return encode
 
@@ -638,12 +648,13 @@ def check_cc_dp_correspondence(
                 f"no calling context {_SHOW.repr(ctx_index)}; program has {len(contexts)}"
             )
         pair = to_standard(trs, dp)
+        match_lhs = trs.rules[dp.rule_index]._match  # match(pair.lhs, ·), compiled once
         ctx = contexts[ctx_index]
         sample_rows: list[dict] = []
         pair_ok = True
         for v in samples:
             cond = _condition_holds(program, ctx, v, fuel)
-            sigma = match(pair.lhs, encode(v))
+            sigma = match_lhs(encode(v))
             matched = sigma is not None
             iff_ok = (cond is True) == matched
             row: dict = {

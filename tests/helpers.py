@@ -36,7 +36,9 @@ from rdp import (
     Vr,
     check_certificate,
     check_chained,
+    calling_contexts,
     chi_eval,
+    defined_symbols,
     detect_innermost_loop,
     dp_and_sub_from_nrnf,
     find_mint_subterm,
@@ -53,7 +55,17 @@ from rdp.formats import (
     _int_field,
     _is_int,
 )
-from rdp.pvs0 import _COMPARE, CallingContext, GScalar, GValue, Pvs0Error, Pvs0Expr, Value, _Node
+from rdp.pvs0 import (
+    _COMPARE,
+    CallingContext,
+    GScalar,
+    GValue,
+    Pvs0Error,
+    Pvs0Expr,
+    Value,
+    _condition_holds,
+    _Node,
+)
 from rdp.rewriting import (
     DEFAULT_FUEL,
     TRS,
@@ -833,6 +845,104 @@ def oracle_minimal_fuel(
             return None
         prev_failed = n
         n = min(n * 2, max_fuel)
+
+
+def oracle_unary_encoder(
+    trs: TRS,
+    root: str | None = None,
+    succ: str = "s",
+    zero: str = "0",
+) -> Callable[[Value], Term]:
+    """``unary_encoder`` as it was: every call builds ``succ^k(zero)`` node by
+    node, for every component, so no two encodings share a numeral."""
+    if root is None:
+        defined = sorted(defined_symbols(trs), key=lambda s: s.name)
+        if len(defined) != 1:
+            raise ValueError(
+                "TRS has several defined symbols; name the encoding root explicitly"
+            )
+        root_sym = defined[0]
+    else:
+        maybe = trs.signature.get(root)
+        if maybe is None:
+            raise ValueError(f"no symbol {_SHOW.repr(root)} in the signature")
+        root_sym = maybe
+    succ_sym = trs.signature.get(succ)
+    zero_sym = trs.signature.get(zero)
+    if succ_sym is None or succ_sym.arity != 1:
+        raise ValueError(f"need a unary symbol {_SHOW.repr(succ)} in the signature")
+    if zero_sym is None or zero_sym.arity != 0:
+        raise ValueError(f"need a constant {_SHOW.repr(zero)} in the signature")
+
+    def nat(n: int) -> Term:
+        t: Term = App(zero_sym, ())
+        for _ in range(n):
+            t = App(succ_sym, (t,))
+        return t
+
+    def encode(value: Value) -> Term:
+        if len(value) != root_sym.arity:
+            raise Pvs0Error(
+                f"value width {len(value)} does not match arity of {_SHOW.repr(root_sym)}"
+            )
+        return App(root_sym, tuple(nat(c) for c in value))
+
+    return encode
+
+
+def oracle_check_cc_dp_correspondence(
+    program: Pvs0Program,
+    trs: TRS,
+    encode: Callable[[Value], Term],
+    pairs: list[tuple[int, DepPairAlt]],
+    samples: list[Value],
+    fuel: int = DEFAULT_FUEL,
+) -> dict:
+    """``check_cc_dp_correspondence`` as it was: each sample is matched with the
+    interpreting ``substitution.match`` against the standard pair's lhs."""
+    contexts = calling_contexts(program)
+    report_pairs: list[dict] = []
+    overall = True
+    for ctx_index, dp in pairs:
+        if not 0 <= ctx_index < len(contexts):
+            raise Pvs0Error(
+                f"no calling context {_SHOW.repr(ctx_index)}; program has {len(contexts)}"
+            )
+        pair = to_standard(trs, dp)
+        ctx = contexts[ctx_index]
+        sample_rows: list[dict] = []
+        pair_ok = True
+        for v in samples:
+            cond = _condition_holds(program, ctx, v, fuel)
+            sigma = match(pair.lhs, encode(v))
+            matched = sigma is not None
+            iff_ok = (cond is True) == matched
+            row: dict = {
+                "value": list(v),
+                "condition": cond,
+                "match": matched,
+                "iff": iff_ok,
+            }
+            next_agrees: bool | None = None
+            if matched and cond is True:
+                actual_value = chi_eval(program, ctx.actual, v, fuel)
+                if actual_value is not None:
+                    assert sigma is not None
+                    next_agrees = encode(actual_value) == sigma.apply(pair.rhs_sub)
+                    pair_ok = pair_ok and next_agrees
+            row["next_call"] = next_agrees
+            pair_ok = pair_ok and iff_ok
+            sample_rows.append(row)
+        report_pairs.append(
+            {
+                "context": ctx_index,
+                "pair": {"rule": dp.rule_index, "position": format_position(dp.position)},
+                "samples": sample_rows,
+                "passed": pair_ok,
+            }
+        )
+        overall = overall and pair_ok
+    return {"pairs": report_pairs, "passed": overall}
 
 
 def oracle_term_pos_dps_alt(

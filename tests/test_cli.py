@@ -269,21 +269,33 @@ A_3_3 = "a(s(s(s(0))),s(s(s(0))))"
          "c62d8094a47542255ff7be53c515a3cb05859b4034c020f95d34c00523383995"),
         ("detour", ["loop-chain", "--term", "f(fork)", "--length", "3"], 0,
          "3ca3a810756e51656d6c87e4efd7d0cb23af899ebdb8d9296743fe5739efb960"),
+        ("pvs0+ack", ["cc-dp-check", "--pair", "0:1@ε", "--pair", "2:2@2", "--grid", "15,15",
+                      "--fuel", "200"], 0,
+         "6e2e3589a20fc82664addf0a9e12097f25cb7fd2df1b40d5661d8e2908042c66"),
+        ("pvs0", ["pvs0-eval", "--input", "3,4"], 0,
+         "d900ae8768d0d1c2bd424a72c90ed758706a51265dabb7756b7bdfa495681cd9"),
+        ("pvs0", ["pvs0-terminates", "--input", "3,4"], 0,
+         "d2cd13bef3cb2dde44d57935b15d645c240b2309faef1affa05e623bf9e344bc"),
     ],
     ids=["normalize-innermost", "normalize-full", "normalize-non-root",
          "normalize-non-root-innermost", "normalize-fuel-exhausted", "reach-400", "loop",
-         "loop-chain"],
+         "loop-chain", "cc-dp-check-15x15", "pvs0-eval-3-4", "pvs0-terminates-3-4"],
 )
 def test_a_pinned_report_prints_the_same_bytes(
-    capsys, tmp_path, monkeypatch, ack_trs_path, grow_trs_path, system, argv, exit_code, digest
+    capsys, tmp_path, monkeypatch, ack_trs_path, grow_trs_path, ack_program_path,
+    system, argv, exit_code, digest
 ):
-    """The sha256 of eight ``--json`` reports, so that a printer or walk
-    change that moves a byte fails here: among them the normalize walk in
-    all four modes and on its fuel-exhausted path, whose exit code is 1."""
+    """The sha256 of eleven ``--json`` reports, so that a printer, walk,
+    encoder or evaluator change that moves a byte fails here: among them the
+    normalize walk in all four modes and on its fuel-exhausted path, whose
+    exit code is 1, and the PVS0 commands on the Ackermann program.  A
+    ``system`` names the files the command reads, joined by ``+``."""
     monkeypatch.delenv("RDP_FUEL", raising=False)
     (tmp_path / "detour.trs").write_text(DETOUR_TRS)
-    path = {"ack": ack_trs_path, "grow": grow_trs_path, "detour": str(tmp_path / "detour.trs")}
-    code = run_command([argv[0], path[system], *argv[1:], "--json"])
+    path = {"ack": ack_trs_path, "grow": grow_trs_path, "detour": str(tmp_path / "detour.trs"),
+            "pvs0": ack_program_path}
+    files = [path[name] for name in system.split("+")]
+    code = run_command([argv[0], *files, *argv[1:], "--json"])
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

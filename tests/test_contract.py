@@ -62,6 +62,21 @@ An input whose draw from 0..9 is 0 is malformed or of the wrong width, and
 must exit 2.  With hypothesis 6.155 the 600 runs exit 0 in 307 (51.17 %),
 1 in 252 (42 %) and 2 in 41 (6.83 %), the unusable inputs.
 
+A fourth derandomized test runs ``cc-dp-check`` on the Ackermann fixture,
+with drawn pairings of its calling contexts and dependency pairs, samples,
+an optional grid and fuels 0..40:
+
+- exit 0: only ``pass``, with every row agreeing (``iff`` true and
+  ``next_call`` not false) and every pairing passed;
+- exit 1: only ``fail``, with the fuel and a disagreeing row;
+- exit 2: exactly when a pairing names no context or no pair, or a sample
+  is not of width 2, on one stderr line under 1 KB;
+- always: the report lists the pairings in order, one row per sample each,
+  and is what ``json.dumps`` with ``indent=2`` writes of it.
+
+With hypothesis 6.155 the 300 runs exit 0 in 69 (23 %), 1 in 134
+(44.67 %) and 2 in 97 (32.33 %).
+
 Known defects are strict xfails on concrete inputs, each naming the
 ROADMAP item whose mend flips it.
 
@@ -554,6 +569,103 @@ def test_nested_recs_list_their_contexts_within_the_bound(program_path):
         body = Rec(body)
     program = Pvs0Program(1, (0,), (1,), (), (), body)
     _keeps_the_pvs0_contract(program_path, program, "pvs0-contexts", "", 0)
+
+
+# --- cc-dp-check -------------------------------------------------------------
+
+CC_DP_PAIRS = {(1, "ε"), (2, "ε"), (2, "2")}  # the Ackermann fixture's pairs, as flags
+CC_DP_CONTEXTS = 3
+
+
+def _keeps_the_cc_dp_contract(program_path, trs_path, pairings, samples, grid, fuel):
+    """Run ``cc-dp-check`` on the Ackermann fixture and check its output
+    against the contract: exit 2 exactly when a pairing names no context or
+    no pair, or a sample is not of width 2."""
+    argv = ["cc-dp-check", program_path, trs_path, "--fuel", str(fuel), "--json"]
+    for ctx, rule, pos in pairings:
+        argv += ["--pair", f"{ctx}:{rule}@{pos}"]
+    for value in samples:
+        argv += ["--sample", ",".join(map(str, value))]
+    if grid is not None:
+        argv += ["--grid", ",".join(map(str, grid))]
+    code, out, err = _run(argv)
+    unusable = any(
+        ctx >= CC_DP_CONTEXTS or (rule, pos) not in CC_DP_PAIRS for ctx, rule, pos in pairings
+    ) or any(len(value) != 2 for value in samples)
+    assert (code == 2) == unusable, (code, err)
+    if code == 2:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert len(err.encode()) < 1024
+        return
+    assert err == ""
+    report = _report(out)
+    assert report["fuel"] == fuel
+    assert [(p["context"], p["pair"]["rule"], p["pair"]["position"]) for p in report["pairs"]] == [
+        tuple(pairing) for pairing in pairings
+    ]
+    rows = [row for pair in report["pairs"] for row in pair["samples"]]
+    width = len(samples) + (0 if grid is None else (grid[0] + 1) * (grid[1] + 1))
+    assert len(rows) == len(pairings) * width
+    for row in rows:
+        assert row["iff"] == ((row["condition"] is True) == row["match"])
+    disagreeing = [row for row in rows if row["iff"] is False or row["next_call"] is False]
+    if code == 0:
+        assert (report["status"], report["passed"]) == ("pass", True)
+        assert all(pair["passed"] for pair in report["pairs"]) and not disagreeing
+    else:
+        assert code == 1, code
+        assert (report["status"], report["passed"]) == ("fail", False)
+        assert disagreeing
+
+
+@st.composite
+def _cc_dp_runs(draw):
+    """Pairings of the fixture's contexts with its pairs, samples of width 2
+    and an optional grid, and a fuel.  When a draw from 0..9 is 0, one
+    pairing names no context or no pair; when another is 0, one sample is
+    of width 1 or 3."""
+    pairing = st.tuples(st.integers(0, CC_DP_CONTEXTS - 1), st.sampled_from(sorted(CC_DP_PAIRS)))
+    pairings = [(ctx, *pair) for ctx, pair in draw(st.lists(pairing, min_size=1, max_size=3))]
+    if draw(st.integers(0, 9)) == 0:
+        bad = st.sampled_from(((3, 1, "ε"), (0, 0, "ε"), (1, 2, "1"), (2, 3, "ε"), (0, 1, "2.2")))
+        pairings.insert(draw(st.integers(0, len(pairings))), draw(bad))
+    nat = st.integers(0, 4)
+    samples = draw(st.lists(st.tuples(nat, nat), max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        samples.insert(draw(st.integers(0, len(samples))), draw(st.sampled_from(((1,), (1, 0, 0)))))
+    grid = draw(st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))))
+    if not samples and grid is None:
+        grid = (0, 0)
+    return pairings, samples, grid, draw(st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cc_dp_runs())
+def test_cc_dp_check_keeps_the_contract(ack_program_path, ack_trs_path, run):
+    _keeps_the_cc_dp_contract(ack_program_path, ack_trs_path, *run)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 19: a guard undefined within the fuel counts as false, "
+    "so at fuel 0 a matched sample disagrees and the pairing fails",
+)
+def test_a_guard_undefined_within_the_fuel_is_no_disagreement(ack_program_path, ack_trs_path):
+    """At fuel 0 every guard is undefined (``"condition": null``), and yet the
+    sample (1,0), which matches, reads ``iff: false``; at fuel 1 the same
+    call answers ``pass``.  A ``fail`` should rest on a row whose condition
+    is defined."""
+    argv = ["cc-dp-check", ack_program_path, ack_trs_path, "--pair", "0:1@ε",
+            "--sample", "1,0", "--sample", "0,1", "--json"]
+    code, out, _ = _run(argv + ["--fuel", "1"])
+    assert (code, _report(out)["status"]) == (0, "pass")
+    code, out, _ = _run(argv + ["--fuel", "0"])
+    rows = _report(out)["pairs"][0]["samples"]
+    assert [row["condition"] for row in rows] == [None, None]
+    assert all(row["iff"] is not False for row in rows if row["condition"] is None)
+    assert code == 0
 
 
 def test_src_carries_no_depth_workaround():

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from rdp import (
+    App,
     CallingContext,
     Cnst,
     DepPairAlt,
@@ -551,3 +552,30 @@ def test_cc_dp_correspondence_rejects_bad_indices(ack_program):
         check_cc_dp_correspondence(
             ack_program, trs, unary_encoder(trs), [(0, DepPairAlt(0, ()))], [(0, 0)]
         )
+
+
+def test_a_grid_check_builds_a_bounded_number_of_nodes(monkeypatch, ack_program, ack_trs):
+    """Counted work, not time.  The encoder builds each numeral once and
+    every encoding only its root node, so a row of the check builds at most
+    three nodes besides the numerals (the sample's encoding, and for a match
+    whose condition holds the actual's encoding and the rhs subterm's
+    instance): 2.44 a row on the 15x15 grid, where building every numeral
+    anew at each encoding built 27.2."""
+    built = [0]
+    init = App.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(App, "__init__", counting)
+    samples = [(m, n) for m in range(16) for n in range(16)]
+    pairs = [(0, DepPairAlt(1, ())), (2, DepPairAlt(2, (2,)))]
+    report = check_cc_dp_correspondence(
+        ack_program, ack_trs, unary_encoder(ack_trs), pairs, samples, fuel=200
+    )
+    assert report["passed"] is True
+    rows = sum(len(pair["samples"]) for pair in report["pairs"])
+    assert rows == 2 * 256
+    numerals = 16  # 0 up to 15, the grid's largest component
+    assert built[0] <= 3 * rows + numerals, f"{built[0]} nodes built for {rows} rows"

@@ -10,7 +10,11 @@ program reader, expression printer, equality and hash are checked against
 the recursive definitions they replaced (``oracle_compile_guard``,
 ``oracle_parse_pvs0_program``, ``oracle_pvs0_expr_to_str``), the reader
 also on broken programs, and the one-pass ``repr`` of nodes against the
-dataclass-generated one (``oracle_node_repr``).
+dataclass-generated one (``oracle_node_repr``).  The unary encoder that
+shares one numeral tower is checked against the one that built every
+numeral anew (``oracle_unary_encoder``), and the correspondence check that
+runs each rule's compiled matcher against the one that matched with
+``substitution.match`` (``oracle_check_cc_dp_correspondence``).
 """
 
 import copy
@@ -38,18 +42,24 @@ from rdp import (
     Rec,
     Vr,
     calling_contexts,
+    check_cc_dp_correspondence,
     chi_eval,
+    dep_pairs_alt,
     epsilon_check,
     guard_eval,
     parse_pvs0_program,
+    parse_trs,
     terminates_on,
+    unary_encoder,
 )
 from rdp.formats import pvs0_expr_to_str
 from rdp.pvs0 import _evaluate, _kids
 from rdp.terms import _walk
 
 from helpers import (
+    ack_system,
     oracle_calling_contexts,
+    oracle_check_cc_dp_correspondence,
     oracle_check_guard,
     oracle_compile_guard,
     oracle_evaluate,
@@ -62,6 +72,7 @@ from helpers import (
     oracle_program_to_json,
     oracle_pvs0_expr_to_json,
     oracle_pvs0_expr_to_str,
+    oracle_unary_encoder,
     random_pvs0_program,
 )
 
@@ -423,3 +434,67 @@ def test_repr_agrees_with_the_recursive_repr(seed):
     program = random_pvs0_program(random.Random(seed))
     for node in nodes_of(program):
         assert repr(node) == oracle_node_repr(node)
+
+
+# --- the unary encoder and the correspondence check --------------------------
+
+NATS = st.integers(min_value=0, max_value=12)
+
+
+@st.composite
+def _encoded_values(draw):
+    """Pairs of naturals, zeros favoured, each drawn list visited twice (so
+    values repeat), and now and then one negative component."""
+    values = draw(st.lists(st.tuples(NATS, NATS), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(values) - 1)), draw(st.integers(0, 1))
+        value = list(values[i])
+        value[j] = draw(st.integers(min_value=-5, max_value=-1))
+        values[i] = tuple(value)
+    return values + values[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_encoded_values())
+def test_the_shared_numeral_encoder_agrees_with_building_each_numeral(values):
+    """Every encoding equals the one built node by node, and the encodings of
+    one encoder share their numerals: each ``succ^k(zero)`` below any of them
+    is one object."""
+    trs = ack_system()
+    encode, oracle = unary_encoder(trs), oracle_unary_encoder(trs)
+    numeral = {}  # k to the one succ^k(zero) every encoding holds
+    for value in values:
+        term = encode(value)
+        assert term == oracle(value)
+        for c, node in zip(value, term.args):
+            for k in range(max(c, 0), -1, -1):
+                assert numeral.setdefault(k, node) is node
+                if k:
+                    node = node.args[0]
+    assert encode((3, 5)).args[1].args[0] is encode((4, 0)).args[0]
+    assert encode((-1, 0)).args[0] is encode((0, 2)).args[0]
+
+
+ACK_TEXT = resources.files("rdp").joinpath("fixtures/ackermann.trs").read_text()
+ACK_PROGRAM_TEXT = resources.files("rdp").joinpath("fixtures/ackermann.pvs0.json").read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8),
+    st.integers(0, 40),
+)
+def test_the_check_agrees_with_matching_by_substitution_match(choices, samples, fuel):
+    """Every calling context of the Ackermann fixture against every one of
+    its dependency pairs, on drawn samples at fuels 0..40: the report is the
+    one matching with ``substitution.match`` wrote, byte for byte."""
+    trs, program = parse_trs(ACK_TEXT), parse_pvs0_program(ACK_PROGRAM_TEXT)
+    dps = dep_pairs_alt(trs)
+    assert len(calling_contexts(program)) == 3 and len(dps) == 3
+    pairs = [(ctx, dps[k]) for ctx, k in choices]
+    got = check_cc_dp_correspondence(program, trs, unary_encoder(trs), pairs, samples, fuel)
+    want = oracle_check_cc_dp_correspondence(
+        program, trs, oracle_unary_encoder(trs), pairs, samples, fuel
+    )
+    assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
