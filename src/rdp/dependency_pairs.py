@@ -8,10 +8,10 @@ instantiated rhs subterm of one rewrites below the root to the
 instantiated lhs of the next.
 
 Pairs are validated where they enter: ``require_dep_pair`` is the one
-rejection, reached through ``to_standard`` by every function that reads a
-pair's lhs and rhs subterm, and through ``validate_witness`` and the witness
-parser for whole witnesses; the pass over a witness's denoted terms trusts
-a witness already validated.
+rejection, reached by ``to_standard`` and ``check_chained`` for single
+pairs and through ``validate_witness`` and the witness parser for whole
+witnesses; the chain check and the pass over a witness's denoted terms
+trust a witness already validated.
 
 Checking is fuel-bounded and evidence-carrying in both directions: chain
 links come with replayable non-root traces, nontermination evidence is an
@@ -233,43 +233,42 @@ def check_chained(
     innermost: bool,
     fuel: int = DEFAULT_FUEL,
 ) -> LinkVerdict:
-    """Is (dp1, sigma1) followed by (dp2, sigma2) a chain link?
-
-    The instantiated rhs subterm of dp1 must rewrite below the root to the
-    instantiated lhs of dp2.  In innermost mode both instantiated lhs's must
-    additionally be nr-normal (checked first; violation is reported as
-    precondition-failed, not as not-found).
-    """
-    pair1, pair2 = to_standard(trs, dp1), to_standard(trs, dp2)
-    if innermost:
-        for which, pair, sigma in (("first", pair1, sigma1), ("second", pair2, sigma2)):
-            if not is_nr_normal_form(trs, sigma.apply(pair.lhs)):
-                reason = f"{which}-lhs-instance-not-nr-normal"
-                return LinkVerdict(PRECONDITION_FAILED, reason=reason)
-    source = sigma1.apply(pair1.rhs_sub)
-    target = sigma2.apply(pair2.lhs)
-    mode = RelationMode.NON_ROOT_INNERMOST if innermost else RelationMode.NON_ROOT
-    trace = derives(trs, source, target, mode, fuel)
-    if trace is None:
-        return LinkVerdict(NOT_FOUND)
-    return LinkVerdict(VERIFIED, trace=trace)
+    """Is (dp1, sigma1) followed by (dp2, sigma2) a chain link?  Each pair is rejected
+    through ``require_dep_pair``; the link is ``verify_chain_prefix``'s pass over the two."""
+    require_dep_pair(trs, dp1)
+    require_dep_pair(trs, dp2)
+    verdict = _check_links(trs, ((dp1, sigma1), (dp2, sigma2)), innermost, fuel)
+    return LinkVerdict(verdict.status, next(iter(verdict.traces), None), verdict.reason)
 
 
 def verify_chain_prefix(
     trs: TRS, witness: ChainWitness, innermost: bool, fuel: int = DEFAULT_FUEL
 ) -> ChainVerdict:
-    """Check every consecutive link; empty and singleton witnesses are vacuously verified."""
+    """Check every consecutive link in one pass over the validated witness: each lhs
+    instance is built once and, under innermost, checked nr-normal once, when its
+    entry is reached.  Empty and singleton witnesses are vacuously verified."""
     validate_witness(trs, witness)
+    return _check_links(trs, witness.entries, innermost, fuel)
+
+
+def _check_links(trs: TRS, entries: tuple, innermost: bool, fuel: int) -> ChainVerdict:
+    """The pass of ``verify_chain_prefix`` over entries whose pairs are validated."""
+    if len(entries) < 2:
+        return ChainVerdict(VERIFIED)
+    mode = RelationMode.NON_ROOT_INNERMOST if innermost else RelationMode.NON_ROOT
     traces: list[DerivationTrace] = []
-    entries = witness.entries
-    for i, ((dp1, sigma1), (dp2, sigma2)) in enumerate(zip(entries, entries[1:])):
-        verdict = check_chained(trs, dp1, sigma1, dp2, sigma2, innermost, fuel)
-        if verdict.status != VERIFIED:
-            return ChainVerdict(
-                verdict.status, tuple(traces), failed_index=i, reason=verdict.reason
-            )
-        assert verdict.trace is not None
-        traces.append(verdict.trace)
+    for i, (dp, sigma) in enumerate(entries):
+        rule = trs.rules[dp.rule_index]
+        lhs = sigma.apply(rule.lhs)
+        if innermost and not is_nr_normal_form(trs, lhs):
+            reason = f"{'second' if i else 'first'}-lhs-instance-not-nr-normal"
+            return ChainVerdict(PRECONDITION_FAILED, tuple(traces), max(i - 1, 0), reason)
+        if i:
+            trace = derives(trs, source, lhs, mode, fuel)
+            if trace is None:
+                return ChainVerdict(NOT_FOUND, tuple(traces), i - 1)
+            traces.append(trace)
+        source = sigma.apply(subterm_at(rule.rhs, dp.position))
     return ChainVerdict(VERIFIED, tuple(traces))
 
 
@@ -432,7 +431,7 @@ def _entry_from(trs: TRS, u: Term, fuel: int, link: bool) -> tuple[DepPairAlt, S
     """Normalize ``u`` below the root to ``t``, then extract as dp_and_sub_from_nrnf
     does.  With ``link``, ``u`` is the entry before's instantiated rhs subterm and
     ``t`` the new entry's instantiated lhs, both lhs instances nr-normal where they
-    were extracted: the link is the one search ``check_chained`` runs there."""
+    were extracted: the link is the one search ``verify_chain_prefix`` runs there."""
     try:
         t = normalize(trs, u, RelationMode.NON_ROOT_INNERMOST, fuel).end
     except FuelExhausted:

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from rdp import (
     App,
+    ChainVerdict,
     ChainWitness,
     Cnst,
     ConstructionFailure,
     DepPairAlt,
+    DerivationTrace,
     GAdd,
     GComp,
     GConst,
@@ -22,6 +24,7 @@ from rdp import (
     GMonus,
     GTuple,
     Ite,
+    LinkVerdict,
     LoopCertificate,
     Op1,
     Op2,
@@ -35,10 +38,11 @@ from rdp import (
     Var,
     Vr,
     check_certificate,
-    check_chained,
     calling_contexts,
     chi_eval,
     defined_symbols,
+    dep_pairs_alt,
+    derives,
     detect_innermost_loop,
     dp_and_sub_from_nrnf,
     find_mint_subterm,
@@ -47,9 +51,8 @@ from rdp import (
     to_standard,
     trs_of,
     validate_witness,
-    verify_chain_prefix,
 )
-from rdp.dependency_pairs import VERIFIED
+from rdp.dependency_pairs import NOT_FOUND, PRECONDITION_FAILED, VERIFIED
 from rdp.formats import (
     ParseError,
     _int_field,
@@ -69,7 +72,6 @@ from rdp.pvs0 import (
 from rdp.rewriting import (
     DEFAULT_FUEL,
     TRS,
-    DerivationTrace,
     FuelExhausted,
     RelationMode,
     Rule,
@@ -270,6 +272,60 @@ def witness_entries(values, pairs):
         lambda xy: Substitution({X: xy[0], Y: xy[1]})
     )
     return st.tuples(st.sampled_from(pairs), sigma)
+
+
+# The systems the command-contract tests run on; none of them shares terms.
+CONTRACT_SYSTEMS = {
+    "ack": ack_system,
+    "loop": loop_system,
+    "grow": grow_system,
+    "nest": nest_system,
+    "growing_wrap": growing_wrap_system,
+    "detour": detour_system,
+    "eq": eq_system,
+}
+
+
+def reached(system, term, mode, steps):
+    """The term ``steps`` steps along ``term``'s derivation under ``mode``, or its
+    normal form if that comes first."""
+    try:
+        return normalize(system, term, mode, steps).end
+    except FuelExhausted as err:
+        return err.trace.end
+
+
+@st.composite
+def chain_witness(draw, system, min_size=0):
+    """A witness of ``min_size`` to six entries over ``system``, with x and y
+    bound to a few small terms over the system's own symbols, so that some
+    lhs instances hold a redex.  Half of the witnesses are chained from their
+    first entry on, for as long as the rhs subterm of the entry before,
+    normalized below its root, is an instance of some pair's lhs; the entries
+    after that stay as drawn.  When a draw from 0..4 is 0, one entry names
+    one of ``NOT_PAIRS`` instead."""
+    values = draw(
+        st.lists(terms_over(system.signature.symbols, 4, with_c=False), min_size=1, max_size=3)
+    )
+    pairs = dep_pairs_alt(system)
+    entries = draw(st.lists(witness_entries(values, pairs), min_size=min_size, max_size=6))
+    if draw(st.booleans()):
+        for i in range(1, len(entries)):
+            dp, sigma = entries[i - 1]
+            rhs_sub = subterm_at(system.rules[dp.rule_index].rhs, dp.position)
+            end = reached(system, sigma.apply(rhs_sub), RelationMode.NON_ROOT_INNERMOST, 40)
+            options = [
+                (pair, found)
+                for pair in pairs
+                if (found := match(system.rules[pair.rule_index].lhs, end)) is not None
+            ]
+            if not options:
+                break
+            entries[i] = draw(st.sampled_from(options))
+    if entries and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] = (draw(st.sampled_from(NOT_PAIRS)), entries[i][1])
+    return ChainWitness(tuple(entries))
 
 
 # Hypothesis strategy: terms over the Ackermann-style signature with two
@@ -967,6 +1023,55 @@ def oracle_term_pos_dps_alt(
     return term, acc
 
 
+def oracle_check_chained(
+    trs: TRS,
+    dp1: DepPairAlt,
+    sigma1: Substitution,
+    dp2: DepPairAlt,
+    sigma2: Substitution,
+    innermost: bool,
+    fuel: int = DEFAULT_FUEL,
+) -> LinkVerdict:
+    """Is (dp1, sigma1) followed by (dp2, sigma2) a chain link?
+
+    The instantiated rhs subterm of dp1 must rewrite below the root to the
+    instantiated lhs of dp2.  In innermost mode both instantiated lhs's must
+    additionally be nr-normal (checked first; violation is reported as
+    precondition-failed, not as not-found).
+    """
+    pair1, pair2 = to_standard(trs, dp1), to_standard(trs, dp2)
+    if innermost:
+        for which, pair, sigma in (("first", pair1, sigma1), ("second", pair2, sigma2)):
+            if not is_nr_normal_form(trs, sigma.apply(pair.lhs)):
+                reason = f"{which}-lhs-instance-not-nr-normal"
+                return LinkVerdict(PRECONDITION_FAILED, reason=reason)
+    source = sigma1.apply(pair1.rhs_sub)
+    target = sigma2.apply(pair2.lhs)
+    mode = RelationMode.NON_ROOT_INNERMOST if innermost else RelationMode.NON_ROOT
+    trace = derives(trs, source, target, mode, fuel)
+    if trace is None:
+        return LinkVerdict(NOT_FOUND)
+    return LinkVerdict(VERIFIED, trace=trace)
+
+
+def oracle_verify_chain_prefix(
+    trs: TRS, witness: ChainWitness, innermost: bool, fuel: int = DEFAULT_FUEL
+) -> ChainVerdict:
+    """Check every consecutive link; empty and singleton witnesses are vacuously verified."""
+    validate_witness(trs, witness)
+    traces: list[DerivationTrace] = []
+    entries = witness.entries
+    for i, ((dp1, sigma1), (dp2, sigma2)) in enumerate(zip(entries, entries[1:])):
+        verdict = oracle_check_chained(trs, dp1, sigma1, dp2, sigma2, innermost, fuel)
+        if verdict.status != VERIFIED:
+            return ChainVerdict(
+                verdict.status, tuple(traces), failed_index=i, reason=verdict.reason
+            )
+        assert verdict.trace is not None
+        traces.append(verdict.trace)
+    return ChainVerdict(VERIFIED, tuple(traces))
+
+
 def oracle_find_mint_subterm(
     trs: TRS, term: Term, fuel: int = DEFAULT_FUEL
 ) -> tuple[Position, LoopCertificate] | None:
@@ -1016,7 +1121,7 @@ def oracle_next_dp_and_sub(
     if detect_innermost_loop(trs, u, fuel) is None:
         raise ConstructionFailure("no-loop-certificate")
     dp2, sigma2 = _oracle_pair_below(trs, u, fuel)
-    verdict = check_chained(trs, dp, sigma, dp2, sigma2, innermost=True, fuel=fuel)
+    verdict = oracle_check_chained(trs, dp, sigma, dp2, sigma2, innermost=True, fuel=fuel)
     if verdict.status != VERIFIED:
         raise ConstructionFailure(f"link-not-chained:{verdict.status}")
     return dp2, sigma2
@@ -1043,7 +1148,7 @@ def oracle_chain_from_loop(
     for _ in range(k - 1):
         entries.append(oracle_next_dp_and_sub(trs, entries[-1][0], entries[-1][1], fuel))
     witness = ChainWitness(tuple(entries))
-    verdict = verify_chain_prefix(trs, witness, innermost=True, fuel=fuel)
+    verdict = oracle_verify_chain_prefix(trs, witness, innermost=True, fuel=fuel)
     if verdict.status != VERIFIED:
         raise ConstructionFailure(
             f"chain-verification-failed-at-link-{verdict.failed_index}"

@@ -44,6 +44,32 @@ INNER_ACK_WITNESS = {
         {"rule": 2, "position": "2", "substitution": {"x": "0", "y": "0"}},
     ]
 }
+# Ackermann chain witnesses for the pinned reports: six entries chained
+# innermost, with a 5-step link and zero-step links; a middle entry whose lhs
+# instance a(s(0),s(s(a(0,0)))) holds a redex; and a third link no non-root
+# derivation reaches, a(s(0),s(s(0))) being normal below its root.
+PINNED_WITNESSES = {
+    "verified.json": [
+        (1, "", {"x": "s(s(0))"}),
+        (2, "", {"x": "s(0)", "y": "0"}),
+        (2, "2", {"x": "0", "y": "s(s(0))"}),
+        (2, "2", {"x": "0", "y": "s(0)"}),
+        (2, "2", {"x": "0", "y": "0"}),
+        (1, "", {"x": "0"}),
+    ],
+    "middle-not-nr-normal.json": [
+        (1, "", {"x": "s(s(0))"}),
+        (2, "", {"x": "s(0)", "y": "0"}),
+        (2, "2", {"x": "0", "y": "s(a(0,0))"}),
+        (2, "2", {"x": "0", "y": "s(0)"}),
+    ],
+    "third-link-not-found.json": [
+        (1, "", {"x": "s(s(0))"}),
+        (2, "", {"x": "s(0)", "y": "0"}),
+        (2, "2", {"x": "0", "y": "s(s(0))"}),
+        (1, "", {"x": "s(s(s(s(0))))"}),
+    ],
+}
 ROOT_ACK_WITNESS = {
     "entries": [
         {"rule": 2, "position": "", "substitution": {"x": "s(0)", "y": "0"}},
@@ -276,25 +302,43 @@ A_3_3 = "a(s(s(s(0))),s(s(s(0))))"
          "d900ae8768d0d1c2bd424a72c90ed758706a51265dabb7756b7bdfa495681cd9"),
         ("pvs0", ["pvs0-terminates", "--input", "3,4"], 0,
          "d2cd13bef3cb2dde44d57935b15d645c240b2309faef1affa05e623bf9e344bc"),
+        ("ack", ["chain-verify", "--witness", "verified.json", "--innermost"], 0,
+         "766f2a78489befc10586904aef0c222111bc48eb9362baa6722e2d343ad7a425"),
+        ("ack", ["chain-verify", "--witness", "middle-not-nr-normal.json", "--innermost"], 1,
+         "245bb885a243be03b1775ea0009304fa38f1cafe7140cdd6359ebd3e14520a2c"),
+        ("ack", ["chain-verify", "--witness", "third-link-not-found.json"], 1,
+         "84f12155771193d5b284368f32e63ce25ee9e2f7d0f30cda6e34c6f5900eda62"),
+        ("ack", ["chain-derive", "--witness", "verified.json"], 0,
+         "83fb26bda3ae5c396adc8e0f6e4a4da081bed3d57ddade616c1fb00d62430651"),
     ],
     ids=["normalize-innermost", "normalize-full", "normalize-non-root",
          "normalize-non-root-innermost", "normalize-fuel-exhausted", "reach-400", "loop",
-         "loop-chain", "cc-dp-check-15x15", "pvs0-eval-3-4", "pvs0-terminates-3-4"],
+         "loop-chain", "cc-dp-check-15x15", "pvs0-eval-3-4", "pvs0-terminates-3-4",
+         "chain-verify-innermost-verified", "chain-verify-innermost-middle-precondition",
+         "chain-verify-non-root-not-found", "chain-derive"],
 )
 def test_a_pinned_report_prints_the_same_bytes(
     capsys, tmp_path, monkeypatch, ack_trs_path, grow_trs_path, ack_program_path,
     system, argv, exit_code, digest
 ):
-    """The sha256 of eleven ``--json`` reports, so that a printer, walk,
-    encoder or evaluator change that moves a byte fails here: among them the
-    normalize walk in all four modes and on its fuel-exhausted path, whose
-    exit code is 1, and the PVS0 commands on the Ackermann program.  A
-    ``system`` names the files the command reads, joined by ``+``."""
+    """The sha256 of fifteen ``--json`` reports, so that a printer, walk,
+    encoder, evaluator or chain-check change that moves a byte fails here:
+    among them the normalize walk in all four modes and on its
+    fuel-exhausted path, whose exit code is 1, the PVS0 commands on the
+    Ackermann program, and the chain commands on a verified witness and on
+    witnesses that fail at a middle entry and at a later link.  A
+    ``system`` names the files the command reads, joined by ``+``; an
+    argument naming one of ``PINNED_WITNESSES`` is replaced by its file."""
     monkeypatch.delenv("RDP_FUEL", raising=False)
     (tmp_path / "detour.trs").write_text(DETOUR_TRS)
     path = {"ack": ack_trs_path, "grow": grow_trs_path, "detour": str(tmp_path / "detour.trs"),
             "pvs0": ack_program_path}
+    for name, entries in PINNED_WITNESSES.items():
+        path[name] = write_json(tmp_path, name, {"entries": [
+            {"rule": rule, "position": pos, "substitution": sigma} for rule, pos, sigma in entries
+        ]})
     files = [path[name] for name in system.split("+")]
+    argv = [path.get(arg, arg) for arg in argv]
     code = run_command([argv[0], *files, *argv[1:], "--json"])
     out = capsys.readouterr().out
     assert code == exit_code

@@ -99,15 +99,12 @@ from hypothesis import strategies as st
 
 import rdp
 from rdp import (
-    ChainWitness,
-    FuelExhausted,
     LoopCertificate,
     RelationMode,
     check_certificate,
     check_trace,
     dep_pairs_alt,
     is_dep_pair_alt,
-    match,
     normalize,
     to_standard,
     verify_chain_prefix,
@@ -126,33 +123,18 @@ from rdp.pvs0 import Pvs0Program, Rec, Vr, calling_contexts, chi_eval
 from rdp.terms import parse_position, subterm_at, term_to_str
 
 from helpers import (
-    NOT_PAIRS,
+    CONTRACT_SYSTEMS as SYSTEMS,
     X,
     Y,
-    ack_system,
-    detour_system,
+    chain_witness,
     dup_system,
-    eq_system,
-    grow_system,
-    growing_wrap_system,
     hg_system,
-    loop_system,
-    nest_system,
     oracle_program_to_json,
     random_pvs0_program,
+    reached,
     terms_over,
-    witness_entries,
 )
 
-SYSTEMS = {
-    "ack": ack_system,
-    "loop": loop_system,
-    "grow": grow_system,
-    "nest": nest_system,
-    "growing_wrap": growing_wrap_system,
-    "detour": detour_system,
-    "eq": eq_system,
-}
 KNOWN_DEFECTS = {"hg": hg_system, "dup": dup_system}  # item 9: shared terms print unshared
 COMMANDS = ("normalize", "reach", "loop", "mint", "loop-chain", "dps")
 # The reasons a fuel-bounded construction gives for a failure; a link that
@@ -315,15 +297,6 @@ def _derives_the_chain(path, trs, witness, fuel, length):
         _replays(trs, link["trace"], RelationMode.INNERMOST)
 
 
-def _reached(system, term, mode, steps):
-    """The term ``steps`` steps along ``term``'s derivation under ``mode``, or its
-    normal form if that comes first."""
-    try:
-        return normalize(system, term, mode, steps).end
-    except FuelExhausted as err:
-        return err.trace.end
-
-
 @st.composite
 def _runs(draw):
     """A run over the system's own symbols, whose term loses one character,
@@ -335,7 +308,7 @@ def _runs(draw):
     mode = draw(st.sampled_from(list(RelationMode)))
     target = draw(
         st.one_of(
-            st.integers(0, 6).map(lambda steps: _reached(system, term, mode, steps)),
+            st.integers(0, 6).map(lambda steps: reached(system, term, mode, steps)),
             terms_over(system.signature.symbols, with_c=False),
         )
     )
@@ -435,36 +408,10 @@ def _keeps_the_witness_contract(path, trs, witness_path, witness, fuel):
 
 @st.composite
 def _witness_runs(draw):
-    """A witness of one to six entries over one system, with x and y bound to
-    a few small terms over the system's own symbols, and a fuel.  Half of the
-    witnesses are chained from their first entry on, for as long as the rhs
-    subterm of the entry before, normalized below its root, is an instance
-    of some pair's lhs; the entries after that stay as drawn.  When a draw
-    from 0..4 is 0, one entry names one of ``NOT_PAIRS`` instead."""
+    """A witness of one to six entries over one system, as ``chain_witness``
+    draws it, and a fuel."""
     name = draw(st.sampled_from(sorted(SYSTEMS)))
-    system = SYSTEMS[name]()
-    values = draw(
-        st.lists(terms_over(system.signature.symbols, 4, with_c=False), min_size=1, max_size=3)
-    )
-    pairs = dep_pairs_alt(system)
-    entries = draw(st.lists(witness_entries(values, pairs), min_size=1, max_size=6))
-    if draw(st.booleans()):
-        for i in range(1, len(entries)):
-            dp, sigma = entries[i - 1]
-            rhs_sub = subterm_at(system.rules[dp.rule_index].rhs, dp.position)
-            reached = _reached(system, sigma.apply(rhs_sub), RelationMode.NON_ROOT_INNERMOST, 40)
-            options = [
-                (pair, found)
-                for pair in pairs
-                if (found := match(system.rules[pair.rule_index].lhs, reached)) is not None
-            ]
-            if not options:
-                break
-            entries[i] = draw(st.sampled_from(options))
-    if draw(st.integers(0, 4)) == 0:
-        i = draw(st.integers(0, len(entries) - 1))
-        entries[i] = (draw(st.sampled_from(NOT_PAIRS)), entries[i][1])
-    return name, ChainWitness(tuple(entries)), draw(st.integers(0, 40))
+    return name, draw(chain_witness(SYSTEMS[name](), min_size=1)), draw(st.integers(0, 40))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

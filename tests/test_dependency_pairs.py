@@ -609,8 +609,8 @@ CRITERION_3_SHAPES = {
 def test_chain_growth_searches_each_link_once(monkeypatch, shape, k):
     """Each entry after the first is linked by one ``derives`` search from
     the entry before's instantiated rhs subterm to the lhs instance just
-    extracted; ``check_chained``, which validates both pairs and rebuilds
-    both ends again, serves only witnesses that come from outside."""
+    extracted, the search ``verify_chain_prefix`` runs on that link;
+    ``check_chained``, which validates its two pairs first, is never called."""
     trs, start = CRITERION_3_SHAPES[shape]
     cert = detect_innermost_loop(trs, start, 100)
     assert cert is not None
@@ -620,3 +620,18 @@ def test_chain_growth_searches_each_link_once(monkeypatch, shape, k):
     assert len(witness) == k
     assert (searches[0], checks[0]) == (k - 1, 0)
     assert verify_chain_prefix(trs, witness, True, 100).status == VERIFIED
+
+
+@pytest.mark.parametrize("shape", sorted(CRITERION_3_SHAPES))
+def test_a_chain_check_validates_and_nr_checks_each_entry_once(monkeypatch, shape):
+    """``verify_chain_prefix`` passes over the witness once: each of its k
+    entries is validated once and its lhs instance nr-checked once.  Checking
+    each link as two ends, which validated and nr-checked both again, made
+    22 validations and 14 nr-checks at k = 8."""
+    k = 8
+    trs, start = CRITERION_3_SHAPES[shape]
+    witness = chain_from_loop(trs, detect_innermost_loop(trs, start, 100), k, 100)
+    nr_checks = _count_calls(monkeypatch, dependency_pairs, "is_nr_normal_form")
+    validations = _count_calls(monkeypatch, dependency_pairs, "is_dep_pair_alt")
+    assert verify_chain_prefix(trs, witness, True, 100).status == VERIFIED
+    assert (nr_checks[0], validations[0]) == (k, k)

@@ -1,5 +1,5 @@
-"""The one pass over a witness's denoted terms, and chain growth, against
-the original definitions.
+"""The one-pass walks over a witness, chain growth and the loop searches,
+against the original definitions.
 
 ``term_pos_dps_alt`` and ``derivation_from_chain`` now share one pass that
 builds every denoted term once.  At every index, on random Ackermann and
@@ -21,6 +21,15 @@ beside a constructor tower ``s^j(c)`` with j up to 50, at fuels 0..12, it
 must find the subterm and certificate of the original, which searches every
 subterm, or None when that does.
 
+``verify_chain_prefix`` now checks a witness in one pass, each entry
+instantiated, validated and nr-checked once, and ``check_chained`` is that
+pass over two entries.  On drawn witnesses of 0..6 entries over the
+command-contract systems, chained or not, with lhs instances that hold a
+redex and with entries that are no dependency pair, in both modes at fuels
+0..40, each must give the verdict of the original, kept in ``helpers``:
+the same status, failed link, reason and traces, or the same error with the
+same message and entry.
+
 ``detect_innermost_loop`` now runs on one redex table per search.  On the
 loop, nest, detour and growing systems and the criterion-3 shapes, from
 fixed and drawn start terms at fuels 1..40, it must return the certificate
@@ -37,7 +46,9 @@ from rdp import (
     InvalidDepPairError,
     PreconditionFailed,
     RelationMode,
+    Substitution,
     chain_from_loop,
+    check_chained,
     dep_pairs_alt,
     derivation_from_chain,
     derives,
@@ -48,9 +59,11 @@ from rdp import (
     subterm_at,
     term_pos_dps_alt,
     trs_of,
+    verify_chain_prefix,
 )
 
 from helpers import (
+    CONTRACT_SYSTEMS,
     B2,
     C0,
     F1,
@@ -63,6 +76,7 @@ from helpers import (
     X,
     ack_system,
     ap,
+    chain_witness,
     detour_system,
     explored,
     fc,
@@ -72,11 +86,13 @@ from helpers import (
     nat,
     nest_system,
     oracle_chain_from_loop,
+    oracle_check_chained,
     oracle_derives,
     oracle_descendants,
     oracle_detect_innermost_loop,
     oracle_find_mint_subterm,
     oracle_term_pos_dps_alt,
+    oracle_verify_chain_prefix,
     random_looping_instance,
     terms_over,
     witness_entries,
@@ -170,6 +186,35 @@ def test_derivation_from_chain_terms_match_the_oracle(case):
     ):
         assert trace.start == term
         assert trace.steps[-1].position == pos
+
+
+@st.composite
+def contract_witness(draw):
+    """A system of the command-contract tests and a witness over it.  Half of
+    the time one entry binds x to a rule's lhs, so that a lhs instance in
+    the middle of a chain, not only at its ends, may hold a redex."""
+    trs = CONTRACT_SYSTEMS[draw(st.sampled_from(sorted(CONTRACT_SYSTEMS)))]()
+    entries = list(draw(chain_witness(trs)).entries)
+    if entries and draw(st.booleans()):
+        i = draw(st.integers(0, len(entries) - 1))
+        redex = draw(st.sampled_from(trs.rules)).lhs
+        entries[i] = (entries[i][0], Substitution({**dict(entries[i][1].items()), X: redex}))
+    return trs, ChainWitness(tuple(entries))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(contract_witness(), st.booleans(), st.integers(0, 40))
+def test_the_one_pass_chain_check_matches_the_oracle(case, innermost, fuel):
+    """``verify_chain_prefix`` on the whole witness, and ``check_chained`` on
+    each two consecutive entries, give the original's verdict or error."""
+    trs, witness = case
+    assert _outcome(verify_chain_prefix, trs, witness, innermost, fuel) == _outcome(
+        oracle_verify_chain_prefix, trs, witness, innermost, fuel
+    )
+    for first, second in zip(witness.entries, witness.entries[1:]):
+        assert _outcome(check_chained, trs, *first, *second, innermost, fuel) == _outcome(
+            oracle_check_chained, trs, *first, *second, innermost, fuel
+        )
 
 
 LOOPING = {
